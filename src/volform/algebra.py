@@ -115,12 +115,6 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def total_degree(self) -> int | None:
-        """Max term degree (sum of exponents), or None for the zero polynomial."""
-        if self.is_zero:
-            return None
-        return max(sum(exps) for exps, _ in self.terms)
-
     def leading(self) -> tuple[Exponents, Fraction]:
         if self.is_zero:
             raise NotAUnitError("zero polynomial has no leading term")

@@ -12,6 +12,7 @@ from typing import Iterable, Sequence
 
 from .algebra import Exponents, LaurentPoly, _grlex_key
 from .calculus import (
+    DiffForm,
     VectorField,
     VolumeForm,
     contract_volume,
@@ -41,9 +42,11 @@ UNKNOWN = "UNKNOWN"
 # ------------------------------------------------------------ identities
 
 
-def verify_bracket_identity(a: VectorField, b: VectorField, volume: VolumeForm) -> bool:
-    """Exact check that contracting the bracket equals d of the double
-    contraction.  Only asserted for divergence-free fields, so that is a
+def bracket_identity_residual(
+    a: VectorField, b: VectorField, volume: VolumeForm
+) -> DiffForm:
+    """Contraction of the bracket minus d of the double contraction.  The
+    identity is only asserted for divergence-free fields, so that is a
     checked precondition, reported distinctly from an identity failure."""
     from .calculus import divergence  # local to keep module import order simple
 
@@ -52,7 +55,13 @@ def verify_bracket_identity(a: VectorField, b: VectorField, volume: VolumeForm) 
             raise PreconditionError(f"{name} field does not have divergence zero")
     lhs = contract_volume(lie_bracket(a, b), volume)
     rhs = exterior_derivative(interior_product(a, interior_product(b, volume)))
-    return (lhs - rhs).is_zero
+    return lhs - rhs
+
+
+def verify_bracket_identity(a: VectorField, b: VectorField, volume: VolumeForm) -> bool:
+    """Exact check that contracting the bracket equals d of the double
+    contraction (see :func:`bracket_identity_residual`)."""
+    return bracket_identity_residual(a, b, volume).is_zero
 
 
 def bracket_potential(a: VectorField, b: VectorField, volume: VolumeForm) -> LaurentPoly:
@@ -70,13 +79,20 @@ def bracket_potential(a: VectorField, b: VectorField, volume: VolumeForm) -> Lau
     return result.coefficient(())
 
 
-def verify_potential(f: LaurentPoly, xi: VectorField, volume: VolumeForm) -> bool:
-    """True iff d(f) equals i_xi omega exactly (no sign search)."""
+def potential_sides(
+    f: LaurentPoly, xi: VectorField, volume: VolumeForm
+) -> tuple[DiffForm, DiffForm]:
+    """The two sides d(f) and i_xi omega of the potential equation on a surface."""
     on = xi.chart
     if on.dimension != 2:
         raise DimensionError(f"chart has dimension {on.dimension}, expected 2")
-    lhs = exterior_derivative(scalar_form(on, f))
-    return (lhs - contract_volume(xi, volume)).is_zero
+    return exterior_derivative(scalar_form(on, f)), contract_volume(xi, volume)
+
+
+def verify_potential(f: LaurentPoly, xi: VectorField, volume: VolumeForm) -> bool:
+    """True iff d(f) equals i_xi omega exactly (no sign search)."""
+    lhs, rhs = potential_sides(f, xi, volume)
+    return (lhs - rhs).is_zero
 
 
 # --------------------------------------------------------------- kernels
@@ -115,16 +131,20 @@ def kernel_basis(xi: VectorField, degree_bound: int) -> list[LaurentPoly]:
     reduced = [on.normal_form(m) for m in monomials]
     images = [xi.apply(m) for m in monomials]
 
-    image_span = _span_builder()
+    # kernel = nullspace of the image matrix: one row per image monomial,
+    # keyed by monomial index, leftmost index pivoting first
+    image_rows: dict[Exponents, dict[int, Fraction]] = {}
+    for j, w in enumerate(images):
+        for exps, coeff in w.terms:
+            image_rows.setdefault(exps, {})[j] = coeff
+    image_span = SpanBuilder(key_order=lambda j: -j)
+    for row in image_rows.values():
+        image_span.insert(row)
     members: list[LaurentPoly] = []
-    for idx, w in enumerate(images):
-        was_new, combo = image_span.insert(w.as_dict())
-        if was_new:
-            continue
+    for combo in image_span.nullspace(range(len(monomials))):
         candidate = LaurentPoly.zero(on.coordinates)
-        for j, c in enumerate(combo):
-            if c:
-                candidate = candidate + c * reduced[j]
+        for j, c in combo.items():
+            candidate = candidate + c * reduced[j]
         if not candidate.is_zero:
             members.append(candidate)
 

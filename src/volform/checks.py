@@ -10,13 +10,13 @@ from typing import Callable
 from .algebra import LaurentPoly, _grlex_key
 from .avdp import (
     UNKNOWN,
+    bracket_identity_residual,
     bracket_potential,
     kernel_basis,
+    potential_sides,
     semicompat_bounded,
     spans_wedge_square,
-    verify_bracket_identity,
     verify_flow_jacobian,
-    verify_potential,
 )
 from .calculus import (
     DiffForm,
@@ -26,7 +26,6 @@ from .calculus import (
     divergence,
     exterior_derivative,
     forms_equal,
-    interior_product,
     is_invariant,
     is_tangent,
     lie_bracket,
@@ -65,11 +64,14 @@ class CheckRecord:
 
 CheckFn = Callable[[Model, tuple, RunFlags], tuple[str, str]]
 REGISTRY: dict[str, CheckFn] = {}
+# kind -> (fewest, most) arguments; documents are held to it at parse time
+ARITY: dict[str, tuple[int, int]] = {}
 
 
-def register(kind: str):
+def register(kind: str, min_args: int, max_args: int | None = None):
     def wrap(fn: CheckFn) -> CheckFn:
         REGISTRY[kind] = fn
+        ARITY[kind] = (min_args, min_args if max_args is None else max_args)
         return fn
     return wrap
 
@@ -131,7 +133,7 @@ def _int(value, what: str) -> int:
 # ------------------------------------------------------------------ checks
 
 
-@register("tangent")
+@register("tangent", 1)
 def _check_tangent(model: Model, args, flags) -> tuple[str, str]:
     field = _field(model, args[0])
     if is_tangent(field):
@@ -140,7 +142,7 @@ def _check_tangent(model: Model, args, flags) -> tuple[str, str]:
     return FAIL, f"relation residuals: {residuals}"
 
 
-@register("divergence_zero")
+@register("divergence_zero", 2)
 def _check_divergence_zero(model: Model, args, flags) -> tuple[str, str]:
     field = _field(model, args[0])
     volume = _volume(model, args[1])
@@ -150,33 +152,29 @@ def _check_divergence_zero(model: Model, args, flags) -> tuple[str, str]:
     return FAIL, f"divergence is {div}"
 
 
-@register("identity1")
+@register("identity1", 3)
 def _check_identity1(model: Model, args, flags) -> tuple[str, str]:
     a, b = _field(model, args[0]), _field(model, args[1])
     volume = _volume(model, args[2])
-    if verify_bracket_identity(a, b, volume):
+    residual = bracket_identity_residual(a, b, volume)
+    if residual.is_zero:
         return PASS, "contraction of the bracket equals d of the double contraction"
-    residual = contract_volume(lie_bracket(a, b), volume) - exterior_derivative(
-        interior_product(a, interior_product(b, volume))
-    )
     return FAIL, f"residual form: {_render_form(residual)}"
 
 
-@register("potential")
+@register("potential", 3)
 def _check_potential(model: Model, args, flags) -> tuple[str, str]:
     poly = _polynomial(model, args[0])
     field = _field(model, args[1])
     volume = _volume(model, args[2])
+    df, theta = potential_sides(poly, field, volume)
     for c in (1, -1):
-        if verify_potential(c * poly, field, volume):
+        if (c * df - theta).is_zero:
             return PASS, f"matched constant c = {c:+d}"
-    residual = exterior_derivative(
-        scalar_form(field.chart, poly)
-    ) - contract_volume(field, volume)
-    return FAIL, f"no sign matches; residual for c=+1: {_render_form(residual)}"
+    return FAIL, f"no sign matches; residual for c=+1: {_render_form(df - theta)}"
 
 
-@register("bracket_potential")
+@register("bracket_potential", 4)
 def _check_bracket_potential(model: Model, args, flags) -> tuple[str, str]:
     a, b = _field(model, args[0]), _field(model, args[1])
     volume = _volume(model, args[2])
@@ -194,7 +192,7 @@ def _check_bracket_potential(model: Model, args, flags) -> tuple[str, str]:
     return FAIL, f"potential is {value}, expected +/- ({expected})"
 
 
-@register("kernel_spans")
+@register("kernel_spans", 4)
 def _check_kernel_spans(model: Model, args, flags) -> tuple[str, str]:
     field = _field(model, args[0])
     bound = _int(args[1], "degree bound")
@@ -214,7 +212,7 @@ def _check_kernel_spans(model: Model, args, flags) -> tuple[str, str]:
     return PASS, f"kernel is exactly the span of powers of {generator} (dim {expected_dim})"
 
 
-@register("semicompat")
+@register("semicompat", 2, 4)
 def _check_semicompat(model: Model, args, flags) -> tuple[str, str]:
     a, b = _field(model, args[0]), _field(model, args[1])
     bound = _int(args[2], "degree bound") if len(args) > 2 else flags.degree_bound
@@ -230,7 +228,7 @@ def _check_semicompat(model: Model, args, flags) -> tuple[str, str]:
     return FAIL, detail + f", expected {expected}"
 
 
-@register("wedge_span")
+@register("wedge_span", 1)
 def _check_wedge_span(model: Model, args, flags) -> tuple[str, str]:
     triples = args[0]
     pairs = []
@@ -256,7 +254,7 @@ def _check_wedge_span(model: Model, args, flags) -> tuple[str, str]:
     return PASS, f"wedges span the wedge square at {len(points)} sampled points"
 
 
-@register("lnd")
+@register("lnd", 1, 2)
 def _check_lnd(model: Model, args, flags) -> tuple[str, str]:
     field = _field(model, args[0])
     bound = _int(args[1], "bound") if len(args) > 1 else flags.lnd_bound
@@ -266,7 +264,7 @@ def _check_lnd(model: Model, args, flags) -> tuple[str, str]:
     return PASS, f"locally nilpotent within bound {bound}; flow moves {moved or 'nothing'}"
 
 
-@register("exact_volume")
+@register("exact_volume", 2)
 def _check_exact_volume(model: Model, args, flags) -> tuple[str, str]:
     form = _form(model, args[0])
     volume = _volume(model, args[1])
@@ -276,7 +274,7 @@ def _check_exact_volume(model: Model, args, flags) -> tuple[str, str]:
     return FAIL, f"residual form: {_render_form(residual)}"
 
 
-@register("invariant")
+@register("invariant", 2)
 def _check_invariant(model: Model, args, flags) -> tuple[str, str]:
     name = args[0]
     obj = model.lookup(name) if isinstance(name, str) else None
@@ -290,7 +288,7 @@ def _check_invariant(model: Model, args, flags) -> tuple[str, str]:
     return FAIL, f"{name} is not invariant under {act.name}"
 
 
-@register("commute")
+@register("commute", 2)
 def _check_commute(model: Model, args, flags) -> tuple[str, str]:
     a, b = _field(model, args[0]), _field(model, args[1])
     bracket = lie_bracket(a, b)
@@ -299,7 +297,7 @@ def _check_commute(model: Model, args, flags) -> tuple[str, str]:
     return FAIL, f"bracket is {[str(c) for _, c in bracket.coefficients if not c.is_zero]}"
 
 
-@register("theta_equals")
+@register("theta_equals", 3)
 def _check_theta_equals(model: Model, args, flags) -> tuple[str, str]:
     field = _field(model, args[0])
     volume = _volume(model, args[1])
@@ -311,7 +309,7 @@ def _check_theta_equals(model: Model, args, flags) -> tuple[str, str]:
     return FAIL, f"contraction is {_render_form(value)}"
 
 
-@register("flow_jacobian")
+@register("flow_jacobian", 3, 4)
 def _check_flow_jacobian(model: Model, args, flags) -> tuple[str, str]:
     field = _field(model, args[0])
     poly = _polynomial(model, args[1])
@@ -323,7 +321,7 @@ def _check_flow_jacobian(model: Model, args, flags) -> tuple[str, str]:
     return FAIL, "flow Jacobian does not match identity plus the rank-one shear"
 
 
-@register("submodular")
+@register("submodular", 3)
 def _check_submodular(model: Model, args, flags) -> tuple[str, str]:
     group = _want(model, args[0], GroupPresentation, "group")
     element = group.element(args[1])

@@ -18,6 +18,8 @@ from .model import Model
 from .scenarios import SCENARIO_SUMMARY, scenario_by_name
 
 SCHEMA_PATH = Path(__file__).with_name("report.schema.json")
+# the report schema's minimums for the numeric `check` flags
+FLAG_MINIMUMS = (("points", 1), ("degree_bound", 0), ("lnd_bound", 0))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,6 +101,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for name, minimum in FLAG_MINIMUMS if args.command == "check" else ():
+            if getattr(args, name) < minimum:
+                parser.error(f"argument --{name.replace('_', '-')}: must be at least {minimum}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 

@@ -23,6 +23,7 @@ from typing import Iterable
 
 from .algebra import LaurentPoly
 from .calculus import DiffForm, diff_form, scalar_form, vector_field, volume_form, wedge
+from .checks import ARITY
 from .errors import ParseError, SemanticError, VolformError
 from .groups import group_presentation
 from .model import CheckDirective, Model
@@ -585,6 +586,13 @@ class _Parser:
             while self.accept_op(","):
                 args.append(self._check_arg())
         self.expect_op(")")
+        low, high = ARITY.get(kind_tok.text, (0, len(args)))
+        if not low <= len(args) <= high:
+            count = str(low) if low == high else f"{low} to {high}"
+            raise SemanticError(
+                f"check {kind_tok.text} takes {count} argument(s), got {len(args)}",
+                kind_tok.line, kind_tok.col,
+            )
         expect = "PASS"
         if self.at_keyword("expect"):
             self.advance()

@@ -13,7 +13,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import GroupError
-from .linalg import Matrix, det_bareiss, make_matrix, mat_inverse, mat_mul, solve_exact
+from .linalg import (
+    Matrix, det_bareiss, make_matrix, mat_inverse, mat_mul, row_echelon, solve_exact,
+)
 
 
 def _vectorize(m: Matrix) -> list[Fraction]:
@@ -48,12 +50,7 @@ def group_presentation(
         raise GroupError("empty Lie algebra basis")
     for b in basis:
         _check_square(b, size, "basis matrix")
-    # linear independence of the vectorized basis
-    probe = [[Fraction(0)] * len(basis) for _ in range(size * size)]
-    for j, b in enumerate(basis):
-        for i, value in enumerate(_vectorize(b)):
-            probe[i][j] = value
-    if _column_rank(probe) != len(basis):
+    if len(row_echelon(_vectorize(b) for b in basis)) != len(basis):
         raise GroupError("Lie algebra basis matrices are linearly dependent")
 
     elements = []
@@ -67,25 +64,6 @@ def group_presentation(
     for name, h in elements:
         adjoint_matrix(h, basis)  # raises when the span is not Ad-stable
     return group
-
-
-def _column_rank(columns_matrix: list[list[Fraction]]) -> int:
-    rows = [list(r) for r in columns_matrix]
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = Fraction(1) / rows[rank][c]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
 
 
 def adjoint_matrix(h: Matrix | Sequence[Sequence], basis: Sequence[Matrix]) -> Matrix:

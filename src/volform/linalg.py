@@ -1,8 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Dense helpers cover the tiny matrices that appear in group computations and
-Jacobians; :class:`SpanBuilder` provides incremental echelonization over an
-arbitrary ordered column space (used with Laurent-monomial columns).
+:class:`SpanBuilder` is the one elimination engine: incremental reduced
+echelon form over sparse rational vectors with an arbitrary ordered column
+space (Laurent-monomial columns for kernels and spans, integer columns for
+dense matrices).  :func:`row_echelon` is its dense front end, and
+:func:`solve_exact` and :func:`mat_inverse` read the reduced echelon form it
+builds.  :func:`det_bareiss` is separate: a fraction-free determinant.
 """
 
 from __future__ import annotations
@@ -32,25 +35,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         tuple(sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m))
         for i in range(n)
     )
-
-
-def mat_inverse(a: Matrix) -> Matrix:
-    """Gauss-Jordan inverse; GroupError when singular."""
-    n = len(a)
-    aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise GroupError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 def det_bareiss(a: Matrix) -> Fraction:
@@ -94,37 +78,14 @@ def _gcd(a: int, b: int) -> int:
     return abs(a)
 
 
-def solve_exact(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> list[Fraction] | None:
-    """One solution of A x = b over the rationals, or None when inconsistent.
-
-    Free variables are set to zero, which makes the result deterministic.
-    """
-    rows = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    nrows, ncols = len(rows), len(a[0]) if a else 0
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if rows[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for row_idx, col_idx in pivots:
-        x[col_idx] = rows[row_idx][ncols]
-    return x
+def _axpy(vec: dict, c: Fraction, row: dict) -> None:
+    """vec += c * row in place, dropping entries that cancel."""
+    for k, v in row.items():
+        nv = vec.get(k, Fraction(0)) + c * v
+        if nv:
+            vec[k] = nv
+        else:
+            vec.pop(k, None)
 
 
 class SpanBuilder:
@@ -132,15 +93,13 @@ class SpanBuilder:
 
     Vectors are dicts mapping hashable column keys to nonzero Fractions; the
     column order is fixed by ``key_order`` (largest column = pivot, compared
-    descending).  Optionally tracks a dense augmentation so that dependent
-    inserts report the linear combination that produced them.
+    descending).  Stored rows are 1 at their own pivot and 0 at every other pivot.
     """
 
     def __init__(self, key_order: Callable[[Hashable], object]):
         self._key_order = key_order
-        # rows: list of (pivot_key, vector, augmentation) in insertion-reduced form
-        self._rows: list[tuple[Hashable, dict, list[Fraction]]] = []
-        self._n_inserted = 0
+        # (pivot_key, row), pivots descending
+        self._rows: list[tuple[Hashable, dict]] = []
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -149,64 +108,86 @@ class SpanBuilder:
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, vec: dict, aug: list[Fraction]) -> tuple[dict, list[Fraction]]:
+    def _reduce(self, vec: dict) -> dict:
         vec = dict(vec)
-        for pivot, row, row_aug in self._rows:
+        for pivot, row in self._rows:
             c = vec.get(pivot)
             if c:
-                for k, v in row.items():
-                    nv = vec.get(k, Fraction(0)) - c * v
-                    if nv:
-                        vec[k] = nv
-                    else:
-                        vec.pop(k, None)
-                for i, v in enumerate(row_aug):
-                    aug[i] -= c * v
-        return vec, aug
+                _axpy(vec, -c, row)
+        return vec
 
-    def insert(self, vec: dict) -> tuple[bool, list[Fraction]]:
-        """Insert a vector.  Returns (was_new, combination).
-
-        ``combination`` expresses the *residual-free* dependency: when the
-        vector reduces to zero, it lists coefficients over previously inserted
-        vectors (by insertion index) with the new vector's own coefficient 1.
-        """
-        aug = [Fraction(0)] * self._n_inserted + [Fraction(1)]
-        self._n_inserted += 1
-        for _, _, row_aug in self._rows:
-            row_aug.append(Fraction(0))
-        vec, aug = self._reduce(vec, aug)
+    def insert(self, vec: dict) -> tuple[bool, Hashable | None]:
+        """Insert a vector.  Returns (was_new, pivot of the new row or None)."""
+        vec = self._reduce(vec)
         if not vec:
-            return (False, aug)
+            return (False, None)
         pivot = max(vec.keys(), key=self._key_order)  # type: ignore[arg-type]
         inv = Fraction(1) / vec[pivot]
         vec = {k: v * inv for k, v in vec.items()}
-        aug = [v * inv for v in aug]
         # back-substitute to keep the basis fully reduced
-        for i, (p, row, row_aug) in enumerate(self._rows):
+        for _, row in self._rows:
             c = row.get(pivot)
             if c:
-                new_row = dict(row)
-                for k, v in vec.items():
-                    nv = new_row.get(k, Fraction(0)) - c * v
-                    if nv:
-                        new_row[k] = nv
-                    else:
-                        new_row.pop(k, None)
-                new_aug = [x - c * y for x, y in zip(row_aug, aug)]
-                self._rows[i] = (p, new_row, new_aug)
-        self._rows.append((pivot, vec, list(aug)))
+                _axpy(row, -c, vec)
+        self._rows.append((pivot, vec))
         self._rows.sort(key=lambda t: self._key_order(t[0]), reverse=True)
-        return (True, aug)
+        return (True, pivot)
 
     def contains(self, vec: dict) -> bool:
-        residual, _ = self._reduce(vec, [Fraction(0)] * (self._n_inserted + 1))
-        return not residual
-
-    def reduce(self, vec: dict) -> dict:
-        residual, _ = self._reduce(vec, [Fraction(0)] * (self._n_inserted + 1))
-        return residual
+        return not self._reduce(vec)
 
     def basis(self) -> list[dict]:
         """Reduced echelon basis, pivot columns descending."""
-        return [dict(row) for _, row, _ in self._rows]
+        return [dict(row) for _, row in self._rows]
+
+    def nullspace(self, keys: Iterable[Hashable]) -> list[dict]:
+        """Basis of {x : sum over k of x[k] * (column k) = 0} on ``keys``.
+
+        One vector per non-pivot key, in the order of ``keys``: 1 at that key
+        and -row[key] at the pivot of each stored row.
+        """
+        pivots = {pivot for pivot, _ in self._rows}
+        out = []
+        for key in keys:
+            if key in pivots:
+                continue
+            vec = {key: Fraction(1)}
+            for pivot, row in self._rows:
+                c = row.get(key)
+                if c:
+                    vec[pivot] = -c
+            out.append(vec)
+        return out
+
+
+def row_echelon(rows: Iterable[Sequence[Fraction]]) -> SpanBuilder:
+    """Reduced echelon form of dense rows.  Column c is keyed by c and the
+    leftmost nonzero column pivots first, as in textbook Gauss-Jordan."""
+    span = SpanBuilder(key_order=lambda c: -c)
+    for row in rows:
+        span.insert({c: x for c, x in enumerate(row) if x})
+    return span
+
+
+def solve_exact(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> list[Fraction] | None:
+    """One solution of A x = b over the rationals, or None when inconsistent.
+
+    Free variables are set to zero, which makes the result deterministic.
+    """
+    ncols = len(a[0]) if a else 0
+    x = [Fraction(0)] * ncols
+    for pivot, row in row_echelon((*row, rhs) for row, rhs in zip(a, b))._rows:
+        if pivot == ncols:  # a row 0 = 1
+            return None
+        x[pivot] = row.get(ncols, Fraction(0))
+    return x
+
+
+def mat_inverse(a: Matrix) -> Matrix:
+    """Gauss-Jordan inverse read from the reduced form of [A | I];
+    GroupError when singular."""
+    n = len(a)
+    span = row_echelon((*row, *eye) for row, eye in zip(a, identity_matrix(n)))
+    if any(pivot >= n for pivot, _ in span._rows):
+        raise GroupError("matrix is singular")
+    return tuple(tuple(row.get(n + j, Fraction(0)) for j in range(n)) for _, row in span._rows)

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from volform.cli import SCHEMA_PATH, main
 
@@ -74,6 +75,35 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["check", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "triangular" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--points", "-3"),
+    ("--points", "0"),
+    ("--degree-bound", "-1"),
+    ("--lnd-bound", "-1"),
+])
+def test_out_of_range_flags_exit_two(flag, value, capsys):
+    assert main(["check", "torus:2", flag, value, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be at least" in captured.err
+
+
+@pytest.mark.parametrize("statement", [
+    "check tangent();",
+    "check kernel_spans(v, 2, one);",
+    "check lnd(v, 2, 3);",
+    "check semicompat(v);",
+    "check submodular(v, v, 1, 2);",
+])
+def test_wrong_check_arity_is_a_semantic_error(statement, tmp_path, capsys):
+    doc = tmp_path / "arity.vf"
+    doc.write_text(f"chart {{ vars x*; }}\nfield v = (x) d/dx;\npoly one = 1;\n{statement}\n")
+    assert main(["check", str(doc)]) == 2
+    assert main(["parse", str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert "argument(s), got" in err and "Traceback" not in err
 
 
 def test_unknown_scenario_address(capsys):

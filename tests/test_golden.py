@@ -1,0 +1,82 @@
+"""Recorded JSON reports: `volform check <target> --format json --seed 3`
+must reproduce tests/data/golden/ byte for byte, with the same exit code.
+
+The reports were recorded once and are the reference for refactors that must
+not change behaviour.  When a report change is intended, rewrite them from the
+current tree with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import re
+from pathlib import Path
+
+import pytest
+
+from volform.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "data" / "golden"
+EXIT_CODES = GOLDEN / "exit_codes.json"
+
+SCENARIOS = (
+    "torus:1",
+    "torus:2",
+    "torus:4",
+    "sl2",
+    "surface:p=x,q=y",
+    "surface:p=x**2,q=y**3",
+    "surface:p=2*x-x**3,q=y**2+y",
+    "xm1:1",
+    "xm1:2",
+    "xm1:3",
+    "product:torus:1|torus:1",
+    "product:sl2|torus:1",
+    "product:surface:p=x,q=y|torus:1",
+)
+DOCUMENTS = tuple(
+    sorted(
+        p.relative_to(ROOT).as_posix()
+        for pattern in ("docs/examples/*.vf", "tests/data/*.vf")
+        for p in ROOT.glob(pattern)
+    )
+)
+TARGETS = SCENARIOS + DOCUMENTS
+
+
+def golden_path(target: str) -> Path:
+    return GOLDEN / (re.sub(r"[^A-Za-z0-9]+", "_", target).strip("_") + ".json")
+
+
+def run_report(target: str) -> tuple[int, str]:
+    """Exit code and stdout of the CLI, run in process from the repo root so
+    that document paths (and hence the report's ``source``) are relative."""
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["check", target, "--format", "json", "--seed", "3"])
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_report_matches_golden(target):
+    code, text = run_report(target)
+    assert text == golden_path(target).read_text(encoding="utf-8")
+    assert code == json.loads(EXIT_CODES.read_text(encoding="utf-8"))[target]
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    codes = {}
+    for target in TARGETS:
+        codes[target], text = run_report(target)
+        golden_path(target).write_text(text, encoding="utf-8")
+    EXIT_CODES.write_text(json.dumps(codes, indent=2) + "\n", encoding="utf-8")

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import dense_nullspace, dense_rank
 from volform.errors import GroupError
 from volform.linalg import (
     SpanBuilder,
@@ -13,6 +14,7 @@ from volform.linalg import (
     make_matrix,
     mat_inverse,
     mat_mul,
+    row_echelon,
     solve_exact,
 )
 
@@ -66,12 +68,8 @@ def test_span_builder_rank_membership_and_combos():
     assert span.rank == 2
     assert span.contains({0: Fraction(3), 1: Fraction(-1)})
     assert not span.contains({2: Fraction(1)})
-    # a dependent vector reports the combination over inserted vectors
-    new, combo = span.insert({0: Fraction(2), 1: Fraction(4)})
-    assert not new
-    assert combo[-1] == 1
-    # reconstruct: 2*v0 + 0*v1 - 1*new == 0  =>  combo = [-2, 0, 1] scaled
-    assert combo[0] * 1 + combo[2] * 2 == 0
+    # a dependent vector is not stored and has no pivot
+    assert span.insert({0: Fraction(2), 1: Fraction(4)}) == (False, None)
 
 
 def test_span_builder_basis_is_reduced_echelon():
@@ -82,3 +80,89 @@ def test_span_builder_basis_is_reduced_echelon():
     # pivots normalized to 1 and cleared across rows
     assert {1: Fraction(1)} in basis
     assert {0: Fraction(1)} in basis
+
+
+# ------------------------------------------------ engine against the oracles
+
+
+def _random_sparse(rng, nrows, ncols):
+    """Sparse rational matrix; some columns forced to zero, and some rows
+    replaced by combinations of earlier rows so that rank deficiency is common."""
+    zero_cols = {c for c in range(ncols) if rng.random() < 0.15}
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.3:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+            continue
+        rows.append([
+            Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            if c not in zero_cols and rng.random() < 0.5 else Fraction(0)
+            for c in range(ncols)
+        ])
+    return rows
+
+
+def _apply(rows, vec):
+    return [sum((x * v for x, v in zip(row, vec)), Fraction(0)) for row in rows]
+
+
+def test_nullspace_matches_dense_oracle():
+    rng = random.Random(2012)
+    deficient = 0
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+        rows = _random_sparse(rng, nrows, ncols)
+        kernel = [
+            [vec.get(c, Fraction(0)) for c in range(ncols)]
+            for vec in row_echelon(rows).nullspace(range(ncols))
+        ]
+        assert kernel == dense_nullspace(rows)
+        for vec in kernel:
+            assert not any(_apply(rows, vec))
+        deficient += dense_rank(rows) < min(nrows, ncols)
+    assert deficient > 10
+
+
+def test_solve_exact_against_matrix_product():
+    rng = random.Random(1201)
+    seen = {"solved": 0, "inconsistent": 0}
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        a = _random_sparse(rng, nrows, ncols)
+        if rng.random() < 0.5:  # consistent by construction
+            b = _apply(a, [Fraction(rng.randint(-4, 4)) for _ in range(ncols)])
+        else:
+            b = [Fraction(rng.randint(-4, 4)) for _ in range(nrows)]
+        x = solve_exact(a, b)
+        consistent = dense_rank([row + [rhs] for row, rhs in zip(a, b)]) == dense_rank(a)
+        if not consistent:
+            assert x is None
+            seen["inconsistent"] += 1
+            continue
+        assert x is not None and _apply(a, x) == b
+        # free variables are zero; each kernel vector's last entry is its free column
+        for vec in dense_nullspace(a):
+            free = max(c for c, v in enumerate(vec) if v)
+            assert x[free] == 0
+        seen["solved"] += 1
+    assert min(seen.values()) > 20
+
+
+def test_mat_inverse_against_matrix_product():
+    rng = random.Random(4769)
+    seen = {"inverted": 0, "singular": 0}
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        m = make_matrix(_random_sparse(rng, n, n))
+        if dense_rank([list(row) for row in m]) < n:
+            with pytest.raises(GroupError):
+                mat_inverse(m)
+            seen["singular"] += 1
+            continue
+        inv = mat_inverse(m)
+        assert mat_mul(m, inv) == identity_matrix(n)
+        assert mat_mul(inv, m) == identity_matrix(n)
+        seen["inverted"] += 1
+    assert min(seen.values()) > 20
