@@ -16,6 +16,7 @@ from .calculus import (
     VectorField,
     VolumeForm,
     contract_volume,
+    divergence,
     exterior_derivative,
     interior_product,
     is_tangent,
@@ -42,17 +43,19 @@ UNKNOWN = "UNKNOWN"
 # ------------------------------------------------------------ identities
 
 
-def bracket_identity_residual(
-    a: VectorField, b: VectorField, volume: VolumeForm
-) -> DiffForm:
-    """Contraction of the bracket minus d of the double contraction.  The
-    identity is only asserted for divergence-free fields, so that is a
-    checked precondition, reported distinctly from an identity failure."""
-    from .calculus import divergence  # local to keep module import order simple
-
+def _require_divergence_free(a: VectorField, b: VectorField, volume: VolumeForm) -> None:
+    """The bracket identities are only asserted for divergence-free fields, so
+    that is a checked precondition, reported distinctly from a failure."""
     for name, f in (("first", a), ("second", b)):
         if not divergence(f, volume).is_zero:
             raise PreconditionError(f"{name} field does not have divergence zero")
+
+
+def bracket_identity_residual(
+    a: VectorField, b: VectorField, volume: VolumeForm
+) -> DiffForm:
+    """Contraction of the bracket minus d of the double contraction."""
+    _require_divergence_free(a, b, volume)
     lhs = contract_volume(lie_bracket(a, b), volume)
     rhs = exterior_derivative(interior_product(a, interior_product(b, volume)))
     return lhs - rhs
@@ -70,11 +73,7 @@ def bracket_potential(a: VectorField, b: VectorField, volume: VolumeForm) -> Lau
     on = a.chart
     if on.dimension != 2:
         raise DimensionError(f"chart has dimension {on.dimension}, expected 2")
-    from .calculus import divergence
-
-    for name, f in (("first", a), ("second", b)):
-        if not divergence(f, volume).is_zero:
-            raise PreconditionError(f"{name} field does not have divergence zero")
+    _require_divergence_free(a, b, volume)
     result = interior_product(a, interior_product(b, volume))
     return result.coefficient(())
 

@@ -130,11 +130,8 @@ def field_from_free(on: Chart, free: Mapping[str, LaurentPoly | Scalar]) -> Vect
     return vector_field(on, comps)
 
 
-def is_tangent(field: VectorField, on: Chart | None = None) -> bool:
+def is_tangent(field: VectorField) -> bool:
     """True iff the field maps each defining polynomial into the ideal."""
-    target = on or field.chart
-    if target is not field.chart and target != field.chart:
-        raise ChartError("field lives on a different chart")
     return all(field.apply(rel.poly).is_zero for rel in field.chart.relations)
 
 

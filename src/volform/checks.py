@@ -9,6 +9,8 @@ from typing import Callable
 
 from .algebra import LaurentPoly, _grlex_key
 from .avdp import (
+    FULL_RING,
+    IDEAL_WITNESS,
     UNKNOWN,
     bracket_identity_residual,
     bracket_potential,
@@ -27,7 +29,6 @@ from .calculus import (
     exterior_derivative,
     forms_equal,
     is_invariant,
-    is_tangent,
     lie_bracket,
     lnd_flow,
     scalar_form,
@@ -125,8 +126,25 @@ def _polynomial(model: Model, name) -> LaurentPoly:
 
 
 def _int(value, what: str) -> int:
+    """A bound or dimension: an integer, at least 0 like the CLI's bound flags."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise SemanticError(f"expected an integer {what}, got {value!r}")
+    if value < 0:
+        raise SemanticError(f"{what} must be at least 0, got {value}")
+    return value
+
+
+def _number(value, what: str) -> Fraction:
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise SemanticError(f"expected a number for the {what}, got {value!r}")
+    return Fraction(value)
+
+
+def _tuples(value, width: int, what: str) -> tuple:
+    """A non-empty tuple of `width`-tuples, e.g. wedge triples or a point literal."""
+    if not (isinstance(value, tuple) and value
+            and all(isinstance(t, tuple) and len(t) == width for t in value)):
+        raise SemanticError(f"expected a non-empty tuple of {what}, got {value!r}")
     return value
 
 
@@ -136,10 +154,10 @@ def _int(value, what: str) -> int:
 @register("tangent", 1)
 def _check_tangent(model: Model, args, flags) -> tuple[str, str]:
     field = _field(model, args[0])
-    if is_tangent(field):
+    residuals = [field.apply(rel.poly) for rel in field.chart.relations]
+    if all(r.is_zero for r in residuals):
         return PASS, "field is tangent to every defining relation"
-    residuals = [str(field.apply(rel.poly)) for rel in field.chart.relations]
-    return FAIL, f"relation residuals: {residuals}"
+    return FAIL, f"relation residuals: {[str(r) for r in residuals]}"
 
 
 @register("divergence_zero", 2)
@@ -217,6 +235,8 @@ def _check_semicompat(model: Model, args, flags) -> tuple[str, str]:
     a, b = _field(model, args[0]), _field(model, args[1])
     bound = _int(args[2], "degree bound") if len(args) > 2 else flags.degree_bound
     expected = args[3] if len(args) > 3 else None
+    if expected not in (None, FULL_RING, IDEAL_WITNESS):
+        raise SemanticError(f"expected verdict {FULL_RING} or {IDEAL_WITNESS}, got {expected!r}")
     verdict = semicompat_bounded(a, b, bound)
     detail = f"status {verdict.status} at bound {bound}"
     if verdict.witness is not None:
@@ -230,11 +250,10 @@ def _check_semicompat(model: Model, args, flags) -> tuple[str, str]:
 
 @register("wedge_span", 1)
 def _check_wedge_span(model: Model, args, flags) -> tuple[str, str]:
-    triples = args[0]
-    pairs = []
-    for entry in triples:
-        a, b, witness = entry
-        pairs.append((_field(model, a), _field(model, b), _polynomial(model, witness)))
+    pairs = [
+        (_field(model, a), _field(model, b), _polynomial(model, witness))
+        for a, b, witness in _tuples(args[0], 3, "(field, field, witness) triples")
+    ]
     chart = pairs[0][0].chart
     points = []
     seen = set()
@@ -313,9 +332,10 @@ def _check_theta_equals(model: Model, args, flags) -> tuple[str, str]:
 def _check_flow_jacobian(model: Model, args, flags) -> tuple[str, str]:
     field = _field(model, args[0])
     poly = _polynomial(model, args[1])
-    literal = args[2]
+    values = {name: _number(value, "coordinate value")
+              for name, value in _tuples(args[2], 2, "(coordinate, value) pairs")}
     bound = _int(args[3], "bound") if len(args) > 3 else flags.lnd_bound
-    point = field.chart.point({name: value for name, value in literal})
+    point = field.chart.point(values)
     if verify_flow_jacobian(field, poly, point, bound):
         return PASS, "flow Jacobian equals identity plus the rank-one shear"
     return FAIL, "flow Jacobian does not match identity plus the rank-one shear"
@@ -325,7 +345,7 @@ def _check_flow_jacobian(model: Model, args, flags) -> tuple[str, str]:
 def _check_submodular(model: Model, args, flags) -> tuple[str, str]:
     group = _want(model, args[0], GroupPresentation, "group")
     element = group.element(args[1])
-    expected = Fraction(args[2])
+    expected = _number(args[2], "determinant")
     value = submodular(element, group.lie_basis)
     if value == expected:
         return PASS, f"determinant of the adjoint action is {value}"

@@ -34,7 +34,7 @@ Document = Model
 KEYWORDS = {
     "chart", "vars", "invert", "rel", "solve", "volume", "field", "form",
     "poly", "action", "order", "group", "ambient", "basis", "element",
-    "check", "expect",
+    "check",
 }
 
 
@@ -197,7 +197,13 @@ class _Parser:
             }.get(tok.text)
             if handler is None:
                 raise ParseError(f"unknown statement {tok.text!r}", tok.line, tok.col)
-            handler()
+            try:
+                handler()
+            except (ParseError, SemanticError):
+                raise
+            except VolformError as exc:
+                # construction errors (chart, field, volume, ...) point at the statement
+                raise SemanticError(str(exc), tok.line, tok.col) from exc
         return self.model
 
     def _require_chart(self, tok: Token) -> Chart:
@@ -264,10 +270,7 @@ class _Parser:
             relations.append((poly, solve_tok.text))
             self.expect_op(";")
         self.expect_op("}")
-        try:
-            self.model.chart = chart(vs, invertible, relations)
-        except VolformError as exc:
-            raise SemanticError(str(exc), opener.line, opener.col) from exc
+        self.model.chart = chart(vs, invertible, relations)
 
     # ------------------------------------------------------- expressions
 
@@ -375,10 +378,7 @@ class _Parser:
             else:
                 break
         self.expect_op(";")
-        try:
-            self.model.fields[name_tok.text] = vector_field(on, coeffs)
-        except VolformError as exc:
-            raise SemanticError(str(exc), opener.line, opener.col) from exc
+        self.model.fields[name_tok.text] = vector_field(on, coeffs)
 
     def _field_term(self, on: Chart) -> tuple[LaurentPoly, Token]:
         if self.peek().kind == "DERIV":
@@ -396,7 +396,7 @@ class _Parser:
         name_tok = self.expect_ident("form name")
         self._define("form", name_tok)
         self.expect_op("=")
-        value = self._form_literal(on, opener)
+        value = self._form_literal(on)
         self.expect_op(";")
         self.model.forms[name_tok.text] = value
 
@@ -409,22 +409,19 @@ class _Parser:
         name_tok = self.expect_ident("volume name")
         self._define("volume", name_tok)
         self.expect_op("=")
-        value = self._form_literal(on, opener)
+        value = self._form_literal(on)
         self.expect_op(";")
         if len(value.coefficients) != 1 or value.degree != on.dimension:
             raise SemanticError("volume literal must be a single top-degree term",
                                 opener.line, opener.col)
-        try:
-            self.model.volume = volume_form(on, value.coefficients[0][1])
-        except VolformError as exc:
-            raise SemanticError(str(exc), opener.line, opener.col) from exc
+        self.model.volume = volume_form(on, value.coefficients[0][1])
         self.model.volume_name = name_tok.text
 
-    def _form_literal(self, on: Chart, opener: Token) -> DiffForm:
+    def _form_literal(self, on: Chart) -> DiffForm:
         total: DiffForm | None = None
         sign = -1 if self.accept_op("-") else 1
         while True:
-            term = self._form_term(on, opener)
+            term = self._form_term(on)
             term = term if sign > 0 else -term
             total = term if total is None else total + term
             if self.accept_op("+"):
@@ -435,7 +432,7 @@ class _Parser:
                 break
         return total
 
-    def _form_term(self, on: Chart, opener: Token) -> DiffForm:
+    def _form_term(self, on: Chart) -> DiffForm:
         tok = self.peek()
         if tok.kind == "INT":
             self.advance()
@@ -458,12 +455,9 @@ class _Parser:
                 "expected a differential d<coordinate> in the form literal",
                 tok.line, tok.col,
             )
-        try:
-            result = scalar_form(on, coeff)
-            for factor in factors:
-                result = wedge(result, factor)
-        except VolformError as exc:
-            raise SemanticError(str(exc), opener.line, opener.col) from exc
+        result = scalar_form(on, coeff)
+        for factor in factors:
+            result = wedge(result, factor)
         return result
 
     def _differential(self, on: Chart, tok: Token) -> DiffForm:
@@ -487,10 +481,7 @@ class _Parser:
         self.expect_op("=")
         value = self._expr(on.coordinates, {})
         self.expect_op(";")
-        try:
-            self.model.polys[name_tok.text] = on.validate_poly(value)
-        except VolformError as exc:
-            raise SemanticError(str(exc), opener.line, opener.col) from exc
+        self.model.polys[name_tok.text] = on.validate_poly(value)
 
     def _action_stmt(self):
         opener = self.advance()
@@ -511,17 +502,14 @@ class _Parser:
         self.expect_keyword("order")
         order_tok = self._expect_kind("INT", "action order")
         self.expect_op(";")
-        try:
-            self.model.actions[name_tok.text] = action(
-                on, name_tok.text, images, int(order_tok.text)
-            )
-        except VolformError as exc:
-            raise SemanticError(str(exc), opener.line, opener.col) from exc
+        self.model.actions[name_tok.text] = action(
+            on, name_tok.text, images, int(order_tok.text)
+        )
 
     # -------------------------------------------------------------- group
 
     def _group_stmt(self):
-        opener = self.advance()
+        self.advance()
         name_tok = self.expect_ident("group name")
         self._define("group", name_tok)
         self.expect_op("{")
@@ -542,12 +530,9 @@ class _Parser:
             self.expect_op(";")
             elements.append((el_tok.text, matrix))
         self.expect_op("}")
-        try:
-            self.model.groups[name_tok.text] = group_presentation(
-                int(size_tok.text), basis, elements
-            )
-        except VolformError as exc:
-            raise SemanticError(str(exc), opener.line, opener.col) from exc
+        self.model.groups[name_tok.text] = group_presentation(
+            int(size_tok.text), basis, elements
+        )
 
     def _matrix(self) -> list[list[Fraction]]:
         self.expect_op("[")
@@ -571,6 +556,8 @@ class _Parser:
         value = Fraction(int(tok.text))
         if self.accept_op("/"):
             den = self._expect_kind("INT", "a denominator")
+            if int(den.text) == 0:
+                raise SemanticError("zero denominator", den.line, den.col)
             value = value / int(den.text)
         return sign * value
 
@@ -593,15 +580,8 @@ class _Parser:
                 f"check {kind_tok.text} takes {count} argument(s), got {len(args)}",
                 kind_tok.line, kind_tok.col,
             )
-        expect = "PASS"
-        if self.at_keyword("expect"):
-            self.advance()
-            expect_tok = self.expect_ident("expected status")
-            expect = expect_tok.text
         self.expect_op(";")
-        self.model.checks = self.model.checks + (
-            CheckDirective(kind_tok.text, tuple(args), expect),
-        )
+        self.model.checks = self.model.checks + (CheckDirective(kind_tok.text, tuple(args)),)
 
     def _check_arg(self):
         tok = self.peek()
@@ -671,8 +651,7 @@ def format_document(model: Model) -> str:
             lines.append(f"  element {el_name} = {_format_matrix(el)};")
         lines.append("}")
     for directive in model.checks:
-        suffix = "" if directive.expect == "PASS" else f" expect {directive.expect}"
-        lines.append(f"check {directive.label()}{suffix};")
+        lines.append(f"check {directive.label()};")
     return "\n".join(lines) + "\n"
 
 

@@ -25,7 +25,6 @@ class CheckDirective:
 
     kind: str
     args: tuple = ()
-    expect: str = "PASS"
 
     def label(self) -> str:
         return f"{self.kind}({', '.join(_render_arg(a) for a in self.args)})"

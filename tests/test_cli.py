@@ -106,6 +106,50 @@ def test_wrong_check_arity_is_a_semantic_error(statement, tmp_path, capsys):
     assert "argument(s), got" in err and "Traceback" not in err
 
 
+CASE_PREAMBLE = """chart { vars x, y, z; invert x, y; rel x + y + x*y*z - 1 solve z; }
+field dz = (1 + x*z) d/dx - (1 + y*z) d/dy;
+field dy = -(x*y) d/dx + (1 + y*z) d/dz;
+poly pz = z;
+group N { ambient 2; basis [[1, 0], [0, -1]]; element A0 = [[0, -1], [1, 0]]; }
+"""
+
+
+@pytest.mark.parametrize("statement, code, status", [
+    # bounds below 0 would pass vacuously
+    ("check semicompat(dz, dy, -1);", 1, "ERROR"),
+    ("check kernel_spans(dz, -1, pz, 0);", 1, "ERROR"),
+    ("check lnd(dz, -1);", 1, "ERROR"),
+    ("check flow_jacobian(dz, pz, ((x, 1), (y, 1), (z, -1)), -1);", 1, "ERROR"),
+    # argument shapes
+    ("check wedge_span(dz);", 1, "ERROR"),
+    ("check wedge_span(());", 1, "ERROR"),
+    ("check flow_jacobian(dz, pz, ab);", 1, "ERROR"),
+    ("check flow_jacobian(dz, pz, ((x, y), (y, 1), (z, -1)));", 1, "ERROR"),
+    ("check submodular(N, A0, x);", 1, "ERROR"),
+    ("check submodular(N, A0, (1, 2));", 1, "ERROR"),
+    ("check semicompat(dz, dz, 1, 7);", 1, "ERROR"),
+    # positioned errors in the document itself
+    ("group M { ambient 2; basis [[1, 0], [0, 1/0]]; }", 2, None),
+    ("check submodular(N, A0, 1/0);", 2, None),
+    ("check tangent(dz) expect FAIL;", 2, None),
+    ("check tangent(dz) expect BOGUS;", 2, None),
+    ("form a = dx + dx^dy;", 2, None),
+])
+def test_bad_document_input_never_ends_in_a_traceback(statement, code, status, tmp_path, capsys):
+    doc = tmp_path / "case.vf"
+    doc.write_text(CASE_PREAMBLE + statement + "\n")
+    assert main(["check", str(doc), "--format", "json"]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if status is None:
+        assert captured.out == ""
+        assert captured.err.startswith(f"{doc}:6:"), captured.err
+        assert main(["parse", str(doc)]) == 2
+        assert capsys.readouterr().err.startswith(f"{doc}:6:")
+    else:
+        assert [r["status"] for r in json.loads(captured.out)["checks"]] == [status]
+
+
 def test_unknown_scenario_address(capsys):
     assert main(["check", "torus:none"]) == 2
     assert main(["check", "does-not-exist"]) == 2
