@@ -6,6 +6,7 @@ checks, and the surface decomposition over the seven monomial families.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -38,6 +39,9 @@ from .variety import Chart, Point
 FULL_RING = "FULL_RING"
 IDEAL_WITNESS = "IDEAL_WITNESS"
 UNKNOWN = "UNKNOWN"
+# Largest monomial basis a kernel or semicompat search may enumerate: it
+# admits kernel_basis at bound 10 on a surface (286 monomials).
+MAX_MONOMIALS = 300
 
 
 # ------------------------------------------------------------ identities
@@ -100,6 +104,12 @@ def verify_potential(f: LaurentPoly, xi: VectorField, volume: VolumeForm) -> boo
 def monomials_up_to(on: Chart, degree_bound: int) -> list[LaurentPoly]:
     """All ambient monomials of total degree <= bound, degree-then-lex order."""
     n = len(on.coordinates)
+    count = math.comb(n + degree_bound, n)
+    if count > MAX_MONOMIALS:
+        raise ResourceLimitError(
+            f"{count} monomials of degree <= {degree_bound} in {n} coordinates "
+            f"exceed the budget of {MAX_MONOMIALS}"
+        )
     out: list[LaurentPoly] = []
     for total in range(degree_bound + 1):
         for exps in _compositions(total, n):

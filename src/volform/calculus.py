@@ -3,8 +3,11 @@
 Forms live in the free coordinates only; differentials of solvable
 coordinates are eliminated through the defining relations, so coefficient
 maps over sorted free-coordinate index sets are canonical and form equality
-is structural.  The contraction convention inserts the field in the first
-slot; the exterior derivative is d(f dx_I) = sum_j df/dx_j dx_j ^ dx_I.
+is structural.  :func:`diff_form` is the one place where index tuples are
+canonicalised: every form operation emits raw (index tuple, coefficient)
+pairs and lets it sort, sign, merge and normalise them.  The contraction
+convention inserts the field in the first slot; the exterior derivative is
+d(f dx_I) = sum_j df/dx_j dx_j ^ dx_I.
 """
 
 from __future__ import annotations
@@ -176,11 +179,8 @@ class DiffForm:
             raise DimensionError(
                 f"cannot add forms of degree {self.degree} and {other.degree}"
             )
-        out: dict[FormKey, LaurentPoly] = dict(self.coefficients)
-        for k, v in other.coefficients:
-            out[k] = out.get(k, LaurentPoly.zero(self.chart.coordinates)) + v
         degree = other.degree if self.is_zero else self.degree
-        return diff_form(self.chart, degree, out)
+        return diff_form(self.chart, degree, self.coefficients + other.coefficients)
 
     def __neg__(self) -> "DiffForm":
         return DiffForm(
@@ -193,7 +193,7 @@ class DiffForm:
     def __rmul__(self, factor: Union[LaurentPoly, Scalar]) -> "DiffForm":
         f = self.chart.poly(factor)
         return diff_form(
-            self.chart, self.degree, {k: f * v for k, v in self.coefficients}
+            self.chart, self.degree, ((k, f * v) for k, v in self.coefficients)
         )
 
     __mul__ = __rmul__
@@ -207,49 +207,50 @@ def forms_equal(a: DiffForm, b: DiffForm) -> bool:
     return a.degree == b.degree and a.coefficients == b.coefficients
 
 
-def _canonical_key(on: Chart, names: Iterable[str]) -> tuple[FormKey, int] | None:
-    order = {name: i for i, name in enumerate(on.free_coordinates)}
-    seq = list(names)
-    for name in seq:
+def _canonical_key(order: Mapping[str, int], key: FormKey) -> tuple[FormKey, int] | None:
+    """The key sorted into chart order with its permutation sign, or None
+    when an index repeats (the wedge of a differential with itself)."""
+    for name in key:
         if name not in order:
             raise ChartError(f"{name!r} is not a free coordinate of the chart")
-    if len(set(seq)) != len(seq):
+    if len(set(key)) != len(key):
         return None
-    sign = 1
-    indexed = [order[name] for name in seq]
-    # insertion sort, counting swaps for the permutation sign
-    for i in range(1, len(indexed)):
-        j = i
-        while j > 0 and indexed[j - 1] > indexed[j]:
-            indexed[j - 1], indexed[j] = indexed[j], indexed[j - 1]
-            seq[j - 1], seq[j] = seq[j], seq[j - 1]
-            sign = -sign
-            j -= 1
-    return tuple(seq), sign
+    inversions = sum(
+        1 for i, a in enumerate(key) for b in key[i + 1:] if order[a] > order[b]
+    )
+    return tuple(sorted(key, key=order.__getitem__)), -1 if inversions % 2 else 1
+
+
+RawPairs = Iterable[tuple[Iterable[str], Union[LaurentPoly, Scalar]]]
 
 
 def diff_form(
     on: Chart,
     degree: int,
-    coefficients: Mapping[Iterable[str], LaurentPoly | Scalar] | None = None,
+    coefficients: Mapping[Iterable[str], LaurentPoly | Scalar] | RawPairs | None = None,
 ) -> DiffForm:
+    """Canonical form from raw (index tuple, coefficient) pairs, given as a
+    mapping or an iterable: each tuple is sorted and signed, tuples with a
+    repeated index are dropped, equal tuples are summed, and each sum is
+    taken to normal form once."""
     if degree < 0:
         return DiffForm(on, 0, ())
-    out: dict[FormKey, LaurentPoly] = {}
-    for raw_key, value in (coefficients or {}).items():
+    if isinstance(coefficients, Mapping):
+        coefficients = coefficients.items()
+    order = {name: i for i, name in enumerate(on.free_coordinates)}
+    sums: dict[FormKey, LaurentPoly] = {}
+    for raw_key, value in coefficients or ():
         key = (raw_key,) if isinstance(raw_key, str) else tuple(raw_key)
         if len(key) != degree:
             raise DimensionError(f"key {key} does not match degree {degree}")
-        canon = _canonical_key(on, key)
+        canon = _canonical_key(order, key)
         if canon is None:
             continue
         skey, sign = canon
-        poly = on.normal_form(on.poly(value)) * sign
-        if skey in out:
-            out[skey] = out[skey] + poly
-        else:
-            out[skey] = poly
-    entries = [(k, v) for k, v in out.items() if not v.is_zero]
+        poly = on.poly(value) if sign > 0 else -on.poly(value)
+        sums[skey] = sums[skey] + poly if skey in sums else poly
+    entries = [(k, on.normal_form(v)) for k, v in sums.items()]
+    entries = [(k, v) for k, v in entries if not v.is_zero]
     entries.sort(key=lambda kv: kv[0])
     return DiffForm(on, degree, tuple(entries))
 
@@ -296,63 +297,29 @@ def volume_form(on: Chart, coefficient: LaurentPoly | Scalar) -> VolumeForm:
 
 def exterior_derivative(form: DiffForm) -> DiffForm:
     on = form.chart
-    order = {name: i for i, name in enumerate(on.free_coordinates)}
-    out: dict[FormKey, LaurentPoly] = {}
-    for key, coeff in form.coefficients:
-        for name in on.free_coordinates:
-            if name in key:
-                continue
-            d = coeff.partial_derivative(name)
-            if d.is_zero:
-                continue
-            d = on.normal_form(d)
-            position = sum(1 for k in key if order[k] < order[name])
-            new_key = tuple(sorted(key + (name,), key=order.__getitem__))
-            signed = d if position % 2 == 0 else -d
-            out[new_key] = out.get(new_key, LaurentPoly.zero(on.coordinates)) + signed
-    return diff_form(on, form.degree + 1, out)
+    return diff_form(on, form.degree + 1, (
+        ((name,) + key, coeff.partial_derivative(name))
+        for key, coeff in form.coefficients
+        for name in on.free_coordinates
+    ))
 
 
 def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
     _same_chart(a, b)
-    on = a.chart
-    degree = a.degree + b.degree
-    if degree > len(on.free_coordinates):
-        return zero_form(on, degree)
-    order = {name: i for i, name in enumerate(on.free_coordinates)}
-    out: dict[FormKey, LaurentPoly] = {}
-    for ka, va in a.coefficients:
-        for kb, vb in b.coefficients:
-            if set(ka) & set(kb):
-                continue
-            inversions = sum(
-                1 for x in ka for y in kb if order[x] > order[y]
-            )
-            key = tuple(sorted(ka + kb, key=order.__getitem__))
-            term = va * vb
-            signed = term if inversions % 2 == 0 else -term
-            out[key] = out.get(key, LaurentPoly.zero(on.coordinates)) + signed
-    return diff_form(on, degree, out)
+    return diff_form(a.chart, a.degree + b.degree, (
+        (ka + kb, va * vb) for ka, va in a.coefficients for kb, vb in b.coefficients
+    ))
 
 
 def interior_product(field: VectorField, form: DiffForm) -> DiffForm:
     """Contraction inserting the field in the first slot."""
     _same_chart(field, form)
-    on = form.chart
-    if form.degree == 0:
-        return zero_form(on, 0)
     comps = field.free_components()
-    out: dict[FormKey, LaurentPoly] = {}
-    for key, coeff in form.coefficients:
-        for t, name in enumerate(key):
-            v = comps[name]
-            if v.is_zero:
-                continue
-            reduced = key[:t] + key[t + 1:]
-            term = coeff * v
-            signed = term if t % 2 == 0 else -term
-            out[reduced] = out.get(reduced, LaurentPoly.zero(on.coordinates)) + signed
-    return diff_form(on, form.degree - 1, out)
+    return diff_form(form.chart, form.degree - 1, (
+        (key[:t] + key[t + 1:], (coeff if t % 2 == 0 else -coeff) * comps[name])
+        for key, coeff in form.coefficients
+        for t, name in enumerate(key)
+    ))
 
 
 def lie_derivative(field: VectorField, form: DiffForm) -> DiffForm:
@@ -467,17 +434,13 @@ def pullback_form(form: DiffForm, act: SubstitutionAction) -> DiffForm:
     """Pullback along a substitution, computed in the free coordinates."""
     on = form.chart
     images = act.as_dict()
-    differentials: dict[str, DiffForm] = {}
-    for name in on.free_coordinates:
-        reduced = on.normal_form(images[name])
-        differentials[name] = diff_form(
-            on,
-            1,
-            {(j,): reduced.partial_derivative(j) for j in on.free_coordinates},
-        )
+    differentials = {
+        name: exterior_derivative(scalar_form(on, images[name]))
+        for name in on.free_coordinates
+    }
     total = zero_form(on, form.degree)
     for key, coeff in form.coefficients:
-        term = scalar_form(on, on.normal_form(coeff.substitute(images)))
+        term = scalar_form(on, coeff.substitute(images))
         for name in key:
             term = wedge(term, differentials[name])
         total = total + term

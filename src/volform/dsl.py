@@ -22,7 +22,15 @@ from fractions import Fraction
 from typing import Iterable
 
 from .algebra import LaurentPoly
-from .calculus import DiffForm, diff_form, scalar_form, vector_field, volume_form, wedge
+from .calculus import (
+    DiffForm,
+    exterior_derivative,
+    scalar_form,
+    vector_field,
+    volume_form,
+    wedge,
+    zero_form,
+)
 from .checks import ARITY
 from .errors import ParseError, SemanticError, VolformError
 from .groups import group_presentation
@@ -418,12 +426,11 @@ class _Parser:
         self.model.volume_name = name_tok.text
 
     def _form_literal(self, on: Chart) -> DiffForm:
-        total: DiffForm | None = None
+        total = zero_form(on)
         sign = -1 if self.accept_op("-") else 1
         while True:
             term = self._form_term(on)
-            term = term if sign > 0 else -term
-            total = term if total is None else total + term
+            total = total + term if sign > 0 else total - term
             if self.accept_op("+"):
                 sign = 1
             elif self.accept_op("-"):
@@ -442,34 +449,22 @@ class _Parser:
             self.expect_op(")")
         else:
             coeff = LaurentPoly.one(on.coordinates)
-        factors = []
+        result = scalar_form(on, coeff)
         while self.peek().kind == "IDENT" and self.peek().text.startswith("d") and (
             self.peek().text[1:] in on.coordinates
         ):
-            factors.append(self._differential(on, self.advance()))
+            name = self.advance().text[1:]
+            differential = exterior_derivative(scalar_form(on, on.generator(name)))
+            result = wedge(result, differential)
             if not self.accept_op("^"):
                 break
-        if not factors:
+        if result.degree == 0:
             tok = self.peek()
             raise ParseError(
                 "expected a differential d<coordinate> in the form literal",
                 tok.line, tok.col,
             )
-        result = scalar_form(on, coeff)
-        for factor in factors:
-            result = wedge(result, factor)
         return result
-
-    def _differential(self, on: Chart, tok: Token) -> DiffForm:
-        name = tok.text[1:]
-        if name in on.free_coordinates:
-            return diff_form(on, 1, {(name,): 1})
-        # differential of a solvable coordinate: differentiate its solution
-        solution = dict(on.solutions)[name]
-        return diff_form(
-            on, 1,
-            {(j,): solution.partial_derivative(j) for j in on.free_coordinates},
-        )
 
     # -------------------------------------------------------- poly/action
 

@@ -10,6 +10,7 @@ builds.  :func:`det_bareiss` is separate: a fraction-free determinant.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -49,10 +50,7 @@ def det_bareiss(a: Matrix) -> Fraction:
     scale = Fraction(1)
     m: list[list[int]] = []
     for row in a:
-        lcm = 1
-        for x in row:
-            d = Fraction(x).denominator
-            lcm = lcm * d // _gcd(lcm, d)
+        lcm = math.lcm(*(Fraction(x).denominator for x in row))
         scale *= lcm
         m.append([int(Fraction(x) * lcm) for x in row])
     sign = 1
@@ -70,12 +68,6 @@ def det_bareiss(a: Matrix) -> Fraction:
             m[i][k] = 0
         prev = m[k][k]
     return Fraction(sign * m[n - 1][n - 1], 1) / scale
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _axpy(vec: dict, c: Fraction, row: dict) -> None:

@@ -8,7 +8,6 @@ structurally against a scenario.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .algebra import LaurentPoly
 from .calculus import DiffForm, VectorField, VolumeForm
@@ -33,8 +32,6 @@ class CheckDirective:
 def _render_arg(arg) -> str:
     if isinstance(arg, tuple):
         return "(" + ", ".join(_render_arg(a) for a in arg) + ")"
-    if isinstance(arg, Fraction):
-        return str(arg)
     return str(arg)
 
 

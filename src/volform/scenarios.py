@@ -14,6 +14,7 @@ from .calculus import (
     diff_form,
     divergence,
     is_invariant,
+    lie_bracket,
     vector_field,
     volume_form,
 )
@@ -30,14 +31,13 @@ def exactness_field(xi: VectorField, eta: VectorField, f: LaurentPoly) -> Vector
     By the bracket identity this equals [xi, f*eta], so its contraction with
     any volume form that kills both xi and f*eta is exact, with the double
     contraction of (xi, f*eta) as a primitive."""
-    from .calculus import lie_bracket
-
     if not lie_bracket(xi, eta).is_zero:
         raise PreconditionError("fields do not commute")
     if not eta.apply(f).is_zero:
         raise PreconditionError("f is not in the kernel of the second field")
     scaled = xi.apply(f) * eta
-    assert scaled.coefficients == lie_bracket(xi, f * eta).coefficients
+    if scaled.coefficients != lie_bracket(xi, f * eta).coefficients:
+        raise PreconditionError("xi(f)*eta differs from the bracket [xi, f*eta]")
     return scaled
 
 

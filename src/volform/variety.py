@@ -10,6 +10,7 @@ structural equality.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -319,15 +320,8 @@ def compose_actions(on: Chart, first: SubstitutionAction, then: SubstitutionActi
     f = first.as_dict()
     t = then.as_dict()
     images = {c: t[c].substitute(f) for c in on.coordinates}
-    order = _lcm(first.order, then.order)
+    order = math.lcm(first.order, then.order)
     return action(on, name or f"{first.name}*{then.name}", images, order)
-
-
-def _lcm(a: int, b: int) -> int:
-    g, x = a, b
-    while x:
-        g, x = x, g % x
-    return a * b // abs(g)
 
 
 # ---------------------------------------------------------------- jacobians

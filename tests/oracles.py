@@ -1,14 +1,17 @@
-"""Independent oracles: dense Gaussian elimination over Fraction and sympy
-conversions.  Nothing here reuses the package's echelon or kernel machinery.
+"""Independent oracles: dense Gaussian elimination over Fraction, sympy
+conversions, and brute-force form coefficients summed over permutations.
+Nothing here reuses the package's echelon, kernel or form-key machinery.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 import sympy
 
-from volform import Chart, LaurentPoly, VectorField
+from volform import Chart, DiffForm, LaurentPoly, VectorField
 
 
 def poly_to_sympy(p: LaurentPoly):
@@ -135,3 +138,98 @@ def brute_force_kernel(
     # dimension of the function span
     dimension = _rank_of(functions) if functions else 0
     return dimension, functions, value_cols
+
+
+# ------------------------------------------------------------------ forms
+#
+# A k-form is read as its alternating extension: the coefficient on every
+# ordered tuple of distinct free coordinates, i.e. sgn(sigma) * c_K on each
+# arrangement sigma(K) of a sorted key K.  Wedge and d are the alternating
+# sums over S_{k+l}; the contraction puts the field in the first slot.
+
+
+def _permutation_sign(seq: tuple[str, ...], order: tuple[str, ...]) -> int:
+    positions = [order.index(name) for name in seq]
+    inversions = sum(
+        1 for i in range(len(positions)) for j in range(i + 1, len(positions))
+        if positions[i] > positions[j]
+    )
+    return -1 if inversions % 2 else 1
+
+
+def _alternating(form: DiffForm) -> dict[tuple[str, ...], LaurentPoly]:
+    order = form.chart.free_coordinates
+    out = {}
+    for key, coeff in form.coefficients:
+        for arrangement in itertools.permutations(key):
+            out[arrangement] = coeff * _permutation_sign(arrangement, order)
+    return out
+
+
+def _collect(on: Chart, degree: int, component) -> dict[tuple[str, ...], LaurentPoly]:
+    """Coefficient of every sorted key of the degree, zeros dropped."""
+    out = {}
+    for key in itertools.combinations(on.free_coordinates, degree):
+        value = component(key)
+        if not value.is_zero:
+            out[key] = value
+    return out
+
+
+def brute_force_wedge(a: DiffForm, b: DiffForm) -> dict[tuple[str, ...], LaurentPoly]:
+    """(a ^ b)_K = 1/(k! l!) sum over sigma in S_{k+l} of
+    sgn(sigma) a_{sigma(K)[:k]} b_{sigma(K)[k:]}."""
+    on, k, l = a.chart, a.degree, b.degree
+    alt_a, alt_b = _alternating(a), _alternating(b)
+    zero = LaurentPoly.zero(on.coordinates)
+    scale = Fraction(1, math.factorial(k) * math.factorial(l))
+
+    def component(key):
+        total = zero
+        for arrangement in itertools.permutations(key):
+            left, right = arrangement[:k], arrangement[k:]
+            if left in alt_a and right in alt_b:
+                sign = _permutation_sign(arrangement, on.free_coordinates)
+                total = total + alt_a[left] * alt_b[right] * sign
+        return total * scale
+
+    return _collect(on, k + l, component)
+
+
+def brute_force_d(form: DiffForm) -> dict[tuple[str, ...], LaurentPoly]:
+    """(d a)_K = 1/k! sum over sigma in S_{k+1} of
+    sgn(sigma) d/dx_{sigma(K)[0]} a_{sigma(K)[1:]}."""
+    on, k = form.chart, form.degree
+    alt = _alternating(form)
+    zero = LaurentPoly.zero(on.coordinates)
+
+    def component(key):
+        total = zero
+        for arrangement in itertools.permutations(key):
+            rest = arrangement[1:]
+            if rest in alt:
+                sign = _permutation_sign(arrangement, on.free_coordinates)
+                total = total + alt[rest].partial_derivative(arrangement[0]) * sign
+        return total * Fraction(1, math.factorial(k))
+
+    return _collect(on, k + 1, component)
+
+
+def brute_force_contraction(
+    field: VectorField, form: DiffForm
+) -> dict[tuple[str, ...], LaurentPoly]:
+    """(i_xi a)_K = sum over free j of xi_j a_{(j,) + K}."""
+    on = form.chart
+    if form.degree == 0:
+        return {}
+    alt = _alternating(form)
+    zero = LaurentPoly.zero(on.coordinates)
+
+    def component(key):
+        total = zero
+        for name in on.free_coordinates:
+            if (name,) + key in alt:
+                total = total + field.coefficient(name) * alt[(name,) + key]
+        return total
+
+    return _collect(on, form.degree - 1, component)

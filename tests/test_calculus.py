@@ -29,6 +29,8 @@ from volform.errors import (
     VolumeFormError,
 )
 
+from oracles import brute_force_contraction, brute_force_d, brute_force_wedge
+
 from helpers import (
     random_form,
     random_poly,
@@ -88,6 +90,35 @@ def test_graded_commutativity_on_random_forms():
             b = random_form(rng, on, db)
             sign = (-1) ** (da * db)
             assert forms_equal(wedge(a, b), sign * wedge(b, a))
+
+
+def test_form_operations_match_permutation_sums():
+    rng = random.Random(41)
+    for on in (torus_chart(4), surface_chart()):
+        n = len(on.free_coordinates)
+        for _ in range(25):
+            a = random_form(rng, on, rng.randint(0, n))
+            b = random_form(rng, on, rng.randint(0, n))
+            xi = random_tangent_field(rng, on)
+            assert wedge(a, b).as_dict() == brute_force_wedge(a, b)
+            assert exterior_derivative(a).as_dict() == brute_force_d(a)
+            assert interior_product(xi, a).as_dict() == brute_force_contraction(xi, a)
+
+
+def test_diff_form_merges_raw_pairs_with_signs():
+    on = torus_chart(3)
+    z1, z2, z3 = on.generators()
+    two = diff_form(on, 2, [
+        (("z2", "z1"), z3),
+        (("z1", "z2"), 2 * z3),
+        (("z3", "z1"), 1),
+        (("z1", "z3"), 1),
+        (("z2", "z2"), z1),
+        (("z3", "z2"), z1),
+    ])
+    assert two.coefficients == ((("z1", "z2"), z3), (("z2", "z3"), -z1))
+    three = diff_form(on, 3, [(("z3", "z1", "z2"), 1), (("z2", "z1", "z3"), 2)])
+    assert three.coefficients == ((("z1", "z2", "z3"), on.poly(-1)),)
 
 
 def test_interior_product_examples():

@@ -128,6 +128,9 @@ group N { ambient 2; basis [[1, 0], [0, -1]]; element A0 = [[0, -1], [1, 0]]; }
     ("check submodular(N, A0, x);", 1, "ERROR"),
     ("check submodular(N, A0, (1, 2));", 1, "ERROR"),
     ("check semicompat(dz, dz, 1, 7);", 1, "ERROR"),
+    # work budgets: an ERROR record in seconds instead of a run that never ends
+    ("check kernel_spans(dz, 40, pz, 41);", 1, "ERROR:ResourceLimitError"),
+    ("check semicompat(dz, dy, 40);", 1, "ERROR:ResourceLimitError"),
     # positioned errors in the document itself
     ("group M { ambient 2; basis [[1, 0], [0, 1/0]]; }", 2, None),
     ("check submodular(N, A0, 1/0);", 2, None),
@@ -147,7 +150,10 @@ def test_bad_document_input_never_ends_in_a_traceback(statement, code, status, t
         assert main(["parse", str(doc)]) == 2
         assert capsys.readouterr().err.startswith(f"{doc}:6:")
     else:
-        assert [r["status"] for r in json.loads(captured.out)["checks"]] == [status]
+        records = json.loads(captured.out)["checks"]
+        expected, _, error = status.partition(":")
+        assert [r["status"] for r in records] == [expected]
+        assert records[0]["detail"].startswith(error)
 
 
 def test_unknown_scenario_address(capsys):
