@@ -115,11 +115,6 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def leading(self) -> tuple[Exponents, Fraction]:
-        if self.is_zero:
-            raise NotAUnitError("zero polynomial has no leading term")
-        return self.terms[0]
-
     def as_dict(self) -> dict[Exponents, Fraction]:
         return dict(self.terms)
 

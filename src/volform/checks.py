@@ -63,27 +63,45 @@ class CheckRecord:
     wall_ms: float
 
 
-CheckFn = Callable[[Model, tuple, RunFlags], tuple[str, str]]
-REGISTRY: dict[str, CheckFn] = {}
-# kind -> (fewest, most) arguments; documents are held to it at parse time
-ARITY: dict[str, tuple[int, int]] = {}
+CheckFn = Callable[..., tuple[str, str]]
 
 
-def register(kind: str, min_args: int, max_args: int | None = None):
+@dataclass(frozen=True)
+class Check:
+    """A check body and its declared argument kinds, e.g. ("field", "field",
+    "degree_bound?", "verdict?"); a trailing "?" marks an optional argument."""
+
+    run: CheckFn
+    kinds: tuple[str, ...]
+
+    @property
+    def arity(self) -> tuple[int, int]:
+        """(fewest, most) arguments; documents are held to it at parse time."""
+        return sum(not k.endswith("?") for k in self.kinds), len(self.kinds)
+
+
+REGISTRY: dict[str, Check] = {}
+
+
+def register(kind: str, signature: str):
     def wrap(fn: CheckFn) -> CheckFn:
-        REGISTRY[kind] = fn
-        ARITY[kind] = (min_args, min_args if max_args is None else max_args)
+        REGISTRY[kind] = Check(fn, tuple(signature.split()))
         return fn
     return wrap
 
 
 def run_check(model: Model, directive: CheckDirective, flags: RunFlags) -> CheckRecord:
-    fn = REGISTRY.get(directive.kind)
+    check = REGISTRY.get(directive.kind)
     started = time.perf_counter()
-    if fn is None:
+    if check is None:
         return CheckRecord(directive.label(), ERROR, f"unknown check kind {directive.kind!r}", 0.0)
     try:
-        status, detail = fn(model, directive.args, flags)
+        values = [_resolve(model, kind.rstrip("?"), arg)
+                  for kind, arg in zip(check.kinds, directive.args)]
+        # an omitted bound reads its flag; any other omitted argument is None
+        omitted = {"degree_bound?": flags.degree_bound, "bound?": flags.lnd_bound}
+        values += [omitted.get(kind) for kind in check.kinds[len(directive.args):]]
+        status, detail = check.run(model, flags, *values)
     except VolformError as exc:
         status, detail = ERROR, f"{type(exc).__name__}: {exc}"
     wall_ms = (time.perf_counter() - started) * 1000.0
@@ -95,43 +113,64 @@ def execute(model: Model, flags: RunFlags | None = None) -> list[CheckRecord]:
     return [run_check(model, d, flags) for d in model.checks]
 
 
-# --------------------------------------------------------------- resolvers
+# ---------------------------------------------------------------- resolver
+
+# Kinds are checked when the check runs, not at parse time, because a check
+# may name an object that the document defines after it.
+_NAMED = {
+    "field": (VectorField, "vector field"),
+    "form": (DiffForm, "differential form"),
+    "volume": (VolumeForm, "volume form"),
+    "poly": (LaurentPoly, "polynomial"),
+    "group": (GroupPresentation, "group"),
+}
+_COUNTS = ("degree_bound", "bound", "dimension")
 
 
-def _want(model: Model, name, kind: type, what: str):
-    if not isinstance(name, str):
-        raise SemanticError(f"expected a {what} name, got {name!r}")
-    obj = model.lookup(name)
-    if obj is None:
-        raise SemanticError(f"unknown identifier {name!r}")
-    if not isinstance(obj, kind):
-        raise SemanticError(f"{name!r} is not a {what}")
-    return obj
-
-
-def _field(model: Model, name) -> VectorField:
-    return _want(model, name, VectorField, "vector field")
-
-
-def _form(model: Model, name) -> DiffForm:
-    return _want(model, name, DiffForm, "differential form")
-
-
-def _volume(model: Model, name) -> VolumeForm:
-    return _want(model, name, VolumeForm, "volume form")
-
-
-def _polynomial(model: Model, name) -> LaurentPoly:
-    return _want(model, name, LaurentPoly, "polynomial")
-
-
-def _int(value, what: str) -> int:
-    """A bound or dimension: an integer, at least 0 like the CLI's bound flags."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SemanticError(f"expected an integer {what}, got {value!r}")
-    if value < 0:
-        raise SemanticError(f"{what} must be at least 0, got {value}")
-    return value
+def _resolve(model: Model, kind: str, value):
+    """One raw document argument as the object its declared kind names."""
+    if kind in _NAMED:
+        cls, what = _NAMED[kind]
+        if not isinstance(value, str):
+            raise SemanticError(f"expected a {what} name, got {value!r}")
+        obj = model.lookup(value)
+        if obj is None:
+            raise SemanticError(f"unknown identifier {value!r}")
+        if not isinstance(obj, cls):
+            raise SemanticError(f"{value!r} is not a {what}")
+        return obj
+    if kind == "object":  # any named object, passed by name
+        if model.lookup(value) is None:
+            raise SemanticError(f"unknown identifier {value!r}")
+        return value
+    if kind == "action":
+        act = model.actions.get(value)
+        if act is None:
+            raise SemanticError(f"unknown action {value!r}")
+        return act
+    if kind in _COUNTS:  # at least 0, like the CLI's bound flags
+        what = kind.replace("_", " ")
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SemanticError(f"expected an integer {what}, got {value!r}")
+        if value < 0:
+            raise SemanticError(f"{what} must be at least 0, got {value}")
+        return value
+    if kind == "determinant":
+        return _number(value, kind)
+    if kind == "verdict":
+        if value not in (FULL_RING, IDEAL_WITNESS):
+            raise SemanticError(f"expected verdict {FULL_RING} or {IDEAL_WITNESS}, got {value!r}")
+        return value
+    if kind == "triples":
+        return [(_resolve(model, "field", a), _resolve(model, "field", b),
+                 _resolve(model, "poly", witness))
+                for a, b, witness in _tuples(value, 3, "(field, field, witness) triples")]
+    if kind == "point":
+        return {name: _number(v, "coordinate value")
+                for name, v in _tuples(value, 2, "(coordinate, value) pairs")}
+    if kind == "name":
+        return value
+    raise ValueError(f"undeclared argument kind {kind!r}")
 
 
 def _number(value, what: str) -> Fraction:
@@ -151,40 +190,32 @@ def _tuples(value, width: int, what: str) -> tuple:
 # ------------------------------------------------------------------ checks
 
 
-@register("tangent", 1)
-def _check_tangent(model: Model, args, flags) -> tuple[str, str]:
-    field = _field(model, args[0])
+@register("tangent", "field")
+def _check_tangent(model: Model, flags, field) -> tuple[str, str]:
     residuals = [field.apply(rel.poly) for rel in field.chart.relations]
     if all(r.is_zero for r in residuals):
         return PASS, "field is tangent to every defining relation"
     return FAIL, f"relation residuals: {[str(r) for r in residuals]}"
 
 
-@register("divergence_zero", 2)
-def _check_divergence_zero(model: Model, args, flags) -> tuple[str, str]:
-    field = _field(model, args[0])
-    volume = _volume(model, args[1])
+@register("divergence_zero", "field volume")
+def _check_divergence_zero(model: Model, flags, field, volume) -> tuple[str, str]:
     div = divergence(field, volume)
     if div.is_zero:
         return PASS, "divergence is 0"
     return FAIL, f"divergence is {div}"
 
 
-@register("identity1", 3)
-def _check_identity1(model: Model, args, flags) -> tuple[str, str]:
-    a, b = _field(model, args[0]), _field(model, args[1])
-    volume = _volume(model, args[2])
+@register("identity1", "field field volume")
+def _check_identity1(model: Model, flags, a, b, volume) -> tuple[str, str]:
     residual = bracket_identity_residual(a, b, volume)
     if residual.is_zero:
         return PASS, "contraction of the bracket equals d of the double contraction"
     return FAIL, f"residual form: {_render_form(residual)}"
 
 
-@register("potential", 3)
-def _check_potential(model: Model, args, flags) -> tuple[str, str]:
-    poly = _polynomial(model, args[0])
-    field = _field(model, args[1])
-    volume = _volume(model, args[2])
+@register("potential", "poly field volume")
+def _check_potential(model: Model, flags, poly, field, volume) -> tuple[str, str]:
     df, theta = potential_sides(poly, field, volume)
     for c in (1, -1):
         if (c * df - theta).is_zero:
@@ -192,11 +223,8 @@ def _check_potential(model: Model, args, flags) -> tuple[str, str]:
     return FAIL, f"no sign matches; residual for c=+1: {_render_form(df - theta)}"
 
 
-@register("bracket_potential", 4)
-def _check_bracket_potential(model: Model, args, flags) -> tuple[str, str]:
-    a, b = _field(model, args[0]), _field(model, args[1])
-    volume = _volume(model, args[2])
-    expected = _polynomial(model, args[3])
+@register("bracket_potential", "field field volume poly")
+def _check_bracket_potential(model: Model, flags, a, b, volume, expected) -> tuple[str, str]:
     value = bracket_potential(a, b, volume)
     exact = exterior_derivative(scalar_form(a.chart, value)) - contract_volume(
         lie_bracket(a, b), volume
@@ -210,12 +238,9 @@ def _check_bracket_potential(model: Model, args, flags) -> tuple[str, str]:
     return FAIL, f"potential is {value}, expected +/- ({expected})"
 
 
-@register("kernel_spans", 4)
-def _check_kernel_spans(model: Model, args, flags) -> tuple[str, str]:
-    field = _field(model, args[0])
-    bound = _int(args[1], "degree bound")
-    generator = _polynomial(model, args[2])
-    expected_dim = _int(args[3], "dimension")
+@register("kernel_spans", "field degree_bound poly dimension")
+def _check_kernel_spans(model: Model, flags, field, bound, generator,
+                        expected_dim) -> tuple[str, str]:
     basis = kernel_basis(field, bound)
     if len(basis) != expected_dim:
         return FAIL, f"kernel dimension {len(basis)}, expected {expected_dim}"
@@ -230,13 +255,8 @@ def _check_kernel_spans(model: Model, args, flags) -> tuple[str, str]:
     return PASS, f"kernel is exactly the span of powers of {generator} (dim {expected_dim})"
 
 
-@register("semicompat", 2, 4)
-def _check_semicompat(model: Model, args, flags) -> tuple[str, str]:
-    a, b = _field(model, args[0]), _field(model, args[1])
-    bound = _int(args[2], "degree bound") if len(args) > 2 else flags.degree_bound
-    expected = args[3] if len(args) > 3 else None
-    if expected not in (None, FULL_RING, IDEAL_WITNESS):
-        raise SemanticError(f"expected verdict {FULL_RING} or {IDEAL_WITNESS}, got {expected!r}")
+@register("semicompat", "field field degree_bound? verdict?")
+def _check_semicompat(model: Model, flags, a, b, bound, expected) -> tuple[str, str]:
     verdict = semicompat_bounded(a, b, bound)
     detail = f"status {verdict.status} at bound {bound}"
     if verdict.witness is not None:
@@ -248,12 +268,8 @@ def _check_semicompat(model: Model, args, flags) -> tuple[str, str]:
     return FAIL, detail + f", expected {expected}"
 
 
-@register("wedge_span", 1)
-def _check_wedge_span(model: Model, args, flags) -> tuple[str, str]:
-    pairs = [
-        (_field(model, a), _field(model, b), _polynomial(model, witness))
-        for a, b, witness in _tuples(args[0], 3, "(field, field, witness) triples")
-    ]
+@register("wedge_span", "triples")
+def _check_wedge_span(model: Model, flags, pairs) -> tuple[str, str]:
     chart = pairs[0][0].chart
     points = []
     seen = set()
@@ -273,80 +289,58 @@ def _check_wedge_span(model: Model, args, flags) -> tuple[str, str]:
     return PASS, f"wedges span the wedge square at {len(points)} sampled points"
 
 
-@register("lnd", 1, 2)
-def _check_lnd(model: Model, args, flags) -> tuple[str, str]:
-    field = _field(model, args[0])
-    bound = _int(args[1], "bound") if len(args) > 1 else flags.lnd_bound
+@register("lnd", "field bound?")
+def _check_lnd(model: Model, flags, field, bound) -> tuple[str, str]:
     images = lnd_flow(field, "t", bound)
     moved = [n for n, img in images.items()
              if img != field.chart.generator(n).extend_variables(img.variables)]
     return PASS, f"locally nilpotent within bound {bound}; flow moves {moved or 'nothing'}"
 
 
-@register("exact_volume", 2)
-def _check_exact_volume(model: Model, args, flags) -> tuple[str, str]:
-    form = _form(model, args[0])
-    volume = _volume(model, args[1])
+@register("exact_volume", "form volume")
+def _check_exact_volume(model: Model, flags, form, volume) -> tuple[str, str]:
     residual = exterior_derivative(form) - volume
     if residual.is_zero:
         return PASS, "d(form) equals the volume form exactly"
     return FAIL, f"residual form: {_render_form(residual)}"
 
 
-@register("invariant", 2)
-def _check_invariant(model: Model, args, flags) -> tuple[str, str]:
-    name = args[0]
-    obj = model.lookup(name) if isinstance(name, str) else None
-    if obj is None:
-        raise SemanticError(f"unknown identifier {name!r}")
-    act = model.actions.get(args[1])
-    if act is None:
-        raise SemanticError(f"unknown action {args[1]!r}")
-    if is_invariant(obj, act, model.chart):
+@register("invariant", "object action")
+def _check_invariant(model: Model, flags, name, act) -> tuple[str, str]:
+    if is_invariant(model.lookup(name), act, model.chart):
         return PASS, f"{name} is invariant under {act.name}"
     return FAIL, f"{name} is not invariant under {act.name}"
 
 
-@register("commute", 2)
-def _check_commute(model: Model, args, flags) -> tuple[str, str]:
-    a, b = _field(model, args[0]), _field(model, args[1])
+@register("commute", "field field")
+def _check_commute(model: Model, flags, a, b) -> tuple[str, str]:
     bracket = lie_bracket(a, b)
     if bracket.is_zero:
         return PASS, "bracket vanishes"
     return FAIL, f"bracket is {[str(c) for _, c in bracket.coefficients if not c.is_zero]}"
 
 
-@register("theta_equals", 3)
-def _check_theta_equals(model: Model, args, flags) -> tuple[str, str]:
-    field = _field(model, args[0])
-    volume = _volume(model, args[1])
-    expected = _form(model, args[2])
+@register("theta_equals", "field volume name")
+def _check_theta_equals(model: Model, flags, field, volume, name) -> tuple[str, str]:
+    expected = _resolve(model, "form", name)  # by name, for the detail
     value = contract_volume(field, volume)
     for c in (1, -1):
         if forms_equal(value, c * expected):
-            return PASS, f"contraction matches {c:+d} * {args[2]}"
+            return PASS, f"contraction matches {c:+d} * {name}"
     return FAIL, f"contraction is {_render_form(value)}"
 
 
-@register("flow_jacobian", 3, 4)
-def _check_flow_jacobian(model: Model, args, flags) -> tuple[str, str]:
-    field = _field(model, args[0])
-    poly = _polynomial(model, args[1])
-    values = {name: _number(value, "coordinate value")
-              for name, value in _tuples(args[2], 2, "(coordinate, value) pairs")}
-    bound = _int(args[3], "bound") if len(args) > 3 else flags.lnd_bound
+@register("flow_jacobian", "field poly point bound?")
+def _check_flow_jacobian(model: Model, flags, field, poly, values, bound) -> tuple[str, str]:
     point = field.chart.point(values)
     if verify_flow_jacobian(field, poly, point, bound):
         return PASS, "flow Jacobian equals identity plus the rank-one shear"
     return FAIL, "flow Jacobian does not match identity plus the rank-one shear"
 
 
-@register("submodular", 3)
-def _check_submodular(model: Model, args, flags) -> tuple[str, str]:
-    group = _want(model, args[0], GroupPresentation, "group")
-    element = group.element(args[1])
-    expected = _number(args[2], "determinant")
-    value = submodular(element, group.lie_basis)
+@register("submodular", "group name determinant")
+def _check_submodular(model: Model, flags, group, element, expected) -> tuple[str, str]:
+    value = submodular(group.element(element), group.lie_basis)
     if value == expected:
         return PASS, f"determinant of the adjoint action is {value}"
     return FAIL, f"determinant is {value}, expected {expected}"

@@ -31,7 +31,7 @@ from .calculus import (
     wedge,
     zero_form,
 )
-from .checks import ARITY
+from .checks import REGISTRY
 from .errors import ParseError, SemanticError, VolformError
 from .groups import group_presentation
 from .model import CheckDirective, Model
@@ -121,7 +121,7 @@ def parse_polynomial(text: str, variables: Iterable[str]) -> LaurentPoly:
     tokens = tokenize(text)
     parser = _Parser(tokens, source="<polynomial>")
     vs = tuple(variables)
-    value = parser._expr(vs, {})
+    value = parser._expr(vs)
     parser._expect_kind("EOF", "end of polynomial")
     return value
 
@@ -132,7 +132,6 @@ class _Parser:
         self.pos = 0
         self.source = source
         self.model = Model(name=source)
-        self.names: dict[str, str] = {}  # name -> kind, for diagnostics
 
     # ------------------------------------------------------------ plumbing
 
@@ -220,16 +219,13 @@ class _Parser:
                                 tok.line, tok.col)
         return self.model.chart
 
-    def _define(self, kind: str, name_tok: Token):
+    def _define(self, name_tok: Token):
         name = name_tok.text
         if name in KEYWORDS:
             raise SemanticError(f"{name!r} is a reserved word", name_tok.line, name_tok.col)
-        if name in self.names or (
-            self.model.chart is not None and name in self.model.chart.coordinates
-        ):
+        if self.model.lookup(name) is not None:
             raise SemanticError(f"name {name!r} is already defined",
                                 name_tok.line, name_tok.col)
-        self.names[name] = kind
 
     # ------------------------------------------------------------- chart
 
@@ -265,7 +261,7 @@ class _Parser:
         vs = tuple(coords)
         while self.at_keyword("rel"):
             rel_tok = self.advance()
-            poly = self._expr(vs, {})
+            poly = self._expr(vs)
             if not self.at_keyword("solve"):
                 raise SemanticError("triangular presentation required: "
                                     "every rel needs a solve clause",
@@ -282,35 +278,31 @@ class _Parser:
 
     # ------------------------------------------------------- expressions
 
-    def _resolve_atom(self, tok: Token, variables: tuple[str, ...],
-                      env: dict[str, LaurentPoly]) -> LaurentPoly:
+    def _resolve_atom(self, tok: Token, variables: tuple[str, ...]) -> LaurentPoly:
         if tok.text in variables:
             return LaurentPoly.variable(variables, tok.text)
-        if tok.text in env:
-            return env[tok.text]
         if tok.text in self.model.polys:
             return self.model.polys[tok.text]
         raise SemanticError(f"unknown identifier {tok.text!r}", tok.line, tok.col)
 
-    def _expr(self, variables: tuple[str, ...],
-              env: dict[str, LaurentPoly]) -> LaurentPoly:
-        value = self._term(variables, env)
+    def _expr(self, variables: tuple[str, ...]) -> LaurentPoly:
+        value = self._term(variables)
         while True:
             if self.accept_op("+"):
-                value = value + self._term(variables, env)
+                value = value + self._term(variables)
             elif self.accept_op("-"):
-                value = value - self._term(variables, env)
+                value = value - self._term(variables)
             else:
                 return value
 
-    def _term(self, variables, env) -> LaurentPoly:
-        value = self._factor(variables, env)
+    def _term(self, variables) -> LaurentPoly:
+        value = self._factor(variables)
         while True:
             if self.accept_op("*"):
-                value = value * self._factor(variables, env)
+                value = value * self._factor(variables)
             elif self.accept_op("/"):
                 tok = self.peek()
-                divisor = self._factor(variables, env)
+                divisor = self._factor(variables)
                 try:
                     value = value / divisor
                 except VolformError as exc:
@@ -320,13 +312,13 @@ class _Parser:
             else:
                 return value
 
-    def _factor(self, variables, env) -> LaurentPoly:
+    def _factor(self, variables) -> LaurentPoly:
         if self.accept_op("-"):
-            return -self._factor(variables, env)
-        return self._power(variables, env)
+            return -self._factor(variables)
+        return self._power(variables)
 
-    def _power(self, variables, env) -> LaurentPoly:
-        base = self._atom(variables, env)
+    def _power(self, variables) -> LaurentPoly:
+        base = self._atom(variables)
         if self.accept_op("**"):
             exponent = self._exponent()
             try:
@@ -346,16 +338,16 @@ class _Parser:
         tok = self._expect_kind("INT", "integer exponent")
         return sign * int(tok.text)
 
-    def _atom(self, variables, env) -> LaurentPoly:
+    def _atom(self, variables) -> LaurentPoly:
         tok = self.peek()
         if tok.kind == "INT":
             self.advance()
             return LaurentPoly.constant(variables, int(tok.text))
         if tok.kind == "IDENT":
             self.advance()
-            return self._resolve_atom(tok, variables, env)
+            return self._resolve_atom(tok, variables)
         if self.accept_op("("):
-            value = self._expr(variables, env)
+            value = self._expr(variables)
             self.expect_op(")")
             return value
         raise ParseError(f"expected a polynomial atom, found {tok.text or 'end of input'!r}",
@@ -367,7 +359,7 @@ class _Parser:
         opener = self.advance()
         on = self._require_chart(opener)
         name_tok = self.expect_ident("field name")
-        self._define("field", name_tok)
+        self._define(name_tok)
         self.expect_op("=")
         coeffs: dict[str, LaurentPoly] = {}
         sign = -1 if self.accept_op("-") else 1
@@ -392,7 +384,7 @@ class _Parser:
         if self.peek().kind == "DERIV":
             tok = self.advance()
             return LaurentPoly.one(on.coordinates), tok
-        coeff = self._term(on.coordinates, {})
+        coeff = self._term(on.coordinates)
         tok = self._expect_kind("DERIV", "a derivation token d/d<coordinate>")
         return coeff, tok
 
@@ -402,7 +394,7 @@ class _Parser:
         opener = self.advance()
         on = self._require_chart(opener)
         name_tok = self.expect_ident("form name")
-        self._define("form", name_tok)
+        self._define(name_tok)
         self.expect_op("=")
         value = self._form_literal(on)
         self.expect_op(";")
@@ -415,7 +407,7 @@ class _Parser:
             raise SemanticError("only one volume block per document",
                                 opener.line, opener.col)
         name_tok = self.expect_ident("volume name")
-        self._define("volume", name_tok)
+        self._define(name_tok)
         self.expect_op("=")
         value = self._form_literal(on)
         self.expect_op(";")
@@ -445,7 +437,7 @@ class _Parser:
             self.advance()
             coeff = LaurentPoly.constant(on.coordinates, int(tok.text))
         elif self.accept_op("("):
-            coeff = self._expr(on.coordinates, {})
+            coeff = self._expr(on.coordinates)
             self.expect_op(")")
         else:
             coeff = LaurentPoly.one(on.coordinates)
@@ -472,9 +464,9 @@ class _Parser:
         opener = self.advance()
         on = self._require_chart(opener)
         name_tok = self.expect_ident("polynomial name")
-        self._define("poly", name_tok)
+        self._define(name_tok)
         self.expect_op("=")
-        value = self._expr(on.coordinates, {})
+        value = self._expr(on.coordinates)
         self.expect_op(";")
         self.model.polys[name_tok.text] = on.validate_poly(value)
 
@@ -482,7 +474,7 @@ class _Parser:
         opener = self.advance()
         on = self._require_chart(opener)
         name_tok = self.expect_ident("action name")
-        self._define("action", name_tok)
+        self._define(name_tok)
         self.expect_op(":")
         images: dict[str, LaurentPoly] = {}
         while True:
@@ -491,7 +483,7 @@ class _Parser:
                 raise SemanticError(f"unknown coordinate {coord_tok.text!r}",
                                     coord_tok.line, coord_tok.col)
             self.expect_op("->")
-            images[coord_tok.text] = self._expr(on.coordinates, {})
+            images[coord_tok.text] = self._expr(on.coordinates)
             if not self.accept_op(","):
                 break
         self.expect_keyword("order")
@@ -506,7 +498,7 @@ class _Parser:
     def _group_stmt(self):
         self.advance()
         name_tok = self.expect_ident("group name")
-        self._define("group", name_tok)
+        self._define(name_tok)
         self.expect_op("{")
         self.expect_keyword("ambient")
         size_tok = self._expect_kind("INT", "ambient matrix size")
@@ -568,7 +560,8 @@ class _Parser:
             while self.accept_op(","):
                 args.append(self._check_arg())
         self.expect_op(")")
-        low, high = ARITY.get(kind_tok.text, (0, len(args)))
+        check = REGISTRY.get(kind_tok.text)
+        low, high = check.arity if check else (0, len(args))
         if not low <= len(args) <= high:
             count = str(low) if low == high else f"{low} to {high}"
             raise SemanticError(

@@ -50,10 +50,6 @@ class Chart:
     def dimension(self) -> int:
         return len(self.free_coordinates)
 
-    @property
-    def solvable(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.solutions)
-
     def validate_poly(self, p: LaurentPoly) -> LaurentPoly:
         if p.variables != self.coordinates:
             raise VariableMismatchError(

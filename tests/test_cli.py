@@ -114,23 +114,60 @@ group N { ambient 2; basis [[1, 0], [0, -1]]; element A0 = [[0, -1], [1, 0]]; }
 """
 
 
-@pytest.mark.parametrize("statement, code, status", [
+# statement -> the full detail of its one ERROR record (exit 1); each wording
+# is part of the contract
+ERROR_DETAILS = {
     # bounds below 0 would pass vacuously
-    ("check semicompat(dz, dy, -1);", 1, "ERROR"),
-    ("check kernel_spans(dz, -1, pz, 0);", 1, "ERROR"),
-    ("check lnd(dz, -1);", 1, "ERROR"),
-    ("check flow_jacobian(dz, pz, ((x, 1), (y, 1), (z, -1)), -1);", 1, "ERROR"),
-    # argument shapes
-    ("check wedge_span(dz);", 1, "ERROR"),
-    ("check wedge_span(());", 1, "ERROR"),
-    ("check flow_jacobian(dz, pz, ab);", 1, "ERROR"),
-    ("check flow_jacobian(dz, pz, ((x, y), (y, 1), (z, -1)));", 1, "ERROR"),
-    ("check submodular(N, A0, x);", 1, "ERROR"),
-    ("check submodular(N, A0, (1, 2));", 1, "ERROR"),
-    ("check semicompat(dz, dz, 1, 7);", 1, "ERROR"),
+    "check semicompat(dz, dy, -1);": "SemanticError: degree bound must be at least 0, got -1",
+    "check kernel_spans(dz, -1, pz, 0);": "SemanticError: degree bound must be at least 0, got -1",
+    "check lnd(dz, -1);": "SemanticError: bound must be at least 0, got -1",
+    "check flow_jacobian(dz, pz, ((x, 1), (y, 1), (z, -1)), -1);":
+        "SemanticError: bound must be at least 0, got -1",
+    "check kernel_spans(dz, 2, pz, -1);": "SemanticError: dimension must be at least 0, got -1",
+    # argument kinds and shapes
+    "check wedge_span(dz);":
+        "SemanticError: expected a non-empty tuple of (field, field, witness) triples, got 'dz'",
+    "check wedge_span(());":
+        "SemanticError: expected a non-empty tuple of (field, field, witness) triples, got ()",
+    "check wedge_span(((dz, dy, 1)));": "SemanticError: expected a polynomial name, got 1",
+    "check flow_jacobian(dz, pz, ab);":
+        "SemanticError: expected a non-empty tuple of (coordinate, value) pairs, got 'ab'",
+    "check flow_jacobian(dz, pz, ((x, y), (y, 1), (z, -1)));":
+        "SemanticError: expected a number for the coordinate value, got 'y'",
+    "check flow_jacobian(dz, pz, ((x, 1), (y, 1), (z, -1)), 1/2);":
+        "SemanticError: expected an integer bound, got Fraction(1, 2)",
+    "check submodular(N, A0, x);": "SemanticError: expected a number for the determinant, got 'x'",
+    "check submodular(N, A0, (1, 2));":
+        "SemanticError: expected a number for the determinant, got (1, 2)",
+    "check submodular(N, B0, 1);": "GroupError: no test element named 'B0'",
+    "check submodular(dz, A0, 1);": "SemanticError: 'dz' is not a group",
+    "check semicompat(dz, dz, 1, 7);":
+        "SemanticError: expected verdict FULL_RING or IDEAL_WITNESS, got 7",
+    "check semicompat(dz, dy, dz);": "SemanticError: expected an integer degree bound, got 'dz'",
+    "check kernel_spans(dz, 2, pz, x);": "SemanticError: expected an integer dimension, got 'x'",
+    "check tangent(nope);": "SemanticError: unknown identifier 'nope'",
+    "check tangent(pz);": "SemanticError: 'pz' is not a vector field",
+    "check tangent((dz, dy));": "SemanticError: expected a vector field name, got ('dz', 'dy')",
+    "check divergence_zero(dz, dz);": "SemanticError: 'dz' is not a volume form",
+    "check exact_volume(dz, dz);": "SemanticError: 'dz' is not a differential form",
+    "check potential(dz, dz, dz);": "SemanticError: 'dz' is not a polynomial",
+    "volume w = (x**-1*y**-1) dx^dy; check theta_equals(dz, w, pz);":
+        "SemanticError: 'pz' is not a differential form",
+    "check invariant(nope, nope);": "SemanticError: unknown identifier 'nope'",
+    "check invariant(dz, nope);": "SemanticError: unknown action 'nope'",
     # work budgets: an ERROR record in seconds instead of a run that never ends
-    ("check kernel_spans(dz, 40, pz, 41);", 1, "ERROR:ResourceLimitError"),
-    ("check semicompat(dz, dy, 40);", 1, "ERROR:ResourceLimitError"),
+    "check kernel_spans(dz, 40, pz, 41);": "ResourceLimitError: 12341 monomials of degree <= 40 "
+                                           "in 3 coordinates exceed the budget of 300",
+    "check semicompat(dz, dy, 40);": "ResourceLimitError: 12341 monomials of degree <= 40 "
+                                     "in 3 coordinates exceed the budget of 300",
+}
+
+
+# the third column names the record's status (None: a positioned error, exit 2)
+# and, for budget rows, the error class; it is also part of each test id
+@pytest.mark.parametrize("statement, code, status", [
+    *((statement, 1, "ERROR:ResourceLimitError" if detail.startswith("ResourceLimitError")
+       else "ERROR") for statement, detail in ERROR_DETAILS.items()),
     # positioned errors in the document itself
     ("group M { ambient 2; basis [[1, 0], [0, 1/0]]; }", 2, None),
     ("check submodular(N, A0, 1/0);", 2, None),
@@ -151,9 +188,9 @@ def test_bad_document_input_never_ends_in_a_traceback(statement, code, status, t
         assert capsys.readouterr().err.startswith(f"{doc}:6:")
     else:
         records = json.loads(captured.out)["checks"]
-        expected, _, error = status.partition(":")
-        assert [r["status"] for r in records] == [expected]
-        assert records[0]["detail"].startswith(error)
+        assert [(r["status"], r["detail"]) for r in records] == [
+            ("ERROR", ERROR_DETAILS[statement])
+        ]
 
 
 def test_unknown_scenario_address(capsys):

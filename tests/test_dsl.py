@@ -140,11 +140,18 @@ def test_unknown_statement_and_bad_character():
         parse("chart { vars x; } poly f = x @ 2;")
 
 
+def test_check_may_name_an_object_defined_after_it():
+    doc = parse(CHART_ONLY + "check tangent(dz); field dz = (1 + x*z) d/dx - (1 + y*z) d/dy;")
+    assert [r.status for r in execute(doc)] == ["PASS"]
+
+
 def test_duplicate_names_rejected():
     with pytest.raises(SemanticError):
         parse(CHART_ONLY + "poly f = x; poly f = y;")
     with pytest.raises(SemanticError):
         parse(CHART_ONLY + "poly x = y;")  # collides with a coordinate
+    with pytest.raises(SemanticError):
+        parse(CHART_ONLY + "volume w = (x**-1*y**-1) dx^dy; field w = x d/dx;")
 
 
 def test_statements_requiring_chart():

@@ -3,6 +3,7 @@
 import pytest
 
 from volform import (
+    CheckDirective,
     LaurentPoly,
     RunFlags,
     action,
@@ -13,6 +14,7 @@ from volform import (
     lie_bracket,
     product,
     rename_scenario,
+    run_check,
     scenario_by_name,
     sl2,
     surface,
@@ -215,3 +217,22 @@ def test_torus_contraction_forms_match_up_to_sign():
         got = contract_volume(s.fields[f"nu{i}"], s.volume)
         expected = s.forms[f"w_without_{i}"]
         assert forms_equal(got, expected) or forms_equal(got, -expected)
+
+
+@pytest.mark.parametrize("degree_bound", [1, 2])
+def test_omitted_degree_bound_reads_the_flag(degree_bound):
+    record = run_check(sl2(), CheckDirective("semicompat", ("xi", "eta")),
+                       RunFlags(degree_bound=degree_bound))
+    assert record.status == "PASS"
+    assert f"at bound {degree_bound}," in record.detail
+
+
+@pytest.mark.parametrize("directive", [
+    CheckDirective("lnd", ("xi",)),
+    CheckDirective("flow_jacobian", ("xi", "f", (("a1", 1), ("a2", 1), ("b1", 0), ("b2", 1)))),
+], ids=["lnd", "flow_jacobian"])
+def test_omitted_lnd_bound_reads_the_flag(directive):
+    # xi(a1) = b1 and xi(b1) = 0: bound 0 stops one step short, bound 1 suffices
+    short = run_check(sl2(), directive, RunFlags(lnd_bound=0))
+    assert short.status == "ERROR" and short.detail.startswith("NilpotencyError:")
+    assert run_check(sl2(), directive, RunFlags(lnd_bound=1)).status == "PASS"
