@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Union
 
 from .errors import (
@@ -31,13 +32,23 @@ def _grlex_key(exps: Exponents) -> tuple[int, Exponents]:
     return (sum(exps), exps)
 
 
+def _term_key(term: tuple[Exponents, Fraction]) -> tuple[int, Exponents]:
+    # _grlex_key of the term's exponents, inlined: it runs once per term of
+    # every arithmetic result
+    exps = term[0]
+    return (sum(exps), exps)
+
+
 @dataclass(frozen=True)
 class LaurentPoly:
     """Immutable sparse Laurent polynomial with Fraction coefficients.
 
     ``terms`` is stored already canonicalized: graded-lex descending, no zero
     coefficients.  Use :meth:`from_dict` or the arithmetic operators rather
-    than the raw constructor.
+    than the raw constructor.  :meth:`from_dict` is the validating path: it
+    checks each exponent vector's length and converts every coefficient and
+    exponent.  :meth:`_from_terms` is internal, for arithmetic results only,
+    whose terms are already ``Fraction`` coefficients on int tuples.
     """
 
     variables: tuple[str, ...]
@@ -49,17 +60,22 @@ class LaurentPoly:
     def from_dict(variables: Iterable[str], terms: Mapping[Exponents, Scalar]) -> "LaurentPoly":
         vs = tuple(variables)
         nvars = len(vs)
-        items = []
+        checked: dict[Exponents, Fraction] = {}
         for exps, coeff in terms.items():
             if len(exps) != nvars:
                 raise VariableMismatchError(
                     f"exponent vector {exps} has length {len(exps)}, expected {nvars}"
                 )
-            c = Fraction(coeff)
-            if c != 0:
-                items.append((tuple(int(e) for e in exps), c))
-        items.sort(key=lambda t: _grlex_key(t[0]), reverse=True)
-        return LaurentPoly(vs, tuple(items))
+            checked[tuple(int(e) for e in exps)] = Fraction(coeff)
+        return LaurentPoly._from_terms(vs, checked)
+
+    @staticmethod
+    def _from_terms(variables: tuple[str, ...], terms: Mapping[Exponents, Fraction]) -> "LaurentPoly":
+        """Trusted constructor for arithmetic results: drops zero terms and
+        sorts, without re-wrapping coefficients or re-tupling exponents."""
+        items = [term for term in terms.items() if term[1]]
+        items.sort(key=_term_key, reverse=True)
+        return LaurentPoly(variables, tuple(items))
 
     @staticmethod
     def zero(variables: Iterable[str]) -> "LaurentPoly":
@@ -177,8 +193,9 @@ class LaurentPoly:
             return NotImplemented
         out = dict(self.terms)
         for exps, coeff in q.terms:
-            out[exps] = out.get(exps, Fraction(0)) + coeff
-        return LaurentPoly.from_dict(self.variables, out)
+            prior = out.get(exps)
+            out[exps] = coeff if prior is None else prior + coeff
+        return LaurentPoly._from_terms(self.variables, out)
 
     __radd__ = __add__
 
@@ -201,9 +218,10 @@ class LaurentPoly:
         out: dict[Exponents, Fraction] = {}
         for e1, c1 in self.terms:
             for e2, c2 in q.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return LaurentPoly.from_dict(self.variables, out)
+                e = tuple(map(add, e1, e2))
+                prior = out.get(e)
+                out[e] = c1 * c2 if prior is None else prior + c1 * c2
+        return LaurentPoly._from_terms(self.variables, out)
 
     __rmul__ = __mul__
 
@@ -246,9 +264,9 @@ class LaurentPoly:
             n = exps[idx]
             if n == 0:
                 continue
-            e = exps[:idx] + (n - 1,) + exps[idx + 1:]
-            out[e] = out.get(e, Fraction(0)) + coeff * n
-        return LaurentPoly.from_dict(self.variables, out)
+            # distinct terms keep distinct exponent vectors, so nothing merges
+            out[exps[:idx] + (n - 1,) + exps[idx + 1:]] = coeff * n
+        return LaurentPoly._from_terms(self.variables, out)
 
     def substitute(self, bindings: Mapping[str, PolyLike]) -> "LaurentPoly":
         """Simultaneous substitution of variables by polynomials.
@@ -278,8 +296,9 @@ class LaurentPoly:
                 factor = factor * image ** e
             factor = factor * LaurentPoly.monomial(self.variables, tuple(residual))
             for e2, c2 in factor.terms:
-                result[e2] = result.get(e2, Fraction(0)) + c2
-        return LaurentPoly.from_dict(self.variables, result)
+                prior = result.get(e2)
+                result[e2] = c2 if prior is None else prior + c2
+        return LaurentPoly._from_terms(self.variables, result)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a rational point; zero assigned to a negatively

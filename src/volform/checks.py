@@ -76,7 +76,7 @@ class Check:
 
     @property
     def arity(self) -> tuple[int, int]:
-        """(fewest, most) arguments; documents are held to it at parse time."""
+        """(fewest, most) arguments; see :func:`arity_error`."""
         return sum(not k.endswith("?") for k in self.kinds), len(self.kinds)
 
 
@@ -90,12 +90,28 @@ def register(kind: str, signature: str):
     return wrap
 
 
+def arity_error(kind: str, count: int) -> str | None:
+    """Why a known check kind cannot take ``count`` arguments, or None.  The
+    document parser and :func:`run_check` both hold checks to it."""
+    check = REGISTRY.get(kind)
+    if check is None:
+        return None
+    low, high = check.arity
+    if low <= count <= high:
+        return None
+    expected = str(low) if low == high else f"{low} to {high}"
+    return f"check {kind} takes {expected} argument(s), got {count}"
+
+
 def run_check(model: Model, directive: CheckDirective, flags: RunFlags) -> CheckRecord:
     check = REGISTRY.get(directive.kind)
     started = time.perf_counter()
     if check is None:
         return CheckRecord(directive.label(), ERROR, f"unknown check kind {directive.kind!r}", 0.0)
     try:
+        problem = arity_error(directive.kind, len(directive.args))
+        if problem:
+            raise SemanticError(problem)
         values = [_resolve(model, kind.rstrip("?"), arg)
                   for kind, arg in zip(check.kinds, directive.args)]
         # an omitted bound reads its flag; any other omitted argument is None

@@ -31,7 +31,7 @@ from .calculus import (
     wedge,
     zero_form,
 )
-from .checks import REGISTRY
+from .checks import arity_error
 from .errors import ParseError, SemanticError, VolformError
 from .groups import group_presentation
 from .model import CheckDirective, Model
@@ -560,14 +560,9 @@ class _Parser:
             while self.accept_op(","):
                 args.append(self._check_arg())
         self.expect_op(")")
-        check = REGISTRY.get(kind_tok.text)
-        low, high = check.arity if check else (0, len(args))
-        if not low <= len(args) <= high:
-            count = str(low) if low == high else f"{low} to {high}"
-            raise SemanticError(
-                f"check {kind_tok.text} takes {count} argument(s), got {len(args)}",
-                kind_tok.line, kind_tok.col,
-            )
+        problem = arity_error(kind_tok.text, len(args))
+        if problem:
+            raise SemanticError(problem, kind_tok.line, kind_tok.col)
         self.expect_op(";")
         self.model.checks = self.model.checks + (CheckDirective(kind_tok.text, tuple(args)),)
 

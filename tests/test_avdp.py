@@ -10,6 +10,7 @@ from volform import (
     FULL_RING,
     IDEAL_WITNESS,
     UNKNOWN,
+    Chart,
     LaurentPoly,
     bracket_potential,
     contract_volume,
@@ -20,6 +21,7 @@ from volform import (
     lie_derivative,
     monomials_up_to,
     sample_point,
+    scenario_by_name,
     scalar_form,
     semicompat_bounded,
     spans_wedge_square,
@@ -30,7 +32,7 @@ from volform import (
     verify_flow_jacobian,
     verify_potential,
 )
-from volform.avdp import SurfaceDecomposition
+from volform.avdp import SurfaceDecomposition, _monomial_table
 from volform.errors import ChartError, DimensionError, PreconditionError
 from volform.linalg import SpanBuilder
 from volform.algebra import _grlex_key
@@ -113,18 +115,61 @@ def test_kernel_of_surface_fields_are_coordinate_polynomials():
             assert builder.contains(on.normal_form(g ** k).as_dict())
 
 
+CUBIC = "surface:p=2*x+x**3,q=y**2+y"
+
+
 def test_kernel_matches_brute_force_oracle():
-    on = surface_chart()
-    fields = surface_fields(on)
-    for name in ("dz", "dy", "dx"):
-        basis = kernel_basis(fields[name], 4)
-        dimension, functions, columns = brute_force_kernel(fields[name], on, 4)
+    surface = surface_fields(surface_chart())
+    cubic = scenario_by_name(CUBIC).fields
+    _, xi, eta = sl2_pair()
+    cases = [fields[name] for fields in (surface, cubic) for name in ("dz", "dy", "dx")]
+    for field in cases + [xi, eta]:
+        on = field.chart
+        basis = kernel_basis(field, 4)
+        dimension, functions, columns = brute_force_kernel(field, on, 4)
         assert len(basis) == dimension
         # every computed basis member lies in the oracle's row space
         for member in basis:
             assert set(e for e, _ in member.terms) <= set(columns)
             vec = [dict(member.terms).get(c, Fraction(0)) for c in columns]
             assert row_space_contains(functions, vec)
+
+
+@pytest.mark.parametrize("address", [
+    "sl2", "xm1:1", "xm1:2", "torus:2", "surface:p=x,q=y", CUBIC,
+])
+def test_monomial_table_matches_direct_normal_forms_and_images(address):
+    # the table builds each entry from a lower one; the oracle reduces each
+    # monomial from scratch
+    s = scenario_by_name(address)
+    on = s.chart
+    for bound in range(4):
+        monomials = monomials_up_to(on, bound)
+        forms, images = _monomial_table(on, bound)
+        assert forms == [on.normal_form(m) for m in monomials]
+        assert images == []
+        for field in s.fields.values():
+            assert _monomial_table(on, bound, field) == (
+                forms, [field.apply(m) for m in monomials]
+            )
+
+
+def test_kernel_reduction_work_does_not_grow_with_the_bound(monkeypatch):
+    dz = scenario_by_name(CUBIC).fields["dz"]
+    calls = []
+    reduce = Chart.normal_form
+
+    def counted(self, p):
+        calls.append(p)
+        return reduce(self, p)
+
+    monkeypatch.setattr(Chart, "normal_form", counted)
+    counts = []
+    for bound in (3, 6):
+        calls.clear()
+        kernel_basis(dz, bound)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_kernel_of_sl2_shear_contains_its_kernel_coordinates():

@@ -12,6 +12,7 @@ from volform import (
     forms_equal,
     is_invariant,
     lie_bracket,
+    parse,
     product,
     rename_scenario,
     run_check,
@@ -23,7 +24,7 @@ from volform import (
     volume_form,
     xm1,
 )
-from volform.errors import ChartError
+from volform.errors import ChartError, SemanticError
 
 XYZ = ("x", "y", "z")
 
@@ -236,3 +237,15 @@ def test_omitted_lnd_bound_reads_the_flag(directive):
     short = run_check(sl2(), directive, RunFlags(lnd_bound=0))
     assert short.status == "ERROR" and short.detail.startswith("NilpotencyError:")
     assert run_check(sl2(), directive, RunFlags(lnd_bound=1)).status == "PASS"
+
+
+@pytest.mark.parametrize("args", [(), ("xi", 5, 6)], ids=["too_few", "too_many"])
+def test_run_check_holds_library_directives_to_the_arity(args):
+    record = run_check(sl2(), CheckDirective("tangent", args), RunFlags())
+    message = f"check tangent takes 1 argument(s), got {len(args)}"
+    assert (record.status, record.detail) == ("ERROR", f"SemanticError: {message}")
+    # the document parser words the same fault the same way
+    text = ", ".join(str(a) for a in args)
+    with pytest.raises(SemanticError) as parsed:
+        parse(f"chart {{ vars x; }}\nfield xi = (1) d/dx;\ncheck tangent({text});\n")
+    assert str(parsed.value) == f"3:7: {message}"
