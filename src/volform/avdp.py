@@ -40,9 +40,10 @@ FULL_RING = "FULL_RING"
 IDEAL_WITNESS = "IDEAL_WITNESS"
 UNKNOWN = "UNKNOWN"
 # Largest monomial basis a kernel or semicompat search may enumerate: it
-# admits bound 10 on a surface (286 monomials).  The slowest admitted case
-# measured, semicompat(dz, dx, 10) on p = 2x + x^3, q = y^2 + y, takes about
-# 9 s (CPython 3.11, shared 2-core host), mostly in kernel elimination.
+# admits bound 10 on a surface (286 monomials).  The slowest admitted cases
+# measured, semicompat(dz, dx, 10) and semicompat(dx, dz, 10) on
+# p = 2x + x^3, q = y^2 + y, take about 2 s each (CPython 3.11, shared 2-core
+# host), about half in polynomial products and a quarter in elimination.
 MAX_MONOMIALS = 300
 
 
@@ -188,9 +189,12 @@ def kernel_basis(xi: VectorField, degree_bound: int) -> list[LaurentPoly]:
         image_span.insert(row)
     members: list[LaurentPoly] = []
     for combo in image_span.nullspace(range(len(reduced))):
-        candidate = LaurentPoly.zero(on.coordinates)
+        terms: dict[Exponents, Fraction] = {}
         for j, c in combo.items():
-            candidate = candidate + c * reduced[j]
+            for exps, coeff in reduced[j].terms:
+                prior = terms.get(exps)
+                terms[exps] = c * coeff if prior is None else prior + c * coeff
+        candidate = LaurentPoly._from_terms(on.coordinates, terms)
         if not candidate.is_zero:
             members.append(candidate)
 

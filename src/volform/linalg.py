@@ -3,9 +3,11 @@
 :class:`SpanBuilder` is the one elimination engine: incremental reduced
 echelon form over sparse rational vectors with an arbitrary ordered column
 space (Laurent-monomial columns for kernels and spans, integer columns for
-dense matrices).  :func:`row_echelon` is its dense front end, and
-:func:`solve_exact` and :func:`mat_inverse` read the reduced echelon form it
-builds.  :func:`det_bareiss` is separate: a fraction-free determinant.
+dense matrices).  It is fraction-free: inputs are scaled to integers once,
+rows are stored as primitive integer vectors, and a row is divided by its
+pivot entry only when it is read out.  :func:`row_echelon` is its dense front
+end, and :func:`solve_exact` and :func:`mat_inverse` read the reduced echelon
+form it builds.  :func:`det_bareiss` is separate: a fraction-free determinant.
 """
 
 from __future__ import annotations
@@ -70,14 +72,34 @@ def det_bareiss(a: Matrix) -> Fraction:
     return Fraction(sign * m[n - 1][n - 1], 1) / scale
 
 
-def _axpy(vec: dict, c: Fraction, row: dict) -> None:
-    """vec += c * row in place, dropping entries that cancel."""
+def _integral(vec: dict) -> dict[Hashable, int]:
+    """The vector times the lcm of its denominators: integer entries."""
+    den = math.lcm(*(v.denominator for v in vec.values()))
+    return {k: v.numerator * (den // v.denominator) for k, v in vec.items()}
+
+
+def _eliminate(vec: dict, key: Hashable, row: dict) -> dict:
+    """a*vec - c*row, where p and c are the entries of row and vec at ``key``,
+    g = gcd(p, c) and a = p/g: integral, and 0 at ``key``.  Consumes vec."""
+    p, c = row[key], vec[key]
+    g = math.gcd(p, c)
+    a, c = p // g, c // g
+    out = {k: a * v for k, v in vec.items()} if a != 1 else vec
     for k, v in row.items():
-        nv = vec.get(k, Fraction(0)) + c * v
+        nv = out.get(k, 0) - c * v
         if nv:
-            vec[k] = nv
+            out[k] = nv
         else:
-            vec.pop(k, None)
+            del out[k]
+    return out
+
+
+def _primitive(vec: dict, pivot: Hashable) -> dict:
+    """The vector over its content, signed so that the pivot entry is positive."""
+    g = math.gcd(*vec.values())
+    if vec[pivot] < 0:
+        g = -g
+    return vec if g == 1 else {k: v // g for k, v in vec.items()}
 
 
 class SpanBuilder:
@@ -85,13 +107,16 @@ class SpanBuilder:
 
     Vectors are dicts mapping hashable column keys to nonzero Fractions; the
     column order is fixed by ``key_order`` (largest column = pivot, compared
-    descending).  Stored rows are 1 at their own pivot and 0 at every other pivot.
+    descending).  Elimination is fraction-free: each stored row is a primitive
+    integer vector (content 1) with a positive entry at its own pivot and 0 at
+    every other pivot, kept in a pivot -> row dict.  The reduced echelon form
+    is unique, so dividing a row by its pivot entry, which happens only on
+    output, gives exactly the rational row of Gauss-Jordan elimination.
     """
 
     def __init__(self, key_order: Callable[[Hashable], object]):
         self._key_order = key_order
-        # (pivot_key, row), pivots descending
-        self._rows: list[tuple[Hashable, dict]] = []
+        self._rows: dict[Hashable, dict[Hashable, int]] = {}
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -100,12 +125,16 @@ class SpanBuilder:
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, vec: dict) -> dict:
-        vec = dict(vec)
-        for pivot, row in self._rows:
-            c = vec.get(pivot)
-            if c:
-                _axpy(vec, -c, row)
+    def _reduce(self, vec: dict) -> dict[Hashable, int]:
+        """A positive multiple of vec minus its projection on the stored rows.
+
+        Rows are 0 at every pivot but their own, so eliminating one pivot only
+        rescales the entries at the others: the pivots to clear are those
+        present in the input."""
+        vec = _integral(vec)
+        rows = self._rows
+        for pivot in [k for k in vec if k in rows]:
+            vec = _eliminate(vec, pivot, rows[pivot])
         return vec
 
     def insert(self, vec: dict) -> tuple[bool, Hashable | None]:
@@ -113,41 +142,45 @@ class SpanBuilder:
         vec = self._reduce(vec)
         if not vec:
             return (False, None)
-        pivot = max(vec.keys(), key=self._key_order)  # type: ignore[arg-type]
-        inv = Fraction(1) / vec[pivot]
-        vec = {k: v * inv for k, v in vec.items()}
+        pivot = max(vec, key=self._key_order)  # type: ignore[arg-type]
+        vec = _primitive(vec, pivot)
         # back-substitute to keep the basis fully reduced
-        for _, row in self._rows:
-            c = row.get(pivot)
-            if c:
-                _axpy(row, -c, vec)
-        self._rows.append((pivot, vec))
-        self._rows.sort(key=lambda t: self._key_order(t[0]), reverse=True)
+        rows = self._rows
+        for key, row in rows.items():
+            if pivot in row:
+                rows[key] = _primitive(_eliminate(row, pivot, vec), key)
+        rows[pivot] = vec
         return (True, pivot)
 
     def contains(self, vec: dict) -> bool:
         return not self._reduce(vec)
 
+    def _sorted_rows(self) -> list[tuple[Hashable, dict[Hashable, int]]]:
+        return sorted(self._rows.items(), key=lambda t: self._key_order(t[0]), reverse=True)
+
     def basis(self) -> list[dict]:
         """Reduced echelon basis, pivot columns descending."""
-        return [dict(row) for _, row in self._rows]
+        return [
+            {k: Fraction(v, row[pivot]) for k, v in row.items()}
+            for pivot, row in self._sorted_rows()
+        ]
 
     def nullspace(self, keys: Iterable[Hashable]) -> list[dict]:
         """Basis of {x : sum over k of x[k] * (column k) = 0} on ``keys``.
 
         One vector per non-pivot key, in the order of ``keys``: 1 at that key
-        and -row[key] at the pivot of each stored row.
+        and -row[key] at the pivot of each stored row (rows read with pivot 1).
         """
-        pivots = {pivot for pivot, _ in self._rows}
+        ordered = self._sorted_rows()
         out = []
         for key in keys:
-            if key in pivots:
+            if key in self._rows:
                 continue
             vec = {key: Fraction(1)}
-            for pivot, row in self._rows:
+            for pivot, row in ordered:
                 c = row.get(key)
                 if c:
-                    vec[pivot] = -c
+                    vec[pivot] = Fraction(-c, row[pivot])
             out.append(vec)
         return out
 
@@ -168,10 +201,10 @@ def solve_exact(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> list[
     """
     ncols = len(a[0]) if a else 0
     x = [Fraction(0)] * ncols
-    for pivot, row in row_echelon((*row, rhs) for row, rhs in zip(a, b))._rows:
+    for pivot, row in row_echelon((*row, rhs) for row, rhs in zip(a, b))._rows.items():
         if pivot == ncols:  # a row 0 = 1
             return None
-        x[pivot] = row.get(ncols, Fraction(0))
+        x[pivot] = Fraction(row.get(ncols, 0), row[pivot])
     return x
 
 
@@ -180,6 +213,9 @@ def mat_inverse(a: Matrix) -> Matrix:
     GroupError when singular."""
     n = len(a)
     span = row_echelon((*row, *eye) for row, eye in zip(a, identity_matrix(n)))
-    if any(pivot >= n for pivot, _ in span._rows):
+    if any(pivot >= n for pivot in span._rows):
         raise GroupError("matrix is singular")
-    return tuple(tuple(row.get(n + j, Fraction(0)) for j in range(n)) for _, row in span._rows)
+    rows = span._rows
+    return tuple(
+        tuple(Fraction(rows[i].get(n + j, 0), rows[i][i]) for j in range(n)) for i in range(n)
+    )

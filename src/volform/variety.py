@@ -56,9 +56,12 @@ class Chart:
                 f"polynomial over {p.variables} does not match chart coordinates "
                 f"{self.coordinates}"
             )
+        # only the exponents of non-invertible coordinates can be illegal
+        guarded = [(i, name) for i, name in enumerate(self.coordinates)
+                   if name not in self.invertible]
         for exps, _ in p.terms:
-            for name, e in zip(p.variables, exps):
-                if e < 0 and name not in self.invertible:
+            for i, name in guarded:
+                if exps[i] < 0:
                     raise ChartError(
                         f"negative exponent on non-invertible coordinate {name!r}"
                     )

@@ -29,70 +29,55 @@ def sympy_equal(p: LaurentPoly, expr) -> bool:
     return sympy.simplify(poly_to_sympy(p) - expr) == 0
 
 
-def dense_nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Right nullspace basis of a dense rational matrix by textbook RREF."""
-    if not rows:
-        return []
-    m = [list(r) for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    pivots: list[int] = []
+def dense_rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Nonzero rows of the reduced row echelon form of a dense rational
+    matrix, by textbook Gauss-Jordan: the leftmost column pivots first, and
+    each pivot is 1 and the only nonzero entry of its column."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    ncols = len(m[0]) if m else 0
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
         inv = Fraction(1) / m[r][c]
         m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
+        for i in range(len(m)):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
         r += 1
-        if r == nrows:
-            break
-    free_cols = [c for c in range(ncols) if c not in pivots]
+    return m[:r]
+
+
+def dense_pivots(rref: list[list[Fraction]]) -> list[int]:
+    return [next(c for c, x in enumerate(row) if x) for row in rref]
+
+
+def dense_nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Right nullspace basis of a dense rational matrix, read from its RREF."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    rref = dense_rref(rows)
+    pivots = dense_pivots(rref)
     basis = []
-    for free in free_cols:
+    for free in (c for c in range(ncols) if c not in pivots):
         vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
-        for row_idx, col in enumerate(pivots):
-            vec[col] = -m[row_idx][free]
+        for row, col in zip(rref, pivots):
+            vec[col] = -row[free]
         basis.append(vec)
     return basis
 
 
 def dense_rank(rows: list[list[Fraction]]) -> int:
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    return ncols - len(dense_nullspace(rows)) if rows else 0
+    return len(dense_rref(rows))
 
 
 def row_space_contains(rows: list[list[Fraction]], vec: list[Fraction]) -> bool:
-    base = [list(r) for r in rows]
-    before = _rank_of(base)
-    return _rank_of(base + [list(vec)]) == before
-
-
-def _rank_of(rows: list[list[Fraction]]) -> int:
-    m = [list(r) for r in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = Fraction(1) / m[rank][c]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-    return rank
+    return dense_rank(rows + [list(vec)]) == dense_rank(rows)
 
 
 def brute_force_kernel(
@@ -136,7 +121,7 @@ def brute_force_kernel(
         if any(v != 0 for v in vec):
             functions.append(vec)
     # dimension of the function span
-    dimension = _rank_of(functions) if functions else 0
+    dimension = dense_rank(functions)
     return dimension, functions, value_cols
 
 

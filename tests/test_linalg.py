@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import dense_nullspace, dense_rank
+from oracles import dense_nullspace, dense_pivots, dense_rank, dense_rref
 from volform.errors import GroupError
 from volform.linalg import (
     SpanBuilder,
@@ -166,3 +166,109 @@ def test_mat_inverse_against_matrix_product():
         assert mat_mul(inv, m) == identity_matrix(n)
         seen["inverted"] += 1
     assert min(seen.values()) > 20
+
+
+# large primes below 10**9: rows mixing them have huge co-prime denominators
+PRIMES = (999999937, 999999929, 999999893, 999999883, 999999797, 999999761)
+
+
+def _big(rng):
+    denominator = rng.choice(PRIMES) if rng.random() < 0.5 else rng.randint(1, 10**9)
+    return Fraction(rng.randint(-10**9, 10**9), denominator)
+
+
+def _hard_sparse(rng, nrows, ncols):
+    """Sparse matrix with large co-prime denominators and zero columns; some
+    rows are combinations of earlier ones (their entries cancel in elimination),
+    and some are an earlier row plus a multiple of a unit vector."""
+    zero_cols = {c for c in range(ncols) if rng.random() < 0.2}
+    rows = []
+    for _ in range(nrows):
+        roll = rng.random()
+        if rows and roll < 0.3:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = _big(rng), _big(rng)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        elif rows and roll < 0.45:
+            row = list(rng.choice(rows))
+            row[rng.randrange(ncols)] += _big(rng)
+            rows.append(row)
+        else:
+            rows.append([
+                _big(rng) if c not in zero_cols and rng.random() < 0.4 else Fraction(0)
+                for c in range(ncols)
+            ])
+    return rows
+
+
+def _sparse(row):
+    return {c: x for c, x in enumerate(row) if x}
+
+
+def _dense(vec, columns):
+    return [vec.get(c, 0) for c in columns]
+
+
+def _fractions_only(vectors):
+    return all(type(v) is Fraction for vec in vectors for v in vec.values())
+
+
+def test_span_builder_matches_dense_rref_in_any_insertion_order():
+    rng = random.Random(1968)
+    deficient = 0
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 8)
+        rows = _hard_sparse(rng, nrows, ncols)
+        expected = dense_rref(rows)
+        mirrored = dense_rref([row[::-1] for row in rows])
+        kernel = dense_nullspace(rows)
+        for _ in range(4):
+            order = rows[:]
+            rng.shuffle(order)
+            # leftmost column pivots first, as in the oracle
+            span = SpanBuilder(key_order=lambda c: -c)
+            for row in order:
+                span.insert(_sparse(row))
+            basis, nullspace = span.basis(), span.nullspace(range(ncols))
+            assert _fractions_only(basis) and _fractions_only(nullspace)
+            assert [_dense(vec, range(ncols)) for vec in basis] == expected
+            assert [_dense(vec, range(ncols)) for vec in nullspace] == kernel
+            # rightmost column pivots first: the oracle on mirrored columns
+            span = SpanBuilder(key_order=lambda c: c)
+            for row in order:
+                span.insert(_sparse(row))
+            basis = span.basis()
+            assert _fractions_only(basis)
+            assert [_dense(vec, reversed(range(ncols))) for vec in basis] == mirrored
+        deficient += len(expected) < min(nrows, ncols)
+    assert deficient > 10
+
+
+def test_span_builder_insert_and_contains_agree_with_dense_rank():
+    rng = random.Random(22)
+    outcomes = {"new": 0, "dependent": 0, "inside": 0, "outside": 0}
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 8)
+        rows = _hard_sparse(rng, nrows, ncols)
+        rng.shuffle(rows)
+        span = SpanBuilder(key_order=lambda c: -c)
+        seen: list[list[Fraction]] = []
+        for row in rows:
+            if seen and rng.random() < 0.5:
+                probe = [sum((_big(rng) * r[c] for r in seen), Fraction(0))
+                         for c in range(ncols)]
+            else:
+                probe = _hard_sparse(rng, 1, ncols)[0]
+            inside = dense_rank(seen + [probe]) == dense_rank(seen)
+            assert span.contains(_sparse(probe)) == inside
+            outcomes["inside" if inside else "outside"] += 1
+
+            was_new, pivot = span.insert(_sparse(row))
+            before = set(dense_pivots(dense_rref(seen)))
+            seen.append(row)
+            after = set(dense_pivots(dense_rref(seen)))
+            assert was_new == (len(after) > len(before))
+            assert {pivot} == after - before if was_new else pivot is None
+            assert len(span) == span.rank == len(after)
+            outcomes["new" if was_new else "dependent"] += 1
+    assert min(outcomes.values()) > 20

@@ -67,9 +67,19 @@ def test_chart_rejects_bad_presentations():
 
 def test_chart_rejects_illegal_negative_exponents():
     on = surface_chart()
-    bad = LaurentPoly.monomial(on.coordinates, (0, 0, -1))
-    with pytest.raises(ChartError):
-        on.validate_poly(bad)
+    # x and y are invertible, z is not
+    laurent = LaurentPoly.monomial(on.coordinates, (-1, -2, 3))
+    assert on.validate_poly(laurent) is laurent
+    bad = laurent + LaurentPoly.monomial(on.coordinates, (-1, 0, -1))
+    for reject in (on.validate_poly, on.normal_form, surface_fields(on)["dz"].apply):
+        with pytest.raises(ChartError) as raised:
+            reject(bad)
+        assert str(raised.value) == "negative exponent on non-invertible coordinate 'z'"
+    # with two offending coordinates, the first in coordinate order is named
+    plain = chart(("u", "v"))
+    with pytest.raises(ChartError) as raised:
+        plain.validate_poly(LaurentPoly.monomial(("u", "v"), (-1, -1)))
+    assert str(raised.value) == "negative exponent on non-invertible coordinate 'u'"
 
 
 def test_is_tangent_examples():
