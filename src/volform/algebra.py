@@ -9,10 +9,11 @@ variable order, so equality of canonical forms is plain tuple comparison.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
     EvaluationError,
@@ -39,6 +40,12 @@ def _term_key(term: tuple[Exponents, Fraction]) -> tuple[int, Exponents]:
     return (sum(exps), exps)
 
 
+def _integral(terms: Sequence[tuple]) -> tuple[int, list[tuple]]:
+    """The lcm of the denominators of (key, Fraction) pairs, and the pairs times it."""
+    den = math.lcm(*(c.denominator for _, c in terms))
+    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms]
+
+
 @dataclass(frozen=True)
 class LaurentPoly:
     """Immutable sparse Laurent polynomial with Fraction coefficients.
@@ -48,7 +55,10 @@ class LaurentPoly:
     than the raw constructor.  :meth:`from_dict` is the validating path: it
     checks each exponent vector's length and converts every coefficient and
     exponent.  :meth:`_from_terms` is internal, for arithmetic results only,
-    whose terms are already ``Fraction`` coefficients on int tuples.
+    whose terms are already ``Fraction`` coefficients on int tuples.  A product
+    convolves the operands' integer numerators over the lcm of their
+    denominators and builds one ``Fraction`` per output term; a single-term
+    operand only shifts the other's exponents, which keeps their order.
     """
 
     variables: tuple[str, ...]
@@ -215,13 +225,22 @@ class LaurentPoly:
         q = self._coerce(other)
         if q is NotImplemented:
             return NotImplemented
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in q.terms:
+        a, b = (q.terms, self.terms) if len(q.terms) == 1 else (self.terms, q.terms)
+        # one term shifts every exponent (order kept, nothing merges); else convolve int numerators
+        if len(a) == 1:
+            (e1, c1), = a
+            return LaurentPoly(
+                self.variables, tuple([(tuple(map(add, e1, e2)), c1 * c2) for e2, c2 in b])
+            )
+        (d1, a), (d2, b) = _integral(a), _integral(b)
+        out: dict[Exponents, int] = {}
+        for e1, n1 in a:
+            for e2, n2 in b:
                 e = tuple(map(add, e1, e2))
-                prior = out.get(e)
-                out[e] = c1 * c2 if prior is None else prior + c1 * c2
-        return LaurentPoly._from_terms(self.variables, out)
+                out[e] = out.get(e, 0) + n1 * n2
+        den = d1 * d2
+        terms = {e: Fraction(n, den) if den != 1 else Fraction(n) for e, n in out.items() if n}
+        return LaurentPoly._from_terms(self.variables, terms)
 
     __rmul__ = __mul__
 

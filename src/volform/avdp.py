@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .algebra import Exponents, LaurentPoly, _grlex_key
+from .algebra import Exponents, LaurentPoly, _grlex_key, _integral
 from .calculus import (
     DiffForm,
     VectorField,
@@ -42,8 +42,8 @@ UNKNOWN = "UNKNOWN"
 # Largest monomial basis a kernel or semicompat search may enumerate: it
 # admits bound 10 on a surface (286 monomials).  The slowest admitted cases
 # measured, semicompat(dz, dx, 10) and semicompat(dx, dz, 10) on
-# p = 2x + x^3, q = y^2 + y, take about 2 s each (CPython 3.11, shared 2-core
-# host), about half in polynomial products and a quarter in elimination.
+# p = 2x + x^3, q = y^2 + y, take 1.6-1.9 s each (CPython 3.11, shared 2-core
+# host), about a third in polynomial products and half in elimination.
 MAX_MONOMIALS = 300
 
 
@@ -130,10 +130,10 @@ def _compositions(total: int, parts: int) -> Iterable[Exponents]:
 
 
 def _monomial_table(
-    on: Chart, degree_bound: int, xi: VectorField | None = None
-) -> tuple[list[LaurentPoly], list[LaurentPoly]]:
+    on: Chart, degree_bound: int, fields: Sequence[VectorField] = ()
+) -> tuple[list[LaurentPoly], list[list[LaurentPoly]]]:
     """Normal forms of the monomials of degree <= bound, in the order of
-    :func:`monomials_up_to`, and, given a field, their images under it.
+    :func:`monomials_up_to`, and one list of their images per field.
 
     Each monomial m*x_i comes from the earlier entry m with one product:
     nf(m*x_i) = nf(m)*nf(x_i) and, by Leibniz,
@@ -144,25 +144,25 @@ def _monomial_table(
     monomials = monomials_up_to(on, degree_bound)
     gens = on.generators()
     gen_forms = [on.normal_form(g) for g in gens]
-    gen_images = [xi.apply(g) for g in gens] if xi is not None else []
+    gen_images = [[xi.apply(g) for g in gens] for xi in fields]
     # extend along the coordinate whose normal form has the fewest terms
     order = sorted(range(len(gens)), key=lambda i: len(gen_forms[i].terms))
     position: dict[Exponents, int] = {}
     forms: list[LaurentPoly] = []
-    images: list[LaurentPoly] = []
+    images: list[list[LaurentPoly]] = [[] for _ in fields]
     for j, m in enumerate(monomials):
         exps = m.terms[0][0]
         position[exps] = j
         if not any(exps):  # the constant 1
             forms.append(m)
-            if xi is not None:
-                images.append(LaurentPoly.zero(on.coordinates))
+            for column in images:
+                column.append(LaurentPoly.zero(on.coordinates))
             continue
         i = next(i for i in order if exps[i])
         k = position[exps[:i] + (exps[i] - 1,) + exps[i + 1:]]
+        for column, gen_image in zip(images, gen_images):
+            column.append(column[k] * gen_forms[i] + forms[k] * gen_image[i])
         forms.append(forms[k] * gen_forms[i])
-        if xi is not None:
-            images.append(images[k] * gen_forms[i] + forms[k] * gen_images[i])
     return forms, images
 
 
@@ -175,9 +175,14 @@ def kernel_basis(xi: VectorField, degree_bound: int) -> list[LaurentPoly]:
     ambient monomials of total degree <= bound, all in normal form."""
     if not is_tangent(xi):
         raise NotTangentError("kernel computation needs a tangent field")
-    on = xi.chart
-    reduced, images = _monomial_table(on, degree_bound, xi)
+    forms, (images,) = _monomial_table(xi.chart, degree_bound, (xi,))
+    return _kernel_from_table(xi.chart, forms, images)
 
+
+def _kernel_from_table(
+    on: Chart, forms: list[LaurentPoly], images: list[LaurentPoly]
+) -> list[LaurentPoly]:
+    """Echelonized basis of the combinations of a table's forms whose images cancel."""
     # kernel = nullspace of the image matrix: one row per image monomial,
     # keyed by monomial index, leftmost index pivoting first
     image_rows: dict[Exponents, dict[int, Fraction]] = {}
@@ -187,20 +192,17 @@ def kernel_basis(xi: VectorField, degree_bound: int) -> list[LaurentPoly]:
     image_span = SpanBuilder(key_order=lambda j: -j)
     for row in image_rows.values():
         image_span.insert(row)
-    members: list[LaurentPoly] = []
-    for combo in image_span.nullspace(range(len(reduced))):
-        terms: dict[Exponents, Fraction] = {}
-        for j, c in combo.items():
-            for exps, coeff in reduced[j].terms:
-                prior = terms.get(exps)
-                terms[exps] = c * coeff if prior is None else prior + c * coeff
-        candidate = LaurentPoly._from_terms(on.coordinates, terms)
-        if not candidate.is_zero:
-            members.append(candidate)
 
+    # a reduced echelon basis ignores row scale: insert integer combinations
+    integral = [_integral(f.terms) for f in forms]
     basis_span = _span_builder()
-    for f in members:
-        basis_span.insert(f.as_dict())
+    for combo in image_span.nullspace(range(len(forms))):
+        _, weights = _integral([(j, c / integral[j][0]) for j, c in combo.items()])
+        member: dict[Exponents, int] = {}
+        for j, k in weights:
+            for exps, n in integral[j][1]:
+                member[exps] = member.get(exps, 0) + k * n
+        basis_span.insert({exps: n for exps, n in member.items() if n})
     return [LaurentPoly.from_dict(on.coordinates, row) for row in basis_span.basis()]
 
 
@@ -228,23 +230,21 @@ def semicompat_bounded(
     for f in (a, b):
         if not is_tangent(f):
             raise NotTangentError("semi-compatibility needs tangent fields")
-    kernel_a = kernel_basis(a, degree_bound)
-    kernel_b = kernel_basis(b, degree_bound)
+    forms, images = _monomial_table(on, degree_bound, (a, b))
+    kernel_a, kernel_b = (_kernel_from_table(on, forms, column) for column in images)
 
+    # products of normal forms (free coordinates only) are normal forms
     span = _span_builder()
     for f in kernel_a:
         for g in kernel_b:
-            span.insert(on.normal_form(f * g).as_dict())
+            span.insert((f * g).as_dict())
 
-    monomials, _ = _monomial_table(on, degree_bound)
-    if all(span.contains(m.as_dict()) for m in monomials):
+    if all(span.contains(m.as_dict()) for m in forms):
         return SemicompatVerdict(FULL_RING, LaurentPoly.one(on.coordinates), degree_bound)
 
     for row in span.basis():
         candidate = LaurentPoly.from_dict(on.coordinates, row)
-        if all(
-            span.contains(on.normal_form(candidate * m).as_dict()) for m in monomials
-        ):
+        if all(span.contains((candidate * m).as_dict()) for m in forms):
             return SemicompatVerdict(IDEAL_WITNESS, candidate, degree_bound)
 
     return SemicompatVerdict(UNKNOWN, None, degree_bound)

@@ -16,13 +16,14 @@ from volform import Chart, DiffForm, LaurentPoly, VectorField
 
 def poly_to_sympy(p: LaurentPoly):
     symbols = sympy.symbols(p.variables)
-    total = sympy.Integer(0)
+    terms = []
     for exps, coeff in p.terms:
         term = sympy.Rational(coeff.numerator, coeff.denominator)
         for sym, e in zip(symbols, exps):
             term *= sym ** e
-        total += term
-    return sympy.expand(total)
+        terms.append(term)
+    # one Add of all terms: adding them one by one is quadratic in sympy
+    return sympy.expand(sympy.Add(*terms))
 
 
 def sympy_equal(p: LaurentPoly, expr) -> bool:

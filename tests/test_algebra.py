@@ -193,6 +193,59 @@ def test_against_sympy_on_random_instances():
         assert sympy_equal(p.partial_derivative(name), sympy.diff(poly_to_sympy(p), sym))
 
 
+XYZ = ("x", "y", "z")
+# denominators up to 10^9; 999999937 and 998244353 are prime
+DENOMINATORS = [1, 1, 2, 7, 12, 360, 65536, 998244353, 999999937, 10 ** 9]
+
+
+def wide_poly(rng: random.Random, n_terms: int) -> LaurentPoly:
+    """Laurent polynomial with up to n_terms terms and large coefficients."""
+    terms = {}
+    for _ in range(n_terms):
+        exps = tuple(rng.randint(-3, 3) for _ in XYZ)
+        terms[exps] = Fraction(rng.randint(-10 ** 6, 10 ** 6) or 1, rng.choice(DENOMINATORS))
+    return LaurentPoly.from_dict(XYZ, terms)
+
+
+def assert_canonical(p: LaurentPoly) -> None:
+    keys = [(sum(exps), exps) for exps, _ in p.terms]
+    assert keys == sorted(set(keys), reverse=True)  # grlex descending, distinct
+    for exps, coeff in p.terms:
+        assert type(exps) is tuple and len(exps) == len(p.variables)
+        assert all(type(e) is int for e in exps)
+        assert type(coeff) is Fraction and coeff != 0
+
+
+def test_products_of_wide_operands_match_sympy_in_canonical_form():
+    rng = random.Random(2024)
+    x, y, z = LaurentPoly.generators(XYZ)
+    zero, five = LaurentPoly.zero(XYZ), LaurentPoly.constant(XYZ, Fraction(5, 999999937))
+    pairs = []
+    for _ in range(16):
+        pairs.append((wide_poly(rng, rng.randint(1, 15)), wide_poly(rng, rng.randint(1, 15))))
+    for n in (1, 2, 15):
+        pairs.append((wide_poly(rng, 1), wide_poly(rng, n)))
+        pairs.append((wide_poly(rng, n), wide_poly(rng, 1)))
+    for other in (zero, five, LaurentPoly.one(XYZ)):
+        pairs.append((other, wide_poly(rng, 9)))
+        pairs.append((wide_poly(rng, 9), other))
+    pairs.append((zero, zero))
+    # the middle terms cancel inside the convolution
+    a, b = wide_poly(rng, 6), wide_poly(rng, 5)
+    pairs.append((a + b, a - b))
+    pairs.append((x - y / 7, x + y / 7))
+    for p, q in pairs:
+        product = p * q
+        assert_canonical(product)
+        assert poly_to_sympy(product) == sympy.expand(poly_to_sympy(p) * poly_to_sympy(q))
+    assert (x - y / 7) * (x + y / 7) - (x ** 2 - y ** 2 / 49) == zero
+    assert (a + b) * (a - b) == a * a - b * b
+    assert_canonical(Fraction(3, 10 ** 9) * a)
+    assert_canonical(a * 7)
+    assert zero * a == a * zero == zero
+    assert five * z * a == a * (z * five)
+
+
 def test_rename_and_extend_variables():
     x, y = gens(*XY)
     p = x ** 2 * y - 3

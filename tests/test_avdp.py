@@ -32,6 +32,7 @@ from volform import (
     verify_flow_jacobian,
     verify_potential,
 )
+from volform import avdp
 from volform.avdp import SurfaceDecomposition, _monomial_table
 from volform.errors import ChartError, DimensionError, PreconditionError
 from volform.linalg import SpanBuilder
@@ -143,15 +144,15 @@ def test_monomial_table_matches_direct_normal_forms_and_images(address):
     # monomial from scratch
     s = scenario_by_name(address)
     on = s.chart
+    fields = list(s.fields.values())
     for bound in range(4):
         monomials = monomials_up_to(on, bound)
         forms, images = _monomial_table(on, bound)
         assert forms == [on.normal_form(m) for m in monomials]
         assert images == []
-        for field in s.fields.values():
-            assert _monomial_table(on, bound, field) == (
-                forms, [field.apply(m) for m in monomials]
-            )
+        assert _monomial_table(on, bound, fields) == (
+            forms, [[field.apply(m) for m in monomials] for field in fields]
+        )
 
 
 def test_kernel_reduction_work_does_not_grow_with_the_bound(monkeypatch):
@@ -168,6 +169,33 @@ def test_kernel_reduction_work_does_not_grow_with_the_bound(monkeypatch):
     for bound in (3, 6):
         calls.clear()
         kernel_basis(dz, bound)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_semicompat_does_no_repeated_table_work(monkeypatch):
+    # one table serves both kernels and the witness search, and products of
+    # normal forms are not reduced again
+    fields = scenario_by_name(CUBIC).fields
+    tables, calls = [], []
+    table, reduce = avdp._monomial_table, Chart.normal_form
+
+    def counted_table(*args):
+        tables.append(args)
+        return table(*args)
+
+    def counted(self, p):
+        calls.append(p)
+        return reduce(self, p)
+
+    monkeypatch.setattr(avdp, "_monomial_table", counted_table)
+    monkeypatch.setattr(Chart, "normal_form", counted)
+    counts = []
+    for bound in (3, 6):
+        tables.clear()
+        calls.clear()
+        semicompat_bounded(fields["dz"], fields["dy"], bound)
+        assert len(tables) == 1
         counts.append(len(calls))
     assert counts[0] == counts[1]
 
