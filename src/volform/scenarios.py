@@ -254,198 +254,120 @@ def xm1(m: int) -> Scenario:
 # --------------------------------------------------------------- products
 
 
-def rename_scenario(s: Scenario, mapping: Mapping[str, str]) -> Scenario:
-    """Rename chart coordinates throughout a scenario (object names stay)."""
-    new_chart = s.chart.rename(mapping)
-
-    def rn_poly(p: LaurentPoly) -> LaurentPoly:
-        return p.rename_variables(mapping)
-
-    def rn_field(f: VectorField) -> VectorField:
-        return vector_field(
-            new_chart, {mapping.get(n, n): rn_poly(c) for n, c in f.coefficients}
-        )
-
-    def rn_form(f: DiffForm) -> DiffForm:
-        return diff_form(
-            new_chart,
-            f.degree,
-            {
-                tuple(mapping.get(n, n) for n in key): rn_poly(c)
-                for key, c in f.coefficients
-            },
-        )
-
-    def rn_action(a: SubstitutionAction) -> SubstitutionAction:
-        return action(
-            new_chart,
-            a.name,
-            {mapping.get(n, n): rn_poly(img) for n, img in a.images},
-            a.order,
-        )
-
-    def rn_arg(arg):
-        if isinstance(arg, tuple):
-            return tuple(rn_arg(a) for a in arg)
-        if isinstance(arg, str) and arg in mapping:
-            return mapping[arg]
-        return arg
-
-    volume = volume_form(new_chart, rn_poly(s.volume.unit_coefficient())) if s.volume else None
-    return Model(
-        name=s.name,
-        chart=new_chart,
-        volume=volume,
-        volume_name=s.volume_name,
-        fields={n: rn_field(f) for n, f in s.fields.items()},
-        forms={n: rn_form(f) for n, f in s.forms.items()},
-        polys={n: rn_poly(p) for n, p in s.polys.items()},
-        actions={n: rn_action(a) for n, a in s.actions.items()},
-        groups=dict(s.groups),
-        checks=tuple(CheckDirective(d.kind, rn_arg(d.args)) for d in s.checks),
-    )
+def _fresh(taken: Mapping[str, object], name: str) -> str:
+    """``name``, or ``name_2``, ``name_3``, ... for the first one not taken."""
+    candidate, suffix = name, 2
+    while candidate in taken:
+        candidate, suffix = f"{name}_{suffix}", suffix + 1
+    return candidate
 
 
-def _fresh_names(taken: set[str], wanted: tuple[str, ...]) -> dict[str, str]:
-    mapping = {}
-    for name in wanted:
-        candidate = name
-        suffix = 2
-        while candidate in taken:
-            candidate = f"{name}_{suffix}"
-            suffix += 1
-        if candidate != name:
-            mapping[name] = candidate
-        taken.add(candidate)
-    return mapping
+def _add(table: dict, name: str, value) -> str:
+    key = _fresh(table, name)
+    table[key] = value
+    return key
 
 
 def product(s1: Scenario, s2: Scenario) -> Scenario:
     """Product scenario: concatenated chart, product volume, lifted fields.
 
-    Factor actions lift (identity on the other factor) and equal-order pairs
-    combine diagonally; objects that verify as invariant under a diagonal
-    action are recorded as invariance checks.
+    Every table (coordinates, fields, forms, polys, actions) keeps the first
+    factor's names; a name of the second factor that is already taken gets
+    the first free suffix ``_2``, ``_3``, ...  A poly equal to the one it
+    clashes with is dropped instead.  Factor actions lift (identity on the
+    other factor), and each equal-order pair combines into a diagonal action
+    ``a*b``.  Objects that verify as invariant under a diagonal action are
+    recorded as invariance checks: lifted fields under their own names, and
+    an anti-invariant field or the volume form ``w`` rescaled by an
+    anti-invariant coordinate ``c`` as the new field ``c<field>`` or form
+    ``cw``.
     """
     if s1.chart is None or s2.chart is None or s1.volume is None or s2.volume is None:
         raise ChartError("product needs two scenarios with charts and volume forms")
-    clash = _fresh_names(set(s1.chart.coordinates), s2.chart.coordinates)
-    right = rename_scenario(s2, clash) if clash else s2
+    taken = dict.fromkeys(s1.chart.coordinates)
+    rn2 = {c: _add(taken, c, None) for c in s2.chart.coordinates}
+    factors = ((s1, {}), (s2, rn2))
+    coords = tuple(taken)
 
-    coords = s1.chart.coordinates + right.chart.coordinates
-    rels = [
-        (rel.poly.extend_variables(coords), rel.solves)
-        for rel in s1.chart.relations + right.chart.relations
-    ]
-    both = chart(coords, s1.chart.invertible | right.chart.invertible, rels)
+    def lift(p: LaurentPoly, rn: Mapping[str, str]) -> LaurentPoly:
+        return p.rename_variables(rn).extend_variables(coords)
 
-    def lift_poly(p: LaurentPoly) -> LaurentPoly:
-        return p.extend_variables(coords)
-
-    def lift_field(f: VectorField) -> VectorField:
-        return vector_field(both, {n: lift_poly(c) for n, c in f.coefficients})
-
-    def lift_form(f: DiffForm) -> DiffForm:
-        return diff_form(
-            both, f.degree, {key: lift_poly(c) for key, c in f.coefficients}
-        )
-
-    volume = volume_form(
-        both,
-        lift_poly(s1.volume.unit_coefficient())
-        * lift_poly(right.volume.unit_coefficient()),
+    both = chart(
+        coords,
+        {rn.get(c, c) for s, rn in factors for c in s.chart.invertible},
+        [
+            (lift(rel.poly, rn), rn.get(rel.solves, rel.solves))
+            for s, rn in factors
+            for rel in s.chart.relations
+        ],
     )
+    unit = lift(s1.volume.unit_coefficient(), {}) * lift(s2.volume.unit_coefficient(), rn2)
+    volume = volume_form(both, unit)
 
     fields: dict[str, VectorField] = {}
-    origin: dict[str, int] = {}
-    for side, source in ((1, s1), (2, right)):
-        rename = _fresh_names(set(fields), tuple(source.fields))
-        for name, f in source.fields.items():
-            key = rename.get(name, name)
-            fields[key] = lift_field(f)
-            origin[key] = side
-
     forms: dict[str, DiffForm] = {}
-    for source in (s1, right):
-        rename = _fresh_names(set(forms), tuple(source.forms))
-        for name, f in source.forms.items():
-            forms[rename.get(name, name)] = lift_form(f)
-
     polys: dict[str, LaurentPoly] = {}
-    for source in (s1, right):
-        for name, p in source.polys.items():
-            lifted = lift_poly(p)
-            if name in polys:
-                if polys[name] == lifted:
-                    continue
-                name = _fresh_names(set(polys), (name,))[name]
-            polys[name] = lifted
-
     actions: dict[str, SubstitutionAction] = {}
-    for source in (s1, right):
-        for name, a in source.actions.items():
-            lifted = action(both, name, {n: lift_poly(img) for n, img in a.images}, a.order)
-            actions[_fresh_names(set(actions), (name,)).get(name, name)] = lifted
+    images: tuple[list, list] = ([], [])  # (name, lifted images, order) per factor
+    for (s, rn), own_images in zip(factors, images):
+        for name, f in s.fields.items():
+            lifted = vector_field(both, {rn.get(n, n): lift(c, rn) for n, c in f.coefficients})
+            _add(fields, name, lifted)
+        for name, f in s.forms.items():
+            coeffs = {tuple(rn.get(n, n) for n in key): lift(c, rn) for key, c in f.coefficients}
+            _add(forms, name, diff_form(both, f.degree, coeffs))
+        for name, p in s.polys.items():
+            lifted = lift(p, rn)
+            if polys.get(name) != lifted:
+                _add(polys, name, lifted)
+        for name, a in s.actions.items():
+            lifted = {rn.get(n, n): lift(img, rn) for n, img in a.images}
+            _add(actions, name, action(both, name, lifted, a.order))
+            own_images.append((name, lifted, a.order))
     diagonals: list[str] = []
-    for n1, a1 in s1.actions.items():
-        for n2, a2 in right.actions.items():
-            if a1.order != a2.order:
-                continue
-            images = {n: lift_poly(img) for n, img in a1.images}
-            images.update({n: lift_poly(img) for n, img in a2.images})
-            name = f"{n1}*{n2}"
-            actions[name] = action(both, name, images, a1.order)
-            diagonals.append(name)
+    for n1, images1, order in images[0]:
+        for n2, images2, order2 in images[1]:
+            if order == order2:
+                name = _fresh(actions, f"{n1}*{n2}")
+                actions[name] = action(both, name, {**images1, **images2}, order)
+                diagonals.append(name)
 
     checks: list[CheckDirective] = []
     for name, f in fields.items():
         checks.append(CheckDirective("tangent", (name,)))
         if divergence(f, volume).is_zero:
             checks.append(CheckDirective("divergence_zero", (name, "w")))
-    field_names = list(fields)
-    for a in field_names:
-        for b in field_names:
-            if origin[a] == 1 and origin[b] == 2:
-                checks.append(CheckDirective("commute", (a, b)))
+    names = list(fields)
+    left, right = names[: len(s1.fields)], names[len(s1.fields):]
+    checks += [CheckDirective("commute", (a, b)) for a in left for b in right]
 
-    # invariance records for diagonal actions: plain invariant objects, plus
-    # anti-invariant fields of one factor rescaled by an anti-invariant
-    # coordinate of the other factor
+    # invariance candidates run in the order of their sort labels; a target
+    # recorded once (a rescaled field an earlier product already named) is
+    # not recorded again
     for diag in diagonals:
         act = actions[diag]
-        anti_coords = [
-            n for n in both.coordinates
-            if act.image(n) == -both.generator(n)
-        ]
-        candidates: dict[str, object] = {}
-        for name, f in fields.items():
-            candidates[name] = f
-        for coord in anti_coords:
+        candidates = [(name, name, f, fields) for name, f in fields.items()]
+        for coord in coords:
             g = both.generator(coord)
+            if act.image(coord) != -g:
+                continue
             for name, f in fields.items():
-                label = f"{coord}~{name}"
-                candidate = g * f
-                if candidate.coefficients != f.coefficients:
-                    candidates[label] = candidate
-            candidates[f"{coord}~w"] = g * volume
-        for label, obj in sorted(candidates.items()):
+                scaled = g * f
+                if scaled.coefficients != f.coefficients:
+                    candidates.append((f"{coord}~{name}", f"{coord}{name}", scaled, fields))
+            candidates.append((f"{coord}~w", f"{coord}w", g * volume, forms))
+        recorded: set[str] = set()
+        for _, target, obj, table in sorted(candidates, key=lambda c: c[0]):
+            if target in recorded:
+                continue
             try:
                 invariant = is_invariant(obj, act, both)
             except VolformError:
                 continue
-            if not invariant:
-                continue
-            if label in fields:
-                checks.append(CheckDirective("invariant", (label, diag)))
-            else:
-                coord, _, base = label.partition("~")
-                extra = f"{coord}{base}"
-                if base == "w":
-                    forms[extra] = both.generator(coord) * volume
-                else:
-                    fields[extra] = both.generator(coord) * fields[base]
-                    origin[extra] = origin[base]
-                checks.append(CheckDirective("invariant", (extra, diag)))
+            if invariant:
+                table[target] = obj
+                recorded.add(target)
+                checks.append(CheckDirective("invariant", (target, diag)))
 
     return Model(
         name=f"product:{s1.name}|{s2.name}",

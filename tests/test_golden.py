@@ -1,9 +1,12 @@
 """Recorded JSON reports: `volform check <target> --format json --seed 3`
 must reproduce tests/data/golden/ byte for byte, with the same exit code.
+Product scenarios are also pinned structurally: their document text, each
+action's key and name, and their check labels (tests/data/golden/products.json).
 
 The reports were recorded once and are the reference for refactors that must
-not change behaviour.  When a report change is intended, rewrite them from the
-current tree with ``PYTHONPATH=src python tests/test_golden.py``.
+not change behaviour.  When a report change is intended, rewrite them and the
+product snapshot from the current tree with
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from volform import format_document, scenario_by_name
 from volform.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,6 +50,18 @@ DOCUMENTS = tuple(
     )
 )
 TARGETS = SCENARIOS + DOCUMENTS
+# two-factor products: each factor contributes at most one action, so no
+# diagonal name can clash with a lifted one
+PRODUCTS = (
+    "product:torus:2|torus:3",
+    "product:torus:2|torus:2",
+    "product:xm1:2|torus:1",
+    "product:xm1:1|xm1:2",
+    "product:sl2|sl2",
+    "product:surface:p=x,q=y|surface:p=x,q=y",
+    "product:surface:p=2*x+x**3,q=y**2+y|torus:2",
+) + tuple(t for t in SCENARIOS if t.startswith("product:"))
+PRODUCT_SNAPSHOT = GOLDEN / "products.json"
 
 
 def golden_path(target: str) -> Path:
@@ -73,6 +89,21 @@ def test_report_matches_golden(target):
     assert code == json.loads(EXIT_CODES.read_text(encoding="utf-8"))[target]
 
 
+def product_snapshot(address: str) -> dict:
+    s = scenario_by_name(address)
+    return {
+        "document": format_document(s).splitlines(),
+        "actions": [[key, act.name] for key, act in s.actions.items()],
+        "checks": [directive.label() for directive in s.checks],
+    }
+
+
+@pytest.mark.parametrize("address", PRODUCTS)
+def test_product_matches_snapshot(address):
+    recorded = json.loads(PRODUCT_SNAPSHOT.read_text(encoding="utf-8"))
+    assert product_snapshot(address) == recorded[address]
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
     codes = {}
@@ -80,3 +111,5 @@ if __name__ == "__main__":
         codes[target], text = run_report(target)
         golden_path(target).write_text(text, encoding="utf-8")
     EXIT_CODES.write_text(json.dumps(codes, indent=2) + "\n", encoding="utf-8")
+    snapshot = {address: product_snapshot(address) for address in PRODUCTS}
+    PRODUCT_SNAPSHOT.write_text(json.dumps(snapshot, indent=1) + "\n", encoding="utf-8")

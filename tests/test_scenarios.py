@@ -14,7 +14,6 @@ from volform import (
     lie_bracket,
     parse,
     product,
-    rename_scenario,
     run_check,
     scenario_by_name,
     sl2,
@@ -92,13 +91,19 @@ def test_surface_rejects_nonzero_constant_terms():
 def test_product_of_tori_matches_bigger_torus_up_to_renaming():
     prod = product(torus(1), torus(1))
     assert prod.chart.coordinates == ("z1", "z1_2")
-    renamed = rename_scenario(prod, {"z1_2": "z2"})
+    mapping = {"z1_2": "z2"}
+    on = prod.chart.rename(mapping)
     reference = torus(2)
-    assert renamed.chart == reference.chart
-    assert renamed.volume == reference.volume
-    for name in ("nu1",):
-        assert renamed.fields[name] == reference.fields[name]
-    assert renamed.fields["nu1_2"] == reference.fields["nu2"]
+    assert on == reference.chart
+    coeff = prod.volume.unit_coefficient().rename_variables(mapping)
+    assert volume_form(on, coeff) == reference.volume
+
+    def renamed(name):
+        coeffs = prod.fields[name].coefficients
+        return vector_field(on, {mapping.get(n, n): c.rename_variables(mapping) for n, c in coeffs})
+
+    assert renamed("nu1") == reference.fields["nu1"]
+    assert renamed("nu1_2") == reference.fields["nu2"]
 
 
 def test_product_is_associative_up_to_renaming():
@@ -133,6 +138,31 @@ def test_product_diagonal_action_invariants():
     # and the unscaled objects are genuinely anti-invariant, not invariant
     assert not is_invariant(prod.fields["dz"], diag)
     assert not is_invariant(prod.volume, diag)
+
+
+@pytest.mark.parametrize("address, kept, added", [
+    ("product:torus:1|torus:1|torus:1",
+     ("negate*negate", ["z1", "z1_2"]), ("negate*negate_2", ["z1", "z1_3"])),
+    ("product:surface:p=x,q=y|torus:1|torus:1",
+     ("swap_xy*negate", ["z1"]), ("swap_xy*negate_2", ["z1_2"])),
+])
+def test_diagonal_actions_take_fresh_names(address, kept, added):
+    # the first product's diagonal stays; the diagonal pairing the same
+    # actions with the third factor gets the next free name
+    prod = scenario_by_name(address)
+    for name, negated in (kept, added):
+        act = prod.actions[name]
+        assert act.name == name
+        assert [c for c, img in act.images if img == -prod.chart.generator(c)] == negated
+
+
+def test_three_factor_product_records_each_check_once():
+    # z1dz is a field of the first product and also z1 times its dz
+    prod = scenario_by_name("product:surface:p=x,q=y|torus:1|torus:1")
+    labels = [d.label() for d in prod.checks]
+    assert len(labels) == len(set(labels)) == 45
+    assert "invariant(z1dz, swap_xy*negate*negate)" in labels
+    run_all(prod)
 
 
 def test_quadric_surface_times_torus_spot_check():
