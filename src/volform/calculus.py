@@ -25,12 +25,7 @@ from .errors import (
     VariableMismatchError,
     VolumeFormError,
 )
-from .variety import (
-    Chart,
-    SubstitutionAction,
-    poly_matrix_inverse,
-    substitution_jacobian,
-)
+from .variety import Chart, SubstitutionAction
 
 FormKey = tuple[str, ...]
 
@@ -414,22 +409,6 @@ def lnd_flow(
 # ----------------------------------------------- transforms and invariance
 
 
-def transform_field(field: VectorField, act: SubstitutionAction) -> VectorField:
-    """Pullback of a field along a substitution, via the inverse Jacobian."""
-    on = field.chart
-    jac = substitution_jacobian(on, act)
-    inv = poly_matrix_inverse(jac)
-    images = act.as_dict()
-    substituted = [field.coefficient(c).substitute(images) for c in on.coordinates]
-    coeffs = {}
-    for i, name in enumerate(on.coordinates):
-        total = LaurentPoly.zero(on.coordinates)
-        for j in range(len(on.coordinates)):
-            total = total + inv[i][j] * substituted[j]
-        coeffs[name] = total
-    return vector_field(on, coeffs)
-
-
 def pullback_form(form: DiffForm, act: SubstitutionAction) -> DiffForm:
     """Pullback along a substitution, computed in the free coordinates."""
     on = form.chart
@@ -454,10 +433,16 @@ def is_invariant(
 ) -> bool:
     """Whether the object is fixed by the substitution modulo the ideal.
 
-    Fields transform by the inverse Jacobian, forms by pullback.
+    A field is a derivation, so it is fixed by ``s`` exactly when
+    ``xi(s*x_c) = s*(xi(x_c))`` for every coordinate ``c``; forms are
+    compared with their pullback.
     """
     if isinstance(obj, VectorField):
-        return transform_field(obj, act).coefficients == obj.coefficients
+        images = act.as_dict()
+        return all(
+            obj.apply(images[c]) == obj.chart.normal_form(obj.coefficient(c).substitute(images))
+            for c in obj.chart.coordinates
+        )
     if isinstance(obj, DiffForm):
         return forms_equal(pullback_form(obj, act), obj)
     if isinstance(obj, LaurentPoly):

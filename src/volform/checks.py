@@ -155,9 +155,13 @@ def _resolve(model: Model, kind: str, value):
         if not isinstance(obj, cls):
             raise SemanticError(f"{value!r} is not a {what}")
         return obj
-    if kind == "object":  # any named object, passed by name
-        if model.lookup(value) is None:
+    if kind == "object":  # what is_invariant tests, passed by name for the detail
+        obj = model.lookup(value)
+        if obj is None:
             raise SemanticError(f"unknown identifier {value!r}")
+        if not isinstance(obj, (LaurentPoly, VectorField, DiffForm)):
+            raise SemanticError(
+                f"{value!r} is not a polynomial, coordinate, field, form or volume")
         return value
     if kind == "action":
         act = model.actions.get(value)

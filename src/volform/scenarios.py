@@ -275,12 +275,12 @@ def product(s1: Scenario, s2: Scenario) -> Scenario:
     factor's names; a name of the second factor that is already taken gets
     the first free suffix ``_2``, ``_3``, ...  A poly equal to the one it
     clashes with is dropped instead.  Factor actions lift (identity on the
-    other factor), and each equal-order pair combines into a diagonal action
-    ``a*b``.  Objects that verify as invariant under a diagonal action are
-    recorded as invariance checks: lifted fields under their own names, and
-    an anti-invariant field or the volume form ``w`` rescaled by an
-    anti-invariant coordinate ``c`` as the new field ``c<field>`` or form
-    ``cw``.
+    other factor) and are named by their keys, and each equal-order pair
+    combines into a diagonal action ``a*b``.  Objects that verify as
+    invariant under a diagonal action are recorded as invariance checks:
+    lifted fields under their own names, and an anti-invariant field or the
+    volume form ``w`` rescaled by an anti-invariant coordinate ``c`` as the
+    new field ``c<field>`` or form ``cw``.
     """
     if s1.chart is None or s2.chart is None or s1.volume is None or s2.volume is None:
         raise ChartError("product needs two scenarios with charts and volume forms")
@@ -322,7 +322,8 @@ def product(s1: Scenario, s2: Scenario) -> Scenario:
                 _add(polys, name, lifted)
         for name, a in s.actions.items():
             lifted = {rn.get(n, n): lift(img, rn) for n, img in a.images}
-            _add(actions, name, action(both, name, lifted, a.order))
+            key = _fresh(actions, name)
+            actions[key] = action(both, key, lifted, a.order)
             own_images.append((name, lifted, a.order))
     diagonals: list[str] = []
     for n1, images1, order in images[0]:

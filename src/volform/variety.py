@@ -21,7 +21,6 @@ from .errors import (
     ActionError,
     ChartError,
     EvaluationError,
-    NotAUnitError,
     PointError,
     ResourceLimitError,
     UnknownVariableError,
@@ -120,14 +119,6 @@ class Chart:
             (rel.poly.extend_variables(coords), rel.solves) for rel in self.relations
         ]
         return chart(coords, self.invertible | set(invertible), rels)
-
-    def rename(self, mapping: Mapping[str, str]) -> "Chart":
-        coords = tuple(mapping.get(c, c) for c in self.coordinates)
-        rels = [
-            (rel.poly.rename_variables(mapping), mapping.get(rel.solves, rel.solves))
-            for rel in self.relations
-        ]
-        return chart(coords, {mapping.get(c, c) for c in self.invertible}, rels)
 
 
 def chart(
@@ -321,60 +312,3 @@ def compose_actions(on: Chart, first: SubstitutionAction, then: SubstitutionActi
     images = {c: t[c].substitute(f) for c in on.coordinates}
     order = math.lcm(first.order, then.order)
     return action(on, name or f"{first.name}*{then.name}", images, order)
-
-
-# ---------------------------------------------------------------- jacobians
-
-PolyMatrix = tuple[tuple[LaurentPoly, ...], ...]
-
-
-def substitution_jacobian(on: Chart, act: SubstitutionAction) -> PolyMatrix:
-    """Matrix of ambient partials d(image_i)/d(coordinate_j)."""
-    return tuple(
-        tuple(act.image(ci).partial_derivative(cj) for cj in on.coordinates)
-        for ci in on.coordinates
-    )
-
-
-def poly_matrix_det(m: PolyMatrix) -> LaurentPoly:
-    n = len(m)
-    if n == 0:
-        raise ChartError("empty matrix")
-    if n == 1:
-        return m[0][0]
-    variables = m[0][0].variables
-    total = LaurentPoly.zero(variables)
-    for j in range(n):
-        entry = m[0][j]
-        if entry.is_zero:
-            continue
-        minor = tuple(row[:j] + row[j + 1:] for row in m[1:])
-        cofactor = poly_matrix_det(minor)
-        term = entry * cofactor
-        total = total + (term if j % 2 == 0 else -term)
-    return total
-
-
-def poly_matrix_inverse(m: PolyMatrix) -> PolyMatrix:
-    """Inverse of a polynomial matrix whose determinant is a unit monomial."""
-    n = len(m)
-    det = poly_matrix_det(m)
-    if det.is_zero or not det.is_monomial:
-        raise NotAUnitError(
-            f"matrix determinant {det} is not a unit; inverse leaves the Laurent ring"
-        )
-    det_inv = det.unit_inverse()
-    if n == 1:
-        return ((det_inv,),)
-    adj = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = tuple(
-                tuple(m[r][c] for c in range(n) if c != i)
-                for r in range(n) if r != j
-            )
-            cof = poly_matrix_det(minor)
-            row.append((cof if (i + j) % 2 == 0 else -cof) * det_inv)
-        adj.append(tuple(row))
-    return tuple(adj)

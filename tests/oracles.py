@@ -1,5 +1,6 @@
 """Independent oracles: dense Gaussian elimination over Fraction, sympy
-conversions, and brute-force form coefficients summed over permutations.
+conversions, field invariance through a sympy inverse Jacobian, and
+brute-force form coefficients summed over permutations.
 Nothing here reuses the package's echelon, kernel or form-key machinery.
 """
 
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 import sympy
 
-from volform import Chart, DiffForm, LaurentPoly, VectorField
+from volform import Chart, DiffForm, LaurentPoly, SubstitutionAction, VectorField
 
 
 def poly_to_sympy(p: LaurentPoly):
@@ -124,6 +125,34 @@ def brute_force_kernel(
     # dimension of the function span
     dimension = dense_rank(functions)
     return dimension, functions, value_cols
+
+
+# ------------------------------------------------------------- invariance
+
+
+def field_invariant_by_inverse_jacobian(xi: VectorField, act: SubstitutionAction) -> bool:
+    """Whether xi = J^-1 (xi o s) modulo the relations, in sympy alone.
+
+    J is the ambient Jacobian of the substitution s, inverted by
+    ``Matrix.inv()``.  Each solved coordinate is replaced by the solution of
+    its relation (repeatedly, for triangular charts), so the coordinate ring
+    becomes rational functions of the free coordinates, where ``cancel``
+    decides equality.
+    """
+    on = xi.chart
+    symbols = sympy.symbols(on.coordinates)
+    images = [poly_to_sympy(act.image(c)) for c in on.coordinates]
+    jacobian = sympy.Matrix([[sympy.diff(img, s) for s in symbols] for img in images])
+    coeffs = sympy.Matrix([poly_to_sympy(xi.coefficient(c)) for c in on.coordinates])
+    moved = coeffs.subs(dict(zip(symbols, images)), simultaneous=True)
+    residual = jacobian.inv() * moved - coeffs
+    solved = {}
+    for rel in on.relations:
+        target = sympy.Symbol(rel.solves)
+        (solved[target],) = sympy.solve(poly_to_sympy(rel.poly), target)
+    for _ in on.relations:
+        residual = residual.subs(solved)
+    return all(sympy.cancel(entry) == 0 for entry in residual)
 
 
 # ------------------------------------------------------------------ forms

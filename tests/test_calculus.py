@@ -14,10 +14,12 @@ from volform import (
     exterior_derivative,
     forms_equal,
     interior_product,
+    is_invariant,
     lie_bracket,
     lie_derivative,
     lnd_flow,
     scalar_form,
+    scenario_by_name,
     vector_field,
     volume_form,
     wedge,
@@ -29,7 +31,12 @@ from volform.errors import (
     VolumeFormError,
 )
 
-from oracles import brute_force_contraction, brute_force_d, brute_force_wedge
+from oracles import (
+    brute_force_contraction,
+    brute_force_d,
+    brute_force_wedge,
+    field_invariant_by_inverse_jacobian,
+)
 
 from helpers import (
     random_form,
@@ -404,3 +411,34 @@ def test_form_addition_degree_mismatch():
     one_form = diff_form(on, 1, {("z1",): 1})
     with pytest.raises(DimensionError):
         one_form + torus_volume(on)
+
+
+# every built-in action: negate, swap_xy, the lifted factor actions and the
+# product diagonals (negate*negate, swap_xy*negate)
+@pytest.mark.parametrize("address", [
+    "torus:2",
+    "surface:p=x,q=y",
+    "product:torus:1|torus:1",
+    "product:surface:p=x,q=y|torus:1",
+])
+def test_field_invariance_matches_inverse_jacobian_oracle(address):
+    model = scenario_by_name(address)
+    on = model.chart
+    rng = random.Random(address)
+    fields = list(model.fields.values())
+    base = fields + [f + g for i, f in enumerate(fields) for g in fields[i + 1:]]
+    assert model.actions
+    for act in model.actions.values():
+        p = random_poly(rng, on, max_terms=2, max_degree=2)
+        symmetric = p + act.apply(p)  # fixed by an action of order 2
+        # g * f and p d/dc move one coordinate's coefficient at a time, the
+        # latter also along solvable coordinates, off the tangent fields
+        cases = base + [symmetric * f for f in base[:3]] + [
+            g * fields[0] for g in on.generators()
+        ] + [vector_field(on, {c: p}) for c in on.coordinates] + [
+            vector_field(on, {c: random_poly(rng, on, max_terms=2, max_degree=2)
+                              for c in on.coordinates})
+        ]
+        verdicts = [is_invariant(f, act) for f in cases]
+        assert verdicts == [field_invariant_by_inverse_jacobian(f, act) for f in cases], act.name
+        assert True in verdicts and False in verdicts, act.name

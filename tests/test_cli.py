@@ -155,6 +155,10 @@ ERROR_DETAILS = {
         "SemanticError: 'pz' is not a differential form",
     "check invariant(nope, nope);": "SemanticError: unknown identifier 'nope'",
     "check invariant(dz, nope);": "SemanticError: unknown action 'nope'",
+    "action s: x -> y, y -> x order 2; check invariant(s, s);":
+        "SemanticError: 's' is not a polynomial, coordinate, field, form or volume",
+    "action s: x -> y, y -> x order 2; check invariant(N, s);":
+        "SemanticError: 'N' is not a polynomial, coordinate, field, form or volume",
     # work budgets: an ERROR record in seconds instead of a run that never ends
     "check kernel_spans(dz, 40, pz, 41);": "ResourceLimitError: 12341 monomials of degree <= 40 "
                                            "in 3 coordinates exceed the budget of 300",
@@ -225,6 +229,12 @@ def test_timings_flag_text_output(capsys):
     assert main(["check", "sl2", "--timings"]) == 0
     out = capsys.readouterr().out
     assert "ms]" in out
+
+
+def test_every_public_name_resolves():
+    import volform
+
+    assert [name for name in volform.__all__ if not hasattr(volform, name)] == []
 
 
 def test_console_entry_point_parse_check():

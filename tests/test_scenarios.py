@@ -92,7 +92,8 @@ def test_product_of_tori_matches_bigger_torus_up_to_renaming():
     prod = product(torus(1), torus(1))
     assert prod.chart.coordinates == ("z1", "z1_2")
     mapping = {"z1_2": "z2"}
-    on = prod.chart.rename(mapping)
+    on = chart([mapping.get(c, c) for c in prod.chart.coordinates],
+               [mapping.get(c, c) for c in prod.chart.invertible])
     reference = torus(2)
     assert on == reference.chart
     coeff = prod.volume.unit_coefficient().rename_variables(mapping)
@@ -154,6 +155,14 @@ def test_diagonal_actions_take_fresh_names(address, kept, added):
         act = prod.actions[name]
         assert act.name == name
         assert [c for c, img in act.images if img == -prod.chart.generator(c)] == negated
+
+
+def test_lifted_actions_are_named_by_their_keys():
+    prod = scenario_by_name("product:torus:1|torus:1")
+    assert {key: act.name for key, act in prod.actions.items()} == {
+        "negate": "negate", "negate_2": "negate_2", "negate*negate": "negate*negate"}
+    record = run_check(prod, CheckDirective("invariant", ("nu1_2", "negate_2")), RunFlags())
+    assert (record.status, record.detail) == ("PASS", "nu1_2 is invariant under negate_2")
 
 
 def test_three_factor_product_records_each_check_once():
