@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Collection, Iterable, Mapping, Union
 
 from .errors import (
     EvaluationError,
@@ -40,7 +40,18 @@ def _term_key(term: tuple[Exponents, Fraction]) -> tuple[int, Exponents]:
     return (sum(exps), exps)
 
 
-def _integral(terms: Sequence[tuple]) -> tuple[int, list[tuple]]:
+def _convolve(*products: tuple[Iterable[tuple], Collection[tuple]]) -> dict[Exponents, int]:
+    """Sum of the products of pairs of (exponents, int) term lists, zeros dropped."""
+    out: dict[Exponents, int] = {}
+    for a, b in products:
+        for e1, n1 in a:
+            for e2, n2 in b:
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + n1 * n2
+    return {e: n for e, n in out.items() if n}
+
+
+def _integral(terms: Collection[tuple]) -> tuple[int, list[tuple]]:
     """The lcm of the denominators of (key, Fraction) pairs, and the pairs times it."""
     den = math.lcm(*(c.denominator for _, c in terms))
     return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms]
@@ -229,18 +240,13 @@ class LaurentPoly:
         # one term shifts every exponent (order kept, nothing merges); else convolve int numerators
         if len(a) == 1:
             (e1, c1), = a
-            return LaurentPoly(
-                self.variables, tuple([(tuple(map(add, e1, e2)), c1 * c2) for e2, c2 in b])
-            )
+            b = b if c1 == 1 else [(e2, c1 * c2) for e2, c2 in b]  # coefficient 1 keeps b's
+            return LaurentPoly(self.variables, tuple([(tuple(map(add, e1, e2)), c) for e2, c in b]))
         (d1, a), (d2, b) = _integral(a), _integral(b)
-        out: dict[Exponents, int] = {}
-        for e1, n1 in a:
-            for e2, n2 in b:
-                e = tuple(map(add, e1, e2))
-                out[e] = out.get(e, 0) + n1 * n2
         den = d1 * d2
-        terms = {e: Fraction(n, den) if den != 1 else Fraction(n) for e, n in out.items() if n}
-        return LaurentPoly._from_terms(self.variables, terms)
+        return LaurentPoly._from_terms(self.variables, {
+            e: Fraction(n, den) if den != 1 else Fraction(n) for e, n in _convolve((a, b)).items()
+        })
 
     __rmul__ = __mul__
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .algebra import Exponents, LaurentPoly, _grlex_key, _integral
+from .algebra import Exponents, LaurentPoly, _convolve, _grlex_key, _integral
 from .calculus import (
     DiffForm,
     VectorField,
@@ -42,9 +42,11 @@ UNKNOWN = "UNKNOWN"
 # Largest monomial basis a kernel or semicompat search may enumerate: it
 # admits bound 10 on a surface (286 monomials).  The slowest admitted cases
 # measured, semicompat(dz, dx, 10) and semicompat(dx, dz, 10) on
-# p = 2x + x^3, q = y^2 + y, take 1.6-1.9 s each (CPython 3.11, shared 2-core
-# host), about a third in polynomial products and half in elimination.
+# p = 2x + x^3, q = y^2 + y, take 0.8-0.95 s each (CPython 3.11.7, shared
+# 2-core host); under cProfile about 60% is the elimination behind the two
+# kernels, a sixth the witness search and under a tenth the monomial table.
 MAX_MONOMIALS = 300
+IntTerms = dict[Exponents, int]  # an integer multiple of a polynomial's terms
 
 
 # ------------------------------------------------------------ identities
@@ -131,38 +133,44 @@ def _compositions(total: int, parts: int) -> Iterable[Exponents]:
 
 def _monomial_table(
     on: Chart, degree_bound: int, fields: Sequence[VectorField] = ()
-) -> tuple[list[LaurentPoly], list[list[LaurentPoly]]]:
-    """Normal forms of the monomials of degree <= bound, in the order of
-    :func:`monomials_up_to`, and one list of their images per field.
+) -> tuple[list[IntTerms], list[list[IntTerms]]]:
+    """Normal forms of the monomials m_j of degree <= bound, in the order of
+    :func:`monomials_up_to`, and their images under each field, as integer
+    term dicts s_j*nf(m_j) and s_j*xi(m_j) for one integer s_j > 0 per j;
+    no nullspace or span read from the table depends on the s_j.
 
-    Each monomial m*x_i comes from the earlier entry m with one product:
-    nf(m*x_i) = nf(m)*nf(x_i) and, by Leibniz,
-    xi(m*x_i) = xi(m)*nf(x_i) + nf(m)*xi(x_i).  Normal forms live in the
-    free coordinates, so these products are already canonical and equal
-    ``on.normal_form(m*x_i)`` and ``xi.apply(m*x_i)`` exactly.
+    Generator x_i's normal form and images are scaled by t_i, the lcm of
+    their denominators.  Each m*x_i comes from the earlier entry m:
+    nf(m*x_i) = nf(m)*nf(x_i) and, by Leibniz, xi(m*x_i) = xi(m)*nf(x_i) +
+    nf(m)*xi(x_i), so s_{m*x_i} = s_m*t_i.  Products of normal forms (free
+    coordinates only) are normal forms.
     """
     monomials = monomials_up_to(on, degree_bound)
-    gens = on.generators()
-    gen_forms = [on.normal_form(g) for g in gens]
-    gen_images = [[xi.apply(g) for g in gens] for xi in fields]
+    scaled = []  # per generator: its normal form, then its image under each field
+    for g in on.generators():
+        polys = [on.normal_form(g), *(xi.apply(g) for xi in fields)]
+        den = math.lcm(*(c.denominator for p in polys for _, c in p.terms))
+        scaled.append([[(e, c.numerator * (den // c.denominator)) for e, c in p.terms]
+                       for p in polys])
     # extend along the coordinate whose normal form has the fewest terms
-    order = sorted(range(len(gens)), key=lambda i: len(gen_forms[i].terms))
+    order = sorted(range(len(scaled)), key=lambda i: len(scaled[i][0]))
     position: dict[Exponents, int] = {}
-    forms: list[LaurentPoly] = []
-    images: list[list[LaurentPoly]] = [[] for _ in fields]
+    forms: list[IntTerms] = []
+    images: list[list[IntTerms]] = [[] for _ in fields]
     for j, m in enumerate(monomials):
         exps = m.terms[0][0]
         position[exps] = j
         if not any(exps):  # the constant 1
-            forms.append(m)
+            forms.append({exps: 1})
             for column in images:
-                column.append(LaurentPoly.zero(on.coordinates))
+                column.append({})
             continue
         i = next(i for i in order if exps[i])
         k = position[exps[:i] + (exps[i] - 1,) + exps[i + 1:]]
+        form, gen_form, gen_images = forms[k].items(), scaled[i][0], scaled[i][1:]
         for column, gen_image in zip(images, gen_images):
-            column.append(column[k] * gen_forms[i] + forms[k] * gen_image[i])
-        forms.append(forms[k] * gen_forms[i])
+            column.append(_convolve((column[k].items(), gen_form), (form, gen_image)))
+        forms.append(_convolve((form, gen_form)))
     return forms, images
 
 
@@ -176,34 +184,32 @@ def kernel_basis(xi: VectorField, degree_bound: int) -> list[LaurentPoly]:
     if not is_tangent(xi):
         raise NotTangentError("kernel computation needs a tangent field")
     forms, (images,) = _monomial_table(xi.chart, degree_bound, (xi,))
-    return _kernel_from_table(xi.chart, forms, images)
+    kernel = _kernel_from_table(forms, images)
+    return [LaurentPoly.from_dict(xi.chart.coordinates, row) for row in kernel.basis()]
 
 
-def _kernel_from_table(
-    on: Chart, forms: list[LaurentPoly], images: list[LaurentPoly]
-) -> list[LaurentPoly]:
-    """Echelonized basis of the combinations of a table's forms whose images cancel."""
+def _kernel_from_table(forms: list[IntTerms], images: list[IntTerms]) -> SpanBuilder:
+    """Span of the combinations of a table's forms whose images cancel."""
     # kernel = nullspace of the image matrix: one row per image monomial,
     # keyed by monomial index, leftmost index pivoting first
-    image_rows: dict[Exponents, dict[int, Fraction]] = {}
+    image_rows: dict[Exponents, dict[int, int]] = {}
     for j, w in enumerate(images):
-        for exps, coeff in w.terms:
-            image_rows.setdefault(exps, {})[j] = coeff
+        for exps, n in w.items():
+            image_rows.setdefault(exps, {})[j] = n
     image_span = SpanBuilder(key_order=lambda j: -j)
     for row in image_rows.values():
         image_span.insert(row)
 
-    # a reduced echelon basis ignores row scale: insert integer combinations
-    integral = [_integral(f.terms) for f in forms]
+    # forms[j] and images[j] share one scale, so a cancelling combination of
+    # images weighs the forms; the echelon basis ignores row scale: use ints
     basis_span = _span_builder()
     for combo in image_span.nullspace(range(len(forms))):
-        _, weights = _integral([(j, c / integral[j][0]) for j, c in combo.items()])
-        member: dict[Exponents, int] = {}
-        for j, k in weights:
-            for exps, n in integral[j][1]:
+        member: IntTerms = {}
+        for j, k in _integral(combo.items())[1]:
+            for exps, n in forms[j].items():
                 member[exps] = member.get(exps, 0) + k * n
         basis_span.insert({exps: n for exps, n in member.items() if n})
-    return [LaurentPoly.from_dict(on.coordinates, row) for row in basis_span.basis()]
+    return basis_span
 
 
 # ----------------------------------------------------- semi-compatibility
@@ -230,22 +236,27 @@ def semicompat_bounded(
     for f in (a, b):
         if not is_tangent(f):
             raise NotTangentError("semi-compatibility needs tangent fields")
+    # spans ignore row scale: kernels, products and witnesses are integer rows
     forms, images = _monomial_table(on, degree_bound, (a, b))
-    kernel_a, kernel_b = (_kernel_from_table(on, forms, column) for column in images)
+    kernel_a, kernel_b = (
+        [_integral(row.items())[1] for row in _kernel_from_table(forms, column).basis()]
+        for column in images
+    )
 
     # products of normal forms (free coordinates only) are normal forms
     span = _span_builder()
     for f in kernel_a:
         for g in kernel_b:
-            span.insert((f * g).as_dict())
+            span.insert(_convolve((f, g)))
 
-    if all(span.contains(m.as_dict()) for m in forms):
+    if all(span.contains(m) for m in forms):
         return SemicompatVerdict(FULL_RING, LaurentPoly.one(on.coordinates), degree_bound)
 
     for row in span.basis():
-        candidate = LaurentPoly.from_dict(on.coordinates, row)
-        if all(span.contains((candidate * m).as_dict()) for m in forms):
-            return SemicompatVerdict(IDEAL_WITNESS, candidate, degree_bound)
+        candidate = _integral(row.items())[1]
+        if all(span.contains(_convolve((candidate, m.items()))) for m in forms):
+            witness = LaurentPoly.from_dict(on.coordinates, row)
+            return SemicompatVerdict(IDEAL_WITNESS, witness, degree_bound)
 
     return SemicompatVerdict(UNKNOWN, None, degree_bound)
 

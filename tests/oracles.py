@@ -1,6 +1,7 @@
 """Independent oracles: dense Gaussian elimination over Fraction, sympy
-conversions, field invariance through a sympy inverse Jacobian, and
-brute-force form coefficients summed over permutations.
+conversions, dense kernels and semi-compatibility, field invariance through
+a sympy inverse Jacobian, and brute-force form coefficients summed over
+permutations.
 Nothing here reuses the package's echelon, kernel or form-key machinery.
 """
 
@@ -125,6 +126,54 @@ def brute_force_kernel(
     # dimension of the function span
     dimension = dense_rank(functions)
     return dimension, functions, value_cols
+
+
+def dict_product(f: dict, g: dict) -> dict:
+    """Product of two polynomials given as exponents -> coefficient dicts."""
+    out: dict = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def brute_force_semicompat(a: VectorField, b: VectorField, degree_bound: int):
+    """Semi-compatibility status of two fields at a bound, solved densely.
+
+    The span is that of the products of the two fields' kernel functions
+    from :func:`brute_force_kernel`.  The status is FULL_RING when the span
+    holds the normal form of every monomial of degree <= bound,
+    IDEAL_WITNESS when some row w of its reduced echelon form (columns in
+    graded-lex descending order) has w*nf(m) in the span for every such m,
+    and UNKNOWN otherwise.  Returns the status and a membership test of the
+    span on exponents -> coefficient dicts.
+    """
+    from volform import monomials_up_to
+
+    on = a.chart
+    kernels = []
+    for field in (a, b):
+        _, functions, columns = brute_force_kernel(field, on, degree_bound)
+        kernels.append([{c: x for c, x in zip(columns, row) if x} for row in functions])
+    products = [dict_product(f, g) for f in kernels[0] for g in kernels[1]]
+    columns = sorted({e for p in products for e in p}, key=lambda e: (sum(e), e), reverse=True)
+    rref = dense_rref([[p.get(c, Fraction(0)) for c in columns] for p in products])
+
+    def contains(terms: dict) -> bool:
+        # a term outside every product's support cannot be cancelled
+        if not set(terms) <= set(columns):
+            return False
+        return row_space_contains(rref, [Fraction(terms.get(c, 0)) for c in columns])
+
+    normal_forms = [dict(on.normal_form(m).terms) for m in monomials_up_to(on, degree_bound)]
+    if all(contains(nf) for nf in normal_forms):
+        return "FULL_RING", contains
+    for row in rref:
+        w = {c: x for c, x in zip(columns, row) if x}
+        if all(contains(dict_product(w, nf)) for nf in normal_forms):
+            return "IDEAL_WITNESS", contains
+    return "UNKNOWN", contains
 
 
 # ------------------------------------------------------------- invariance

@@ -13,6 +13,7 @@ from volform import (
     Chart,
     LaurentPoly,
     bracket_potential,
+    chart,
     contract_volume,
     exterior_derivative,
     forms_equal,
@@ -47,7 +48,12 @@ from helpers import (
     torus_chart,
     torus_volume,
 )
-from oracles import brute_force_kernel, row_space_contains
+from oracles import (
+    brute_force_kernel,
+    brute_force_semicompat,
+    dict_product,
+    row_space_contains,
+)
 
 
 def sl2_pair():
@@ -57,6 +63,15 @@ def sl2_pair():
     xi = vector_field(on, {"a1": b1, "a2": b2})
     eta = vector_field(on, {"b1": a1, "b2": a2})
     return on, xi, eta
+
+
+def rational_pair():
+    # 2*x*v - y*u = 1 solved for v: nf(v) = (1 + y*u)/(2*x), and both fields
+    # have non-integer coefficients too
+    names = ("x", "y", "u", "v")
+    x, y, u, v = LaurentPoly.generators(names)
+    on = chart(names, invertible=("x",), relations=[(2 * x * v - y * u - 1, "v")])
+    return vector_field(on, {"y": x, "v": u / 2}), vector_field(on, {"u": 3 * x, "v": 3 * y / 2})
 
 
 # ----------------------------------------------------------- identity (1)
@@ -137,22 +152,34 @@ def test_kernel_matches_brute_force_oracle():
 
 
 @pytest.mark.parametrize("address", [
-    "sl2", "xm1:1", "xm1:2", "torus:2", "surface:p=x,q=y", CUBIC,
+    "sl2", "xm1:1", "xm1:2", "torus:2", "surface:p=x,q=y", CUBIC, "rational",
 ])
 def test_monomial_table_matches_direct_normal_forms_and_images(address):
     # the table builds each entry from a lower one; the oracle reduces each
-    # monomial from scratch
-    s = scenario_by_name(address)
-    on = s.chart
-    fields = list(s.fields.values())
+    # monomial from scratch.  Entry j holds s_j*nf(m_j) and s_j*xi(m_j) as
+    # integer term dicts, for one integer s_j > 0 per table
+    if address == "rational":
+        a, b = rational_pair()
+        # a third of a: its images of y have a denominator the normal form lacks
+        fields = [a, b, vector_field(a.chart, {name: c / 3 for name, c in a.coefficients})]
+    else:
+        fields = list(scenario_by_name(address).fields.values())
+    on = fields[0].chart
     for bound in range(4):
         monomials = monomials_up_to(on, bound)
-        forms, images = _monomial_table(on, bound)
-        assert forms == [on.normal_form(m) for m in monomials]
-        assert images == []
-        assert _monomial_table(on, bound, fields) == (
-            forms, [[field.apply(m) for m in monomials] for field in fields]
-        )
+        for table_fields in ([], fields):
+            forms, images = _monomial_table(on, bound, table_fields)
+            assert len(forms) == len(monomials)
+            assert len(images) == len(table_fields)
+            for j, m in enumerate(monomials):
+                nf = on.normal_form(m)
+                lead, coeff = nf.terms[0]
+                scale = forms[j][lead] / coeff
+                assert scale.denominator == 1 and scale > 0
+                expected = [nf] + [field.apply(m) for field in table_fields]
+                for entry, poly in zip([forms[j]] + [column[j] for column in images], expected):
+                    assert all(type(n) is int for n in entry.values())
+                    assert entry == {e: c * scale for e, c in poly.terms}
 
 
 def test_kernel_reduction_work_does_not_grow_with_the_bound(monkeypatch):
@@ -169,6 +196,31 @@ def test_kernel_reduction_work_does_not_grow_with_the_bound(monkeypatch):
     for bound in (3, 6):
         calls.clear()
         kernel_basis(dz, bound)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("search", ["kernel_basis", "semicompat_bounded"])
+def test_polynomial_products_do_not_grow_with_the_bound(monkeypatch, search):
+    # the monomial table, kernel products and witness tests are integer
+    # convolutions; LaurentPoly products serve only the chart's generators
+    fields = scenario_by_name(CUBIC).fields
+    calls = []
+    multiply = LaurentPoly.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", counted)
+    counts = []
+    for bound in (3, 6):
+        calls.clear()
+        if search == "kernel_basis":
+            kernel_basis(fields["dz"], bound)
+        else:
+            semicompat_bounded(fields["dz"], fields["dy"], bound)
         counts.append(len(calls))
     assert counts[0] == counts[1]
 
@@ -273,6 +325,28 @@ def test_semicompat_ideal_witness_on_sl2_like_chart():
     verdict = semicompat_bounded(nu_y, nu_u, 1)
     assert verdict.status == IDEAL_WITNESS
     assert verdict.witness == x
+
+
+@pytest.mark.parametrize("case", ["sl2", "xm1:1", "self", "rational"])
+@pytest.mark.parametrize("bound", [1, 2])
+def test_semicompat_matches_dense_oracle(case, bound):
+    if case == "rational":
+        a, b = rational_pair()
+    elif case == "xm1:1":
+        fields = scenario_by_name("xm1:1").fields
+        a, b = fields["nu_y"], fields["nu_u"]
+    else:
+        _, a, b = sl2_pair()
+        if case == "self":
+            b = a
+    verdict = semicompat_bounded(a, b, bound)
+    status, contains = brute_force_semicompat(a, b, bound)
+    assert verdict.status == status
+    if status == IDEAL_WITNESS:
+        on = a.chart
+        witness = dict(verdict.witness.terms)
+        for m in monomials_up_to(on, bound):
+            assert contains(dict_product(witness, dict(on.normal_form(m).terms)))
 
 
 # --------------------------------------------------------- wedge spanning
