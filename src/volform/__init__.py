@@ -5,20 +5,17 @@ Everything is computed over exact rationals; there is no floating point in
 the core.  See the README for the document language and the CLI.
 """
 
-from .algebra import LaurentPoly, Rational
+from .algebra import LaurentPoly
 from .avdp import (
     FULL_RING,
     IDEAL_WITNESS,
     UNKNOWN,
     SemicompatVerdict,
-    SurfaceDecomposition,
     bracket_potential,
     kernel_basis,
     monomials_up_to,
     semicompat_bounded,
     spans_wedge_square,
-    surface_decompose,
-    surface_roles,
     verify_bracket_identity,
     verify_flow_jacobian,
     verify_potential,
@@ -31,7 +28,6 @@ from .calculus import (
     diff_form,
     divergence,
     exterior_derivative,
-    field_from_free,
     forms_equal,
     interior_product,
     is_invariant,
@@ -40,7 +36,6 @@ from .calculus import (
     lie_derivative,
     lnd_flow,
     pullback_form,
-    quasi_character,
     scalar_form,
     vector_field,
     volume_form,
@@ -68,8 +63,6 @@ from .variety import (
     SubstitutionAction,
     action,
     chart,
-    compose_actions,
-    normal_form,
     sample_point,
 )
 
@@ -86,12 +79,10 @@ __all__ = [
     "LaurentPoly",
     "Model",
     "Point",
-    "Rational",
     "RunFlags",
     "Scenario",
     "SemicompatVerdict",
     "SubstitutionAction",
-    "SurfaceDecomposition",
     "UNKNOWN",
     "VectorField",
     "VolformError",
@@ -100,14 +91,12 @@ __all__ = [
     "adjoint_matrix",
     "bracket_potential",
     "chart",
-    "compose_actions",
     "contract_volume",
     "diff_form",
     "divergence",
     "exactness_field",
     "execute",
     "exterior_derivative",
-    "field_from_free",
     "format_document",
     "forms_equal",
     "group_presentation",
@@ -119,12 +108,10 @@ __all__ = [
     "lie_derivative",
     "lnd_flow",
     "monomials_up_to",
-    "normal_form",
     "parse",
     "parse_polynomial",
     "product",
     "pullback_form",
-    "quasi_character",
     "run_check",
     "sample_point",
     "scalar_form",
@@ -134,8 +121,6 @@ __all__ = [
     "spans_wedge_square",
     "submodular",
     "surface",
-    "surface_decompose",
-    "surface_roles",
     "torus",
     "vector_field",
     "verify_bracket_identity",

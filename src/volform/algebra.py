@@ -26,8 +26,6 @@ Exponents = tuple[int, ...]
 Scalar = Union[int, Fraction]
 PolyLike = Union["LaurentPoly", int, Fraction]
 
-Rational = Fraction  # exact rational scalar used throughout the package
-
 
 def _grlex_key(exps: Exponents) -> tuple[int, Exponents]:
     return (sum(exps), exps)
@@ -136,17 +134,6 @@ class LaurentPoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps, _ in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        if not self.is_constant:
-            raise NotAUnitError(f"{self} is not a constant")
-        return self.terms[0][1]
 
     @property
     def is_monomial(self) -> bool:

@@ -1,6 +1,6 @@
 """Volume-density toolkit: bracket identities, degree-bounded kernels,
-semi-compatibility certificates, pointwise wedge-span tests, flow-Jacobian
-checks, and the surface decomposition over the seven monomial families.
+semi-compatibility certificates, pointwise wedge-span tests and flow-Jacobian
+checks.
 """
 
 from __future__ import annotations
@@ -346,180 +346,3 @@ def verify_flow_jacobian(
             if jac[i][j] != expected:
                 return False
     return True
-
-
-# ------------------------------------------------- surface decomposition
-
-
-@dataclass(frozen=True)
-class SurfaceRoles:
-    """Coordinate roles of a surface chart p(x) + q(y) + x*y*z = 1."""
-
-    x: str
-    y: str
-    z: str
-    p: LaurentPoly
-    q: LaurentPoly
-
-
-def surface_roles(on: Chart) -> SurfaceRoles:
-    if len(on.coordinates) != 3 or len(on.relations) != 1:
-        raise ChartError("not a surface chart: expected 3 coordinates, 1 relation")
-    rel = on.relations[0]
-    z = rel.solves
-    x, y = (c for c in on.coordinates if c != z)
-    poly = rel.poly
-    xyz = LaurentPoly.variable(on.coordinates, x) * LaurentPoly.variable(
-        on.coordinates, y
-    ) * LaurentPoly.variable(on.coordinates, z)
-    rest = poly - xyz
-    if rest.degree_in(z) != 0 or poly.coefficient_in(z, 1) != (
-        LaurentPoly.variable(on.coordinates, x) * LaurentPoly.variable(on.coordinates, y)
-    ):
-        raise ChartError("relation is not of the shape p(x) + q(y) + x*y*z - 1")
-    p_part: dict[Exponents, Fraction] = {}
-    q_part: dict[Exponents, Fraction] = {}
-    constant = Fraction(0)
-    ix = on.coordinates.index(x)
-    iy = on.coordinates.index(y)
-    for exps, coeff in rest.terms:
-        if all(e == 0 for e in exps):
-            constant += coeff
-        elif exps[iy] == 0 and exps[ix] > 0:
-            p_part[exps] = coeff
-        elif exps[ix] == 0 and exps[iy] > 0:
-            q_part[exps] = coeff
-        else:
-            raise ChartError("relation mixes x and y outside the x*y*z term")
-    if constant != -1:
-        raise ChartError("relation constant term must be -1")
-    return SurfaceRoles(
-        x,
-        y,
-        z,
-        LaurentPoly.from_dict(on.coordinates, p_part),
-        LaurentPoly.from_dict(on.coordinates, q_part),
-    )
-
-
-@dataclass(frozen=True)
-class SurfaceDecomposition:
-    """Unique expansion over {1, x^i, y^i, z^i, x^i y^j, x^i z^j, y^i z^j}."""
-
-    constant: Fraction
-    x_powers: tuple[tuple[int, Fraction], ...]
-    y_powers: tuple[tuple[int, Fraction], ...]
-    z_powers: tuple[tuple[int, Fraction], ...]
-    xy: tuple[tuple[tuple[int, int], Fraction], ...]
-    xz: tuple[tuple[tuple[int, int], Fraction], ...]
-    yz: tuple[tuple[tuple[int, int], Fraction], ...]
-    truncation: int
-
-    def reconstruct(self, on: Chart) -> LaurentPoly:
-        roles = surface_roles(on)
-        x = LaurentPoly.variable(on.coordinates, roles.x)
-        y = LaurentPoly.variable(on.coordinates, roles.y)
-        z = LaurentPoly.variable(on.coordinates, roles.z)
-        total = LaurentPoly.constant(on.coordinates, self.constant)
-        for i, c in self.x_powers:
-            total = total + c * x ** i
-        for i, c in self.y_powers:
-            total = total + c * y ** i
-        for i, c in self.z_powers:
-            total = total + c * z ** i
-        for (i, j), c in self.xy:
-            total = total + c * x ** i * y ** j
-        for (i, j), c in self.xz:
-            total = total + c * x ** i * z ** j
-        for (i, j), c in self.yz:
-            total = total + c * y ** i * z ** j
-        return total
-
-
-def surface_decompose(
-    f: LaurentPoly, on: Chart, max_steps: int = 200_000
-) -> SurfaceDecomposition:
-    """Rewrite an ambient polynomial into the seven monomial families by
-    repeatedly replacing x*y*z with 1 - p - q; the z-degree multiset strictly
-    descends, so the loop terminates."""
-    roles = surface_roles(on)
-    on.validate_poly(f)
-    for exps, _ in f.terms:
-        if any(e < 0 for e in exps):
-            raise ChartError("decomposition needs a polynomial without negative exponents")
-
-    ix = on.coordinates.index(roles.x)
-    iy = on.coordinates.index(roles.y)
-    iz = on.coordinates.index(roles.z)
-    replacement = (
-        LaurentPoly.one(on.coordinates) - roles.p - roles.q
-    )  # equals x*y*z on the surface
-
-    terms = f.as_dict()
-    steps = 0
-    while True:
-        mixed = [
-            exps
-            for exps in terms
-            if exps[ix] >= 1 and exps[iy] >= 1 and exps[iz] >= 1
-        ]
-        if not mixed:
-            break
-        for exps in mixed:
-            coeff = terms.pop(exps, None)
-            if coeff is None:  # cancelled by an earlier substitution in this sweep
-                continue
-            lowered = list(exps)
-            lowered[ix] -= 1
-            lowered[iy] -= 1
-            lowered[iz] -= 1
-            stump = LaurentPoly.monomial(on.coordinates, tuple(lowered), coeff)
-            for e2, c2 in (stump * replacement).terms:
-                merged = terms.get(e2, Fraction(0)) + c2
-                if merged:
-                    terms[e2] = merged
-                else:
-                    terms.pop(e2, None)
-            steps += 1
-            if steps > max_steps:
-                raise ResourceLimitError(
-                    f"surface rewriting exceeded {max_steps} steps"
-                )
-
-    constant = Fraction(0)
-    x_powers: dict[int, Fraction] = {}
-    y_powers: dict[int, Fraction] = {}
-    z_powers: dict[int, Fraction] = {}
-    xy: dict[tuple[int, int], Fraction] = {}
-    xz: dict[tuple[int, int], Fraction] = {}
-    yz: dict[tuple[int, int], Fraction] = {}
-    truncation = 0
-    for exps, coeff in terms.items():
-        i, j, k = exps[ix], exps[iy], exps[iz]
-        truncation = max(truncation, i, j, k)
-        if i == j == k == 0:
-            constant += coeff
-        elif j == 0 and k == 0:
-            x_powers[i] = coeff
-        elif i == 0 and k == 0:
-            y_powers[j] = coeff
-        elif i == 0 and j == 0:
-            z_powers[k] = coeff
-        elif k == 0:
-            xy[(i, j)] = coeff
-        elif j == 0:
-            xz[(i, k)] = coeff
-        else:
-            yz[(j, k)] = coeff
-
-    freeze = lambda d: tuple(sorted(d.items()))  # noqa: E731
-    return SurfaceDecomposition(
-        constant,
-        freeze(x_powers),
-        freeze(y_powers),
-        freeze(z_powers),
-        freeze(xy),
-        freeze(xz),
-        freeze(yz),
-        truncation,
-    )

@@ -96,38 +96,6 @@ def vector_field(on: Chart, coefficients: Mapping[str, LaurentPoly | Scalar]) ->
     return VectorField(on, tuple(entries))
 
 
-def field_from_free(on: Chart, free: Mapping[str, LaurentPoly | Scalar]) -> VectorField:
-    """Tangential completion: free components are arbitrary, solvable
-    components are forced by the relations."""
-    extra = set(free) - set(on.free_coordinates)
-    if extra:
-        raise ChartError(f"not free coordinates: {sorted(extra)}")
-    comps: dict[str, LaurentPoly] = {
-        name: on.poly(free.get(name, 0)) for name in on.free_coordinates
-    }
-    pending = list(on.relations)
-    for _ in range(len(pending) + 1):
-        if not pending:
-            break
-        progressed = []
-        for rel in pending:
-            needed = rel.poly.support() - {rel.solves} - set(comps)
-            if needed:
-                progressed.append(rel)
-                continue
-            a = rel.poly.coefficient_in(rel.solves, 1)
-            drift = LaurentPoly.zero(on.coordinates)
-            for name in rel.poly.support():
-                if name == rel.solves:
-                    continue
-                drift = drift + comps[name] * rel.poly.partial_derivative(name)
-            comps[rel.solves] = -(a.unit_inverse()) * drift
-        if len(progressed) == len(pending):
-            raise ChartError("relations are not triangular for tangential completion")
-        pending = progressed
-    return vector_field(on, comps)
-
-
 def is_tangent(field: VectorField) -> bool:
     """True iff the field maps each defining polynomial into the ideal."""
     return all(field.apply(rel.poly).is_zero for rel in field.chart.relations)
@@ -450,35 +418,3 @@ def is_invariant(
             raise ChartError("invariance of a bare polynomial needs the chart")
         return on.normal_form(obj.substitute(act.as_dict())) == on.normal_form(obj)
     raise TypeError(f"cannot test invariance of {type(obj).__name__}")
-
-
-def quasi_character(obj: DiffForm, act: SubstitutionAction) -> Fraction | None:
-    """The constant c with pullback(obj) = c*obj, or None when not scalar."""
-    pulled = pullback_form(obj, act)
-    if obj.is_zero:
-        return Fraction(1) if pulled.is_zero else None
-    if pulled.is_zero or len(pulled.coefficients) != len(obj.coefficients):
-        return None
-    base = obj.as_dict()
-    ratio: Fraction | None = None
-    for key, value in pulled.coefficients:
-        if key not in base:
-            return None
-        source = base[key]
-        quotient = None
-        if source.is_monomial and value.is_monomial:
-            candidate = value * source.unit_inverse()
-            if candidate.is_constant:
-                quotient = candidate.constant_value()
-        else:
-            for c in (Fraction(1), Fraction(-1)):
-                if (value - c * source).is_zero:
-                    quotient = c
-                    break
-        if quotient is None:
-            return None
-        if ratio is None:
-            ratio = quotient
-        elif ratio != quotient:
-            return None
-    return ratio

@@ -44,8 +44,6 @@ FAIL = "FAIL"
 ERROR = "ERROR"
 # UNKNOWN is shared with the semicompat verdict vocabulary
 
-STATUSES = (PASS, FAIL, ERROR, UNKNOWN)
-
 
 @dataclass(frozen=True)
 class RunFlags:

@@ -439,24 +439,31 @@ class _Parser:
         elif self.accept_op("("):
             coeff = self._expr(on.coordinates)
             self.expect_op(")")
-        else:
+        elif self._at_differential(on):
             coeff = LaurentPoly.one(on.coordinates)
-        result = scalar_form(on, coeff)
-        while self.peek().kind == "IDENT" and self.peek().text.startswith("d") and (
-            self.peek().text[1:] in on.coordinates
-        ):
-            name = self.advance().text[1:]
-            differential = exterior_derivative(scalar_form(on, on.generator(name)))
-            result = wedge(result, differential)
-            if not self.accept_op("^"):
-                break
-        if result.degree == 0:
-            tok = self.peek()
+        else:
             raise ParseError(
-                "expected a differential d<coordinate> in the form literal",
+                "expected a coefficient or a differential d<coordinate> in the form literal",
                 tok.line, tok.col,
             )
+        result = scalar_form(on, coeff)
+        if self._at_differential(on):
+            result = wedge(result, self._differential(on))
+            while self.accept_op("^"):
+                result = wedge(result, self._differential(on))
         return result
+
+    def _at_differential(self, on: Chart) -> bool:
+        tok = self.peek()
+        return tok.kind == "IDENT" and tok.text.startswith("d") and tok.text[1:] in on.coordinates
+
+    def _differential(self, on: Chart) -> DiffForm:
+        tok = self.peek()
+        if not self._at_differential(on):
+            raise ParseError("expected a differential d<coordinate> in the form literal",
+                             tok.line, tok.col)
+        self.advance()
+        return exterior_derivative(scalar_form(on, on.generator(tok.text[1:])))
 
     # -------------------------------------------------------- poly/action
 
@@ -651,7 +658,7 @@ def _format_field(field) -> str:
 
 def _format_form(form) -> str:
     if form.is_zero:
-        key = "^".join(f"d{c}" for c in form.chart.free_coordinates[: max(form.degree, 1)])
+        key = "^".join(f"d{c}" for c in form.chart.free_coordinates[: form.degree])
         return f"(0) {key}"
     chunks = []
     for key, coeff in form.coefficients:

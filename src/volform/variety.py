@@ -10,7 +10,6 @@ structural equality.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -198,10 +197,6 @@ def chart(
     return Chart(coords, inv, tuple(rels), free, solutions)
 
 
-def normal_form(p: LaurentPoly, on: Chart) -> LaurentPoly:
-    return on.normal_form(p)
-
-
 @dataclass(frozen=True)
 class Point:
     chart: Chart
@@ -302,13 +297,3 @@ def action(
             )
 
     return SubstitutionAction(name, tuple((c, full[c]) for c in on.coordinates), order)
-
-
-def compose_actions(on: Chart, first: SubstitutionAction, then: SubstitutionAction,
-                    name: str | None = None) -> SubstitutionAction:
-    """Composite substitution applying ``first`` and then ``then``."""
-    f = first.as_dict()
-    t = then.as_dict()
-    images = {c: t[c].substitute(f) for c in on.coordinates}
-    order = math.lcm(first.order, then.order)
-    return action(on, name or f"{first.name}*{then.name}", images, order)

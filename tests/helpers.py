@@ -12,10 +12,10 @@ from volform import (
     VectorField,
     chart,
     diff_form,
-    field_from_free,
     vector_field,
     volume_form,
 )
+from volform.errors import ChartError
 
 XYZ = ("x", "y", "z")
 
@@ -51,16 +51,14 @@ def surface_volume(on: Chart):
 
 
 def surface_fields(on: Chart) -> dict[str, VectorField]:
-    from volform import surface_roles
-
-    roles = surface_roles(on)
-    x, y, z = (on.generator(n) for n in (roles.x, roles.y, roles.z))
-    dp = roles.p.partial_derivative(roles.x)
-    dq = roles.q.partial_derivative(roles.y)
+    """The three fields of a surface chart built from the partials of its
+    relation r: r_y d/dx - r_x d/dy, -r_z d/dx + r_x d/dz, -r_z d/dy + r_y d/dz."""
+    r = on.relations[0].poly
+    rx, ry, rz = (r.partial_derivative(n) for n in XYZ)
     return {
-        "dz": vector_field(on, {"x": dq + x * z, "y": -(dp + y * z)}),
-        "dy": vector_field(on, {"x": -(x * y), "z": dp + y * z}),
-        "dx": vector_field(on, {"y": -(x * y), "z": dq + x * z}),
+        "dz": vector_field(on, {"x": ry, "y": -rx}),
+        "dy": vector_field(on, {"x": -rz, "z": rx}),
+        "dx": vector_field(on, {"y": -rz, "z": ry}),
     }
 
 
@@ -87,13 +85,40 @@ def random_poly(
     return LaurentPoly.from_dict(on.coordinates, terms)
 
 
+def _tangential_completion(on: Chart, free: dict[str, LaurentPoly]) -> VectorField:
+    """Free components are arbitrary; solvable components are forced by the
+    relations."""
+    comps = {name: free.get(name, on.poly(0)) for name in on.free_coordinates}
+    pending = list(on.relations)
+    for _ in range(len(pending) + 1):
+        if not pending:
+            break
+        progressed = []
+        for rel in pending:
+            needed = rel.poly.support() - {rel.solves} - set(comps)
+            if needed:
+                progressed.append(rel)
+                continue
+            a = rel.poly.coefficient_in(rel.solves, 1)
+            drift = LaurentPoly.zero(on.coordinates)
+            for name in rel.poly.support():
+                if name == rel.solves:
+                    continue
+                drift = drift + comps[name] * rel.poly.partial_derivative(name)
+            comps[rel.solves] = -(a.unit_inverse()) * drift
+        if len(progressed) == len(pending):
+            raise ChartError("relations are not triangular for tangential completion")
+        pending = progressed
+    return vector_field(on, comps)
+
+
 def random_tangent_field(rng: random.Random, on: Chart, max_degree: int = 2) -> VectorField:
     free = {
         name: random_poly(rng, on, max_terms=2, max_degree=max_degree)
         for name in on.free_coordinates
         if rng.random() < 0.9
     }
-    return field_from_free(on, free)
+    return _tangential_completion(on, free)
 
 
 def random_form(rng: random.Random, on: Chart, degree: int, max_degree: int = 2) -> DiffForm:

@@ -32,7 +32,6 @@ from volform import (
     spans_wedge_square,
     submodular,
     surface,
-    surface_decompose,
     torus,
     vector_field,
     verify_bracket_identity,
@@ -41,7 +40,6 @@ from volform import (
     wedge,
     xm1,
 )
-from volform.avdp import SurfaceDecomposition
 from volform.cli import SCHEMA_PATH
 from volform.linalg import SpanBuilder, identity_matrix, make_matrix, mat_mul
 from volform.algebra import _grlex_key
@@ -277,44 +275,6 @@ def test_criterion_11_property_suites():
                     lie_bracket(eta, lie_bracket(zeta, xi)) + \
                     lie_bracket(zeta, lie_bracket(xi, eta))
                 assert jacobi.is_zero
-
-
-def test_criterion_12_surface_decomposition():
-    with criterion(12, "seven-family decomposition round-trips 50 random "
-                       "coefficient sets and resolves x*y*z"):
-        s = surface_xy()
-        on = s.chart
-        rng = random.Random(92)
-        for _ in range(50):
-            def powers():
-                return tuple(sorted(
-                    (i, Fraction(rng.randint(-4, 4)))
-                    for i in rng.sample(range(1, 5), rng.randint(0, 2))
-                ))
-
-            def grid():
-                cells = set()
-                while len(cells) < rng.randint(0, 2):
-                    cells.add((rng.randint(1, 4), rng.randint(1, 4)))
-                return tuple(sorted((c, Fraction(rng.randint(-4, 4))) for c in cells))
-
-            dec = SurfaceDecomposition(Fraction(rng.randint(-3, 3)), powers(),
-                                       powers(), powers(), grid(), grid(), grid(), 4)
-            rebuilt = surface_decompose(dec.reconstruct(on), on)
-
-            def clean(entries):
-                return tuple((k, c) for k, c in entries if c != 0)
-
-            assert rebuilt.constant == dec.constant
-            for attr in ("x_powers", "y_powers", "z_powers", "xy", "xz", "yz"):
-                assert clean(getattr(rebuilt, attr)) == clean(getattr(dec, attr))
-
-        x, y, z = on.generators()
-        d = surface_decompose(x * y * z, on)
-        assert d.constant == 1
-        assert dict(d.x_powers) == {1: Fraction(-1)}
-        assert dict(d.y_powers) == {1: Fraction(-1)}
-        assert not d.z_powers and not d.xy and not d.xz and not d.yz
 
 
 def test_criterion_13_group_invariance():

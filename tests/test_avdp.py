@@ -26,16 +26,14 @@ from volform import (
     scalar_form,
     semicompat_bounded,
     spans_wedge_square,
-    surface_decompose,
-    surface_roles,
     vector_field,
     verify_bracket_identity,
     verify_flow_jacobian,
     verify_potential,
 )
 from volform import avdp
-from volform.avdp import SurfaceDecomposition, _monomial_table
-from volform.errors import ChartError, DimensionError, PreconditionError
+from volform.avdp import _monomial_table
+from volform.errors import DimensionError, PreconditionError
 from volform.linalg import SpanBuilder
 from volform.algebra import _grlex_key
 
@@ -421,125 +419,6 @@ def test_flow_jacobian_preconditions():
         verify_flow_jacobian(xi, on.generator("a1"), point, 8)  # a1 not in kernel
 
 
-# -------------------------------------------------- surface decomposition
-
-
-def test_decompose_z_squared():
-    on = surface_chart()
-    z = on.generator("z")
-    d = surface_decompose(z ** 2, on)
-    assert d.z_powers == ((2, Fraction(1)),)
-    assert d.constant == 0 and not d.x_powers and not d.xy
-
-
-def test_decompose_xyz():
-    on = surface_chart()
-    x, y, z = on.generators()
-    d = surface_decompose(x * y * z, on)
-    assert d.constant == 1
-    assert d.x_powers == ((1, Fraction(-1)),)
-    assert d.y_powers == ((1, Fraction(-1)),)
-    assert not d.z_powers and not d.xy and not d.xz and not d.yz
-
-
-def test_decompose_roundtrip_on_random_coefficients():
-    on = surface_chart()
-    rng = random.Random(55)
-    for _ in range(50):
-        def draw_powers():
-            return tuple(
-                sorted((i, Fraction(rng.randint(-4, 4))) for i in
-                       rng.sample(range(1, 5), rng.randint(0, 2)))
-            )
-
-        def draw_grid():
-            cells = set()
-            while len(cells) < rng.randint(0, 2):
-                cells.add((rng.randint(1, 4), rng.randint(1, 4)))
-            return tuple(sorted((c, Fraction(rng.randint(-4, 4))) for c in cells))
-
-        dec = SurfaceDecomposition(
-            constant=Fraction(rng.randint(-3, 3)),
-            x_powers=draw_powers(),
-            y_powers=draw_powers(),
-            z_powers=draw_powers(),
-            xy=draw_grid(),
-            xz=draw_grid(),
-            yz=draw_grid(),
-            truncation=4,
-        )
-        rebuilt = surface_decompose(dec.reconstruct(on), on)
-        assert _strip(rebuilt) == _strip(dec)
-        # reconstruction agrees with the input modulo the relation
-        assert (
-            on.normal_form(rebuilt.reconstruct(on)) == on.normal_form(dec.reconstruct(on))
-        )
-
-
-def _strip(d: SurfaceDecomposition):
-    def clean(entries):
-        return tuple((k, c) for k, c in entries if c != 0)
-
-    return (
-        d.constant,
-        clean(d.x_powers),
-        clean(d.y_powers),
-        clean(d.z_powers),
-        clean(d.xy),
-        clean(d.xz),
-        clean(d.yz),
-    )
-
-
-def test_decompose_terminates_with_degree_raising_substitutions():
-    # with deg p = 4 each rewrite grows total degree, but the z-degree
-    # multiset still descends; the result must agree modulo the relation
-    x, y, z = LaurentPoly.generators(("x", "y", "z"))
-    on = surface_chart(p=x ** 4, q=y)
-    f = (x * y * z) ** 2 + x * y * z ** 3
-    dec = surface_decompose(f, on)
-    assert on.normal_form(dec.reconstruct(on)) == on.normal_form(f)
-    for (i, j), _ in dec.xy + dec.xz:
-        assert i >= 1 and j >= 1
-
-
-def test_decomposition_families_are_independent_modulo_the_relation():
-    # uniqueness: a decomposition with any nonzero entry cannot represent 0,
-    # and the all-zero decomposition represents exactly 0
-    on = surface_chart()
-    rng = random.Random(57)
-    zero = SurfaceDecomposition(Fraction(0), (), (), (), (), (), (), 0)
-    assert zero.reconstruct(on).is_zero
-    for _ in range(30):
-        slot = rng.randint(0, 6)
-        entries = [Fraction(0), (), (), (), (), (), ()]
-        value = Fraction(rng.choice([n for n in range(-4, 5) if n]))
-        if slot == 0:
-            entries[0] = value
-        elif slot <= 3:
-            entries[slot] = ((rng.randint(1, 4), value),)
-        else:
-            entries[slot] = (((rng.randint(1, 4), rng.randint(1, 4)), value),)
-        dec = SurfaceDecomposition(*entries, truncation=4)
-        assert not on.normal_form(dec.reconstruct(on)).is_zero
-
-
-def test_decompose_rejects_laurent_input():
-    on = surface_chart()
-    x = on.generator("x")
-    with pytest.raises(ChartError):
-        surface_decompose(x ** -1, on)
-
-
-def test_surface_roles_detection():
-    on = surface_chart()
-    roles = surface_roles(on)
-    assert (roles.x, roles.y, roles.z) == ("x", "y", "z")
-    assert roles.p == on.generator("x")
-    with pytest.raises(ChartError):
-        surface_roles(sl2_chart())
-
-
 # ------------------------------------------------------ surface potential
 
 
@@ -572,12 +451,7 @@ def test_bracket_potential_of_scaled_fields_has_monomial_lead():
         zi = on.normal_form(z ** i)
         yj = on.normal_form(y ** j)
         value = bracket_potential(zi * fields["dz"], yj * fields["dy"], w)
-        # re-expand in the seven families: the top cell is y^(j+1) z^(i+1)
-        dec = surface_decompose((z ** i * (1 + y * z) * y ** j), on)
-        cells = dict(dec.yz)
-        assert cells.get((j + 1, i + 1)) not in (None, 0)
         assert value == on.normal_form(z ** i * (1 + y * z) * y ** j)
-        assert max(a + b for (a, b) in cells) == i + j + 2
 
 
 def test_bracket_potential_requires_surface():

@@ -1,5 +1,6 @@
 """Command line behaviour: exit codes, JSON schema, determinism."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -235,6 +236,54 @@ def test_every_public_name_resolves():
     import volform
 
     assert [name for name in volform.__all__ if not hasattr(volform, name)] == []
+
+
+# Public names that no package code uses, each with the reason it stays.
+UNUSED_BY_DESIGN = {
+    "format_document": "the DSL printer, inverse of parse; round-trip tests pin it",
+    "verify_bracket_identity": "bench/vfbench/tracing.py wraps it by name",
+    "verify_potential": "bench/vfbench/tracing.py wraps it by name",
+}
+
+
+def test_every_public_name_is_used_by_package_code():
+    # A top-level definition of src/volform stays in use while another one in
+    # use names it.  Module-level statements (such as __main__'s call of
+    # cli.main) and decorated functions (the registered checks) are always in
+    # use; __init__ only re-exports and does not count.  A public name whose
+    # definition falls out is code that no check, DSL statement or CLI path
+    # reaches.
+    import volform
+
+    mentions: dict[str, set[str]] = {}  # top-level name -> names its code loads
+    for path in Path(volform.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            registered = isinstance(node, ast.FunctionDef) and node.decorator_list
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not registered:
+                keys = [node.name]
+            elif isinstance(node, ast.Assign):
+                keys = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                keys = [f"<{path.name}:{node.lineno}>"]
+            loads = {
+                n.id for n in ast.walk(node)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            for key in keys:
+                mentions.setdefault(key, set()).update(loads)
+    in_use = set(mentions)
+    while True:
+        dropped = {
+            key for key in in_use
+            if not key.startswith("<")
+            and not any(key in mentions[other] for other in in_use if other != key)
+        }
+        if not dropped:
+            break
+        in_use -= dropped
+    assert sorted(set(volform.__all__) - in_use) == sorted(UNUSED_BY_DESIGN)
 
 
 def test_console_entry_point_parse_check():

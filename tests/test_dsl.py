@@ -140,6 +140,16 @@ def test_unknown_statement_and_bad_character():
         parse("chart { vars x; } poly f = x @ 2;")
 
 
+def test_form_literal_terms_are_never_empty():
+    # a 0-form is its coefficient alone; an empty term or a dangling "^" is an error
+    for body in ("form a = ;", "form a = (x) dx + ;", "form a = (x) dx^;"):
+        with pytest.raises(ParseError):
+            parse(CHART_ONLY + body)
+    with pytest.raises(SemanticError) as err:
+        parse(CHART_ONLY + "form a = (x) + dx;")
+    assert "cannot add forms of degree 0 and 1" in str(err.value)
+
+
 def test_check_may_name_an_object_defined_after_it():
     doc = parse(CHART_ONLY + "check tangent(dz); field dz = (1 + x*z) d/dx - (1 + y*z) d/dy;")
     assert [r.status for r in execute(doc)] == ["PASS"]
@@ -199,6 +209,7 @@ def test_parse_format_parse_is_fixed_point():
         (DATA / "sl2_group.vf").read_text(),
         CHART_ONLY + "poly f = x**-1 - 1/2; field v = (x) d/dx; "
         "form a = (x) dx^dy; action s: x -> y, y -> x order 2; check tangent(v);",
+        CHART_ONLY + "form c = (x); form o = (0);",
     ):
         doc = parse(text)
         printed = format_document(doc)
@@ -210,7 +221,7 @@ def test_parse_format_parse_is_fixed_point():
 def test_scenario_documents_round_trip():
     from volform import sl2, torus, xm1
 
-    for scenario in (xy_surface(), torus(2), torus(3), sl2(), xm1(2)):
+    for scenario in (xy_surface(), torus(1), torus(2), torus(3), sl2(), xm1(1), xm1(2)):
         printed = format_document(scenario)
         doc = parse(printed)
         assert doc == scenario, scenario.name

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from volform import LaurentPoly, action, chart, normal_form, sample_point, vector_field
+from volform import LaurentPoly, action, chart, sample_point, vector_field
 from volform.calculus import is_invariant, is_tangent
 from volform.errors import (
     ActionError,
@@ -26,18 +26,18 @@ from helpers import (
 def test_normal_form_surface_xyz():
     on = surface_chart()
     x, y, z = on.generators()
-    assert normal_form(x * y * z, on) == 1 - x - y
+    assert on.normal_form(x * y * z) == 1 - x - y
 
 
 def test_normal_form_sl2_determinant():
     on = sl2_chart()
     a1, a2, b1, b2 = on.generators()
-    assert normal_form(a1 * b2 - a2 * b1, on) == LaurentPoly.one(on.coordinates)
+    assert on.normal_form(a1 * b2 - a2 * b1) == LaurentPoly.one(on.coordinates)
 
 
 def test_normal_form_zero():
     on = surface_chart()
-    assert normal_form(LaurentPoly.zero(on.coordinates), on).is_zero
+    assert on.normal_form(LaurentPoly.zero(on.coordinates)).is_zero
 
 
 def test_normal_form_idempotent_and_ring_compatible():
@@ -193,36 +193,6 @@ def test_field_transform_under_swap_is_negation():
     assert not is_invariant(fields["dz"], swap)
     assert is_invariant(fields["dx"] + fields["dy"], swap)
     assert not is_invariant(fields["dy"] - fields["dx"], swap)
-
-
-def test_compose_actions():
-    from volform import compose_actions
-
-    on = torus_chart(2)
-    za, zb = on.generators()
-    negate = action(on, "negate", {"z1": -za, "z2": -zb}, 2)
-    swap = action(on, "swap", {"z1": zb, "z2": za}, 2)
-    both = compose_actions(on, negate, swap)
-    assert both.order == 2
-    assert both.image("z1") == -zb
-    assert both.image("z2") == -za
-    # composing an action with itself gives the identity for order 2
-    twice = compose_actions(on, negate, negate, name="id")
-    assert twice.image("z1") == za
-
-
-def test_quasi_character_of_volume_under_swap():
-    from volform import quasi_character
-    from helpers import torus_volume
-
-    on = surface_chart()
-    x, y, _ = on.generators()
-    swap = action(on, "swap", {"x": y, "y": x}, 2)
-    assert quasi_character(surface_volume(on), swap) == Fraction(-1)
-
-    t = torus_chart(1)
-    negate = action(t, "negate", {"z1": -t.generator("z1")}, 2)
-    assert quasi_character(torus_volume(t), negate) == Fraction(1)
 
 
 def test_identity_action_with_non_unit_jacobian_fixes_every_field():
