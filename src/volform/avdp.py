@@ -42,9 +42,10 @@ UNKNOWN = "UNKNOWN"
 # Largest monomial basis a kernel or semicompat search may enumerate: it
 # admits bound 10 on a surface (286 monomials).  The slowest admitted cases
 # measured, semicompat(dz, dx, 10) and semicompat(dx, dz, 10) on
-# p = 2x + x^3, q = y^2 + y, take 0.8-0.95 s each (CPython 3.11.7, shared
-# 2-core host); under cProfile about 60% is the elimination behind the two
-# kernels, a sixth the witness search and under a tenth the monomial table.
+# p = x + x^3, q = 2y + y^3, take 0.45-0.6 s each (CPython 3.11.7, shared
+# 2-core host); under cProfile over a third is the witness search, a quarter
+# the product span, a fifth the elimination behind the two kernels and a
+# sixth the monomial table.
 MAX_MONOMIALS = 300
 IntTerms = dict[Exponents, int]  # an integer multiple of a polynomial's terms
 
@@ -191,13 +192,17 @@ def kernel_basis(xi: VectorField, degree_bound: int) -> list[LaurentPoly]:
 def _kernel_from_table(forms: list[IntTerms], images: list[IntTerms]) -> SpanBuilder:
     """Span of the combinations of a table's forms whose images cancel."""
     # kernel = nullspace of the image matrix: one row per image monomial,
-    # keyed by monomial index, leftmost index pivoting first
+    # keyed by monomial index.  Only that nullspace is read, and its span is
+    # the kernel of the image map in any elimination order, so eliminate
+    # sparsest first to limit fill-in (Markowitz): shortest rows first, and
+    # the index with the fewest image entries pivots, lowest index on ties
     image_rows: dict[Exponents, dict[int, int]] = {}
     for j, w in enumerate(images):
         for exps, n in w.items():
             image_rows.setdefault(exps, {})[j] = n
-    image_span = SpanBuilder(key_order=lambda j: -j)
-    for row in image_rows.values():
+    column_count = [len(w) for w in images]
+    image_span = SpanBuilder(key_order=lambda j: (-column_count[j], -j))
+    for row in sorted(image_rows.values(), key=len):
         image_span.insert(row)
 
     # forms[j] and images[j] share one scale, so a cancelling combination of
@@ -239,7 +244,7 @@ def semicompat_bounded(
     # spans ignore row scale: kernels, products and witnesses are integer rows
     forms, images = _monomial_table(on, degree_bound, (a, b))
     kernel_a, kernel_b = (
-        [_integral(row.items())[1] for row in _kernel_from_table(forms, column).basis()]
+        [row.items() for row in _kernel_from_table(forms, column).primitive_rows()]
         for column in images
     )
 
@@ -252,10 +257,14 @@ def semicompat_bounded(
     if all(span.contains(m) for m in forms):
         return SemicompatVerdict(FULL_RING, LaurentPoly.one(on.coordinates), degree_bound)
 
-    for row in span.basis():
-        candidate = _integral(row.items())[1]
+    for row in span.primitive_rows():
+        candidate = row.items()
         if all(span.contains(_convolve((candidate, m.items()))) for m in forms):
-            witness = LaurentPoly.from_dict(on.coordinates, row)
+            # the echelon row with pivot entry 1, as basis() reads it
+            lead = row[max(row, key=_grlex_key)]
+            witness = LaurentPoly.from_dict(
+                on.coordinates, {e: Fraction(n, lead) for e, n in candidate}
+            )
             return SemicompatVerdict(IDEAL_WITNESS, witness, degree_bound)
 
     return SemicompatVerdict(UNKNOWN, None, degree_bound)

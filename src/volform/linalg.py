@@ -3,11 +3,12 @@
 :class:`SpanBuilder` is the one elimination engine: incremental reduced
 echelon form over sparse rational vectors with an arbitrary ordered column
 space (Laurent-monomial columns for kernels and spans, integer columns for
-dense matrices).  It is fraction-free: inputs are scaled to integers once,
-rows are stored as primitive integer vectors, and a row is divided by its
-pivot entry only when it is read out.  :func:`row_echelon` is its dense front
-end, and :func:`solve_exact` and :func:`mat_inverse` read the reduced echelon
-form it builds.  :func:`det_bareiss` is separate: a fraction-free determinant.
+dense matrices).  It is fraction-free: inputs are scaled to integers once
+(integer inputs are only copied), rows are stored as primitive integer
+vectors, and a row is divided by its pivot entry only when it is read out.
+:func:`row_echelon` is its dense front end, and :func:`solve_exact` and
+:func:`mat_inverse` read the reduced echelon form it builds.
+:func:`det_bareiss` is separate: a fraction-free determinant.
 """
 
 from __future__ import annotations
@@ -105,13 +106,14 @@ def _primitive(vec: dict, pivot: Hashable) -> dict:
 class SpanBuilder:
     """Incremental reduced echelon form over sparse rational vectors.
 
-    Vectors are dicts mapping hashable column keys to nonzero Fractions; the
-    column order is fixed by ``key_order`` (largest column = pivot, compared
-    descending).  Elimination is fraction-free: each stored row is a primitive
-    integer vector (content 1) with a positive entry at its own pivot and 0 at
-    every other pivot, kept in a pivot -> row dict.  The reduced echelon form
-    is unique, so dividing a row by its pivot entry, which happens only on
-    output, gives exactly the rational row of Gauss-Jordan elimination.
+    Vectors are dicts mapping hashable column keys to nonzero ints or
+    Fractions; the column order is fixed by ``key_order`` (largest column =
+    pivot, compared descending).  Elimination is fraction-free: each stored
+    row is a primitive integer vector (content 1) with a positive entry at its
+    own pivot and 0 at every other pivot, kept in a pivot -> row dict.  The
+    reduced echelon form is unique, so dividing a row by its pivot entry,
+    which happens only on output, gives exactly the rational row of
+    Gauss-Jordan elimination.
     """
 
     def __init__(self, key_order: Callable[[Hashable], object]):
@@ -130,8 +132,9 @@ class SpanBuilder:
 
         Rows are 0 at every pivot but their own, so eliminating one pivot only
         rescales the entries at the others: the pivots to clear are those
-        present in the input."""
-        vec = _integral(vec)
+        present in the input.  An integer input is copied, not rescaled:
+        elimination consumes the vector it starts from."""
+        vec = dict(vec) if all(type(v) is int for v in vec.values()) else _integral(vec)
         rows = self._rows
         for pivot in [k for k in vec if k in rows]:
             vec = _eliminate(vec, pivot, rows[pivot])
@@ -164,6 +167,11 @@ class SpanBuilder:
             {k: Fraction(v, row[pivot]) for k, v in row.items()}
             for pivot, row in self._sorted_rows()
         ]
+
+    def primitive_rows(self) -> list[dict[Hashable, int]]:
+        """The stored primitive integer rows, pivot columns descending: the
+        rows of :meth:`basis` each times its pivot entry."""
+        return [dict(row) for _, row in self._sorted_rows()]
 
     def nullspace(self, keys: Iterable[Hashable]) -> list[dict]:
         """Basis of {x : sum over k of x[k] * (column k) = 0} on ``keys``.

@@ -1,5 +1,6 @@
 """Exact linear algebra helpers."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -272,3 +273,33 @@ def test_span_builder_insert_and_contains_agree_with_dense_rank():
             assert len(span) == span.rank == len(after)
             outcomes["new" if was_new else "dependent"] += 1
     assert min(outcomes.values()) > 20
+
+
+def test_span_builder_takes_integer_vectors_without_modifying_them():
+    rng = random.Random(4049)
+    for _ in range(40):
+        ncols = rng.randint(1, 8)
+        # a stored pivot entry 1 eliminates without rescaling the input,
+        # which would then be the vector reduced in place
+        rows = [{0: 1, ncols: 2}, {0: 3, ncols: 5, ncols + 1: 7}]
+        for _ in range(rng.randint(1, 7)):
+            row = {c: rng.choice((1, -1)) * rng.randint(1, 12)
+                   for c in range(ncols) if rng.random() < 0.6}
+            if row:
+                rows.append(row)
+        whole, fractional = (SpanBuilder(key_order=lambda c: -c) for _ in range(2))
+        for row in rows:
+            copy = dict(row)
+            assert whole.contains(row) == fractional.contains(
+                {c: Fraction(x) for c, x in row.items()})
+            assert row == copy
+            assert whole.insert(row) == fractional.insert(
+                {c: Fraction(x, 3) for c, x in row.items()})
+            assert row == copy
+        assert whole.basis() == fractional.basis()
+        # the primitive rows are the basis rows times their pivot entries
+        for row, primitive in zip(whole.basis(), whole.primitive_rows(), strict=True):
+            pivot = min(row)  # the leftmost column
+            assert all(type(x) is int for x in primitive.values())
+            assert primitive[pivot] > 0 and math.gcd(*primitive.values()) == 1
+            assert {c: Fraction(x, primitive[pivot]) for c, x in primitive.items()} == row
