@@ -113,6 +113,89 @@ def test_parse_polynomial_helper():
 
 # ------------------------------------------------------------------ errors
 
+ONE_LINE_CHART = "chart { vars x, y, z; invert x, y; rel x + y + x*y*z - 1 solve z; }\n"
+
+# one malformed document per raise in the parser: name -> (document, error
+# class, exact "line:col: message")
+PARSE_ERRORS = {
+    "bad_character": ("chart { vars x; }\npoly f = x @ 2;",
+                      ParseError, "2:12: unexpected character '@'"),
+    "expected_operator": ("chart { vars x y; }", ParseError, "1:16: expected ';', found 'y'"),
+    # a trailing comment does not move the end-of-input position
+    "expected_operator_at_end": ("chart {\n  vars x;\n\tinvert x; # no closing brace",
+                                 ParseError, "3:12: expected '}', found 'end of input'"),
+    "expected_kind": ("chart { vars ; }", ParseError, "1:14: expected coordinate name, found ';'"),
+    "expected_keyword": ("chart { x; }", ParseError, "1:9: expected 'vars', found 'x'"),
+    "empty_document": ("", ParseError, "1:1: empty document"),
+    "comment_only_document": ("# nothing here\n\n", ParseError, "1:1: empty document"),
+    "expected_statement": ("; chart", ParseError, "1:1: expected a statement, found ';'"),
+    "unknown_statement": ("bogus stuff;", ParseError, "1:1: unknown statement 'bogus'"),
+    "construction_error": (ONE_LINE_CHART + "action bad: x -> -x order 2;", SemanticError,
+                           "2:1: substitution does not preserve the ideal: "
+                           "relation x*y*z + x + y - 1 maps outside"),
+    "chart_error": ("chart { vars x, y; rel x*y - 1 solve y; }", SemanticError,
+                    "1:1: leading coefficient x of 'y' involves non-invertible coordinates"),
+    "needs_chart": ("poly f = 1;", SemanticError, "1:1: this statement needs a chart block first"),
+    "reserved_word": (ONE_LINE_CHART + "poly order = x;",
+                      SemanticError, "2:6: 'order' is a reserved word"),
+    "already_defined": (ONE_LINE_CHART + "poly f = x;\npoly f = y;",
+                        SemanticError, "3:6: name 'f' is already defined"),
+    "second_chart": (ONE_LINE_CHART + "chart { vars u; }",
+                     SemanticError, "2:1: only one chart block per document"),
+    "unknown_invert_coordinate": ("chart { vars x; invert y; }",
+                                  SemanticError, "1:24: unknown coordinate 'y'"),
+    "rel_without_solve": ("chart { vars x, y; rel x + y - 1; }", SemanticError,
+                          "1:20: triangular presentation required: every rel needs a solve clause"),
+    "unknown_solve_coordinate": ("chart { vars x, y; rel x + y - 1 solve w; }",
+                                 SemanticError, "1:40: unknown coordinate 'w'"),
+    "unknown_identifier": (ONE_LINE_CHART + "poly f = x + nope;",
+                           SemanticError, "2:14: unknown identifier 'nope'"),
+    "division_by_non_unit": (ONE_LINE_CHART + "poly f = 1/(x + y);", SemanticError,
+                             "2:12: division by non-unit x + y: x + y is not a single-term monomial"),
+    "power_of_non_unit": (ONE_LINE_CHART + "poly f = (x + y)**-1;",
+                          SemanticError, "2:21: x + y is not a single-term monomial"),
+    "non_integer_exponent": (ONE_LINE_CHART + "poly f = x**y;",
+                             ParseError, "2:13: expected integer exponent, found 'y'"),
+    "unclosed_exponent": (ONE_LINE_CHART + "poly f = x**(-2;",
+                          ParseError, "2:16: expected ')', found ';'"),
+    "expected_atom": (ONE_LINE_CHART + "poly f = x + ;",
+                      ParseError, "2:14: expected a polynomial atom, found ';'"),
+    "unknown_derivation_coordinate": (ONE_LINE_CHART + "field v = x d/dw;",
+                                      SemanticError, "2:13: unknown coordinate 'w' in derivation"),
+    "missing_derivation": (ONE_LINE_CHART + "field v = x;", ParseError,
+                           "2:12: expected a derivation token d/d<coordinate>, found ';'"),
+    "second_volume": (ONE_LINE_CHART + "volume w = (x**-1*y**-1) dx^dy;\nvolume u = (1) dx^dy;",
+                      SemanticError, "3:1: only one volume block per document"),
+    "volume_not_top_degree": (ONE_LINE_CHART + "volume w = (1) dx;", SemanticError,
+                              "2:1: volume literal must be a single top-degree term"),
+    "empty_form_term": (ONE_LINE_CHART + "form a = ;", ParseError,
+                        "2:10: expected a coefficient or a differential d<coordinate> "
+                        "in the form literal"),
+    "dangling_wedge": (ONE_LINE_CHART + "form a = (x) dx^;", ParseError,
+                       "2:17: expected a differential d<coordinate> in the form literal"),
+    "unknown_action_coordinate": (ONE_LINE_CHART + "action s: w -> x order 2;",
+                                  SemanticError, "2:11: unknown coordinate 'w'"),
+    "missing_action_order": (ONE_LINE_CHART + "action s: x -> y, y -> x;",
+                             ParseError, "2:25: expected 'order', found ';'"),
+    "zero_denominator": ("group M { ambient 2; basis [[1, 0], [0, 1/0]]; }",
+                         SemanticError, "1:43: zero denominator"),
+    "missing_denominator": ("group M { ambient 2; basis [[1, 0], [0, 1/x]]; }",
+                            ParseError, "1:43: expected a denominator, found 'x'"),
+    "check_arity": (ONE_LINE_CHART + "check tangent();",
+                    SemanticError, "2:7: check tangent takes 1 argument(s), got 0"),
+    "bad_check_argument": (ONE_LINE_CHART + "check tangent(;);",
+                           ParseError, "2:15: expected a check argument, found ';'"),
+}
+
+
+@pytest.mark.parametrize("text, error, message", PARSE_ERRORS.values(), ids=PARSE_ERRORS)
+def test_parse_error_table(text, error, message):
+    with pytest.raises(error) as err:
+        parse(text)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
 
 def test_empty_input_is_a_parse_error_at_origin():
     with pytest.raises(ParseError) as err:
