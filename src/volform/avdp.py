@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .algebra import Exponents, LaurentPoly, _convolve, _grlex_key, _integral
+from .algebra import Exponents, LaurentPoly, _convolve, _grlex_key
 from .calculus import (
     DiffForm,
     VectorField,
@@ -206,11 +206,11 @@ def _kernel_from_table(forms: list[IntTerms], images: list[IntTerms]) -> SpanBui
         image_span.insert(row)
 
     # forms[j] and images[j] share one scale, so a cancelling combination of
-    # images weighs the forms; the echelon basis ignores row scale: use ints
+    # images weighs the forms; the echelon basis ignores row scale
     basis_span = _span_builder()
     for combo in image_span.nullspace(range(len(forms))):
         member: IntTerms = {}
-        for j, k in _integral(combo.items())[1]:
+        for j, k in combo.items():
             for exps, n in forms[j].items():
                 member[exps] = member.get(exps, 0) + k * n
         basis_span.insert({exps: n for exps, n in member.items() if n})

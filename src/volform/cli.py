@@ -31,10 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="run the check suite of a document or scenario")
-    check.add_argument("target", nargs="?", default=None,
-                       help="path to a document, or a scenario address")
-    check.add_argument("--scenario", default=None,
-                       help="scenario address (alternative to the positional target)")
+    check.add_argument("target", help="path to a document, or a scenario address")
     check.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     check.add_argument("--degree-bound", type=int, default=4,
                        help="default degree bound for kernel/semicompat checks")
@@ -47,19 +44,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="show per-check wall time (text format only)")
 
     parse_cmd = sub.add_parser("parse", help="syntax-check a document")
-    parse_cmd.add_argument("file", help="path to a document")
+    parse_cmd.add_argument("target", metavar="file", help="path to a document")
 
     sub.add_parser("scenarios", help="list built-in scenario addresses")
     return parser
 
 
-def _load_target(target: str) -> Model:
-    path = Path(target)
-    if path.exists():
-        model = parse(path.read_text(encoding="utf-8"), source=str(path))
-        model.name = str(path)
-        return model
-    return scenario_by_name(target)
+def _load(args: argparse.Namespace) -> Model:
+    """The document at path ``args.target``; for ``check``, the scenario with
+    that address when no such file exists."""
+    path = Path(args.target)
+    if args.command == "check" and not path.exists():
+        return scenario_by_name(args.target)
+    return parse(path.read_text(encoding="utf-8"), source=str(path))
 
 
 def _emit_text(model: Model, records: list[CheckRecord], timings: bool) -> None:
@@ -112,15 +109,19 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{address:26s} {summary}")
         return 0
 
+    try:
+        model = _load(args)
+    except (ParseError, SemanticError) as exc:
+        print(f"{args.target}:{exc}", file=sys.stderr)
+        return 2
+    except VolformError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cannot read {args.target}: {exc}", file=sys.stderr)
+        return 2
+
     if args.command == "parse":
-        try:
-            model = parse(Path(args.file).read_text(encoding="utf-8"), source=args.file)
-        except (ParseError, SemanticError) as exc:
-            print(f"{args.file}:{exc}", file=sys.stderr)
-            return 2
-        except OSError as exc:
-            print(f"cannot read {args.file}: {exc}", file=sys.stderr)
-            return 2
         counted = sum(
             (model.chart is not None, model.volume is not None)
         ) + len(model.fields) + len(model.forms) + len(model.polys) + len(
@@ -128,27 +129,6 @@ def main(argv: list[str] | None = None) -> int:
         ) + len(model.groups) + len(model.checks)
         print(f"OK: {counted} definitions and checks")
         return 0
-
-    # check
-    target = args.target if args.target is not None else args.scenario
-    if target is None:
-        print("error: no document or scenario given", file=sys.stderr)
-        return 2
-    if args.target is not None and args.scenario is not None:
-        print("error: give either a positional target or --scenario, not both",
-              file=sys.stderr)
-        return 2
-    try:
-        model = _load_target(target)
-    except (ParseError, SemanticError) as exc:
-        print(f"{target}:{exc}", file=sys.stderr)
-        return 2
-    except VolformError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"cannot read {target}: {exc}", file=sys.stderr)
-        return 2
 
     flags = RunFlags(
         seed=args.seed,

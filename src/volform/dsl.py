@@ -17,9 +17,10 @@ literal denotes the differential of the coordinate ``x``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .algebra import LaurentPoly
 from .calculus import (
@@ -38,6 +39,7 @@ from .model import CheckDirective, Model
 from .variety import Chart, action, chart
 
 Document = Model
+T = TypeVar("T")
 
 KEYWORDS = {
     "chart", "vars", "invert", "rel", "solve", "volume", "field", "form",
@@ -54,75 +56,54 @@ class Token:
     col: int
 
 
-_PUNCT = ("**", "->", "{", "}", "(", ")", "[", "]", ";", ",", ":", "*",
-          "+", "-", "/", "^", "=")
+# the token kinds a parser rule can ask for; any other wanted text names an
+# operator or a keyword
+_KINDS = ("IDENT", "INT", "DERIV", "EOF")
+# Alternatives are tried in order at each position.  A word (IDENT, or the
+# coordinate of a derivation d/d<word>) continues with letters, digits and
+# "_"; [^\W\d] also admits numerals such as "²", so tokenize checks that it
+# starts with a letter or "_".  Integers are decimal digits, which int() reads.
+_TOKEN = re.compile(r"""
+    (?P<NEWLINE>\n)
+  | (?P<SPACE>[ \t\r]+)
+  | (?P<COMMENT>\#[^\n]*)
+  | d/d(?P<DERIV>[^\W\d]\w*)
+  | (?P<IDENT>[^\W\d]\w*)
+  | (?P<INT>\d+)
+  | (?P<OP>\*\*|->|[{}()\[\];,:*+\-/^=])
+  | (?P<BAD>.)
+""", re.VERBOSE)
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "d" and text.startswith("d/d", i) and i + 3 < n and (
-            text[i + 3].isalpha() or text[i + 3] == "_"
-        ):
-            j = i + 3
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("DERIV", text[i + 3:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for punct in _PUNCT:
-            if text.startswith(punct, i):
-                tokens.append(Token("OP", punct, line, col))
-                i += len(punct)
-                col += len(punct)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+    line, line_start, pos, end = 1, 0, 0, 0
+    while m := _TOKEN.match(text, pos):
+        kind = m.lastgroup
+        value, pos = m.group(kind), m.end()
+        if kind in ("IDENT", "DERIV") and not (value[0].isalpha() or value[0] == "_"):
+            if kind == "DERIV":  # "d/d²" is the word "d", then "/"
+                kind, value, pos = "IDENT", "d", m.start() + 1
+            else:
+                kind = "BAD"
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {value[0]!r}",
+                             line, m.start() - line_start + 1)
+        if kind == "NEWLINE":
+            line, line_start = line + 1, pos
+        elif kind != "SPACE" and kind != "COMMENT":
+            tokens.append(Token(kind, value, line, m.start() - line_start + 1))
+        # a trailing comment does not move the end-of-input position
+        end = m.start() if kind == "COMMENT" else pos
+    tokens.append(Token("EOF", "", line, end - line_start + 1))
     return tokens
 
 
 def parse_polynomial(text: str, variables: Iterable[str]) -> LaurentPoly:
     """Standalone polynomial parser over a fixed variable list."""
-    tokens = tokenize(text)
-    parser = _Parser(tokens, source="<polynomial>")
-    vs = tuple(variables)
-    value = parser._expr(vs)
-    parser._expect_kind("EOF", "end of polynomial")
+    parser = _Parser(tokenize(text), source="<polynomial>")
+    value = parser._expr(tuple(variables))
+    parser.expect("EOF", "end of polynomial")
     return value
 
 
@@ -130,7 +111,6 @@ class _Parser:
     def __init__(self, tokens: list[Token], source: str):
         self.tokens = tokens
         self.pos = 0
-        self.source = source
         self.model = Model(name=source)
 
     # ------------------------------------------------------------ plumbing
@@ -144,68 +124,83 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def at_op(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "OP" and tok.text == text
+    def at(self, want: str) -> bool:
+        """Is the next token of kind ``want``, or the operator or keyword ``want``?"""
+        tok = self.tokens[self.pos]
+        if want in _KINDS:
+            return tok.kind == want
+        return tok.text == want and (tok.kind == "OP" or tok.kind == "IDENT")
 
-    def accept_op(self, text: str) -> bool:
-        if self.at_op(text):
-            self.advance()
-            return True
-        return False
+    def accept(self, want: str) -> Token | None:
+        return self.advance() if self.at(want) else None
 
-    def expect_op(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == text:
+    def expect(self, want: str, what: str | None = None) -> Token:
+        if self.at(want):
             return self.advance()
-        raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}",
-                         tok.line, tok.col)
+        raise self._expected(what or repr(want))
 
-    def _expect_kind(self, kind: str, what: str) -> Token:
+    def _expected(self, what: str) -> ParseError:
         tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
-        return self.advance()
+        return ParseError(f"expected {what}, found {tok.text or 'end of input'!r}",
+                          tok.line, tok.col)
 
-    def expect_ident(self, what: str = "identifier") -> Token:
-        return self._expect_kind("IDENT", what)
+    # ------------------------------------------------------- shared rules
 
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.text == word:
-            return self.advance()
-        raise ParseError(f"expected {word!r}, found {tok.text or 'end of input'!r}",
-                         tok.line, tok.col)
+    def _commas(self, item: Callable[[], T]) -> list[T]:
+        """``item ("," item)*``"""
+        items = [item()]
+        while self.accept(","):
+            items.append(item())
+        return items
 
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "IDENT" and tok.text == word
+    def _signed_terms(self, term: Callable[[], T]) -> Iterator[tuple[int, T]]:
+        """``"-"? term (("+" | "-") term)*`` as (sign, term) pairs; each term
+        is parsed when its pair is read, so errors keep document order."""
+        sign = -1 if self.accept("-") else 1
+        while True:
+            yield sign, term()
+            if self.accept("+"):
+                sign = 1
+            elif self.accept("-"):
+                sign = -1
+            else:
+                return
+
+    def _head(self, what: str, separator: str = "=") -> str:
+        """``keyword name separator`` of a statement that defines the new ``name``."""
+        self.advance()
+        tok = self.expect("IDENT", f"{what} name")
+        if tok.text in KEYWORDS:
+            raise SemanticError(f"{tok.text!r} is a reserved word", tok.line, tok.col)
+        if self.model.lookup(tok.text) is not None:
+            raise SemanticError(f"name {tok.text!r} is already defined", tok.line, tok.col)
+        self.expect(separator)
+        return tok.text
+
+    def _coordinate(self, coordinates: Iterable[str], kind: str = "IDENT",
+                    what: str = "coordinate name") -> str:
+        """A coordinate name, or with ``kind`` DERIV a derivation d/d<coordinate>."""
+        tok = self.expect(kind, what)
+        if tok.text not in coordinates:
+            where = " in derivation" if kind == "DERIV" else ""
+            raise SemanticError(f"unknown coordinate {tok.text!r}{where}", tok.line, tok.col)
+        return tok.text
 
     # ----------------------------------------------------------- document
 
     def parse_document(self) -> Model:
-        if self.peek().kind == "EOF":
+        if self.at("EOF"):
             raise ParseError("empty document", 1, 1)
-        while self.peek().kind != "EOF":
+        while not self.at("EOF"):
             tok = self.peek()
             if tok.kind != "IDENT":
-                raise ParseError(f"expected a statement, found {tok.text!r}",
-                                 tok.line, tok.col)
-            handler = {
-                "chart": self._chart_stmt,
-                "volume": self._volume_stmt,
-                "field": self._field_stmt,
-                "form": self._form_stmt,
-                "poly": self._poly_stmt,
-                "action": self._action_stmt,
-                "group": self._group_stmt,
-                "check": self._check_stmt,
-            }.get(tok.text)
-            if handler is None:
+                raise self._expected("a statement")
+            # statement keyword k is parsed by the method _k_stmt
+            statement = getattr(self, f"_{tok.text}_stmt", None)
+            if statement is None:
                 raise ParseError(f"unknown statement {tok.text!r}", tok.line, tok.col)
             try:
-                handler()
+                statement()
             except (ParseError, SemanticError):
                 raise
             except VolformError as exc:
@@ -213,19 +208,13 @@ class _Parser:
                 raise SemanticError(str(exc), tok.line, tok.col) from exc
         return self.model
 
-    def _require_chart(self, tok: Token) -> Chart:
+    def _require_chart(self) -> Chart:
+        """The chart, which the statement starting at the next token needs."""
         if self.model.chart is None:
+            tok = self.peek()
             raise SemanticError("this statement needs a chart block first",
                                 tok.line, tok.col)
         return self.model.chart
-
-    def _define(self, name_tok: Token):
-        name = name_tok.text
-        if name in KEYWORDS:
-            raise SemanticError(f"{name!r} is a reserved word", name_tok.line, name_tok.col)
-        if self.model.lookup(name) is not None:
-            raise SemanticError(f"name {name!r} is already defined",
-                                name_tok.line, name_tok.col)
 
     # ------------------------------------------------------------- chart
 
@@ -234,63 +223,41 @@ class _Parser:
         if self.model.chart is not None:
             raise SemanticError("only one chart block per document",
                                 opener.line, opener.col)
-        self.expect_op("{")
-        self.expect_keyword("vars")
-        coords: list[str] = []
+        self.expect("{")
+        self.expect("vars")
         invertible: set[str] = set()
-        while True:
-            tok = self.expect_ident("coordinate name")
-            coords.append(tok.text)
-            if self.accept_op("*"):
-                invertible.add(tok.text)
-            if not self.accept_op(","):
-                break
-        self.expect_op(";")
-        if self.at_keyword("invert"):
-            self.advance()
-            while True:
-                tok = self.expect_ident("coordinate name")
-                if tok.text not in coords:
-                    raise SemanticError(f"unknown coordinate {tok.text!r}",
-                                        tok.line, tok.col)
-                invertible.add(tok.text)
-                if not self.accept_op(","):
-                    break
-            self.expect_op(";")
+
+        def var() -> str:
+            name = self.expect("IDENT", "coordinate name").text
+            if self.accept("*"):
+                invertible.add(name)
+            return name
+
+        vs = tuple(self._commas(var))
+        self.expect(";")
+        if self.accept("invert"):
+            invertible.update(self._commas(lambda: self._coordinate(vs)))
+            self.expect(";")
         relations: list[tuple[LaurentPoly, str]] = []
-        vs = tuple(coords)
-        while self.at_keyword("rel"):
-            rel_tok = self.advance()
+        while rel_tok := self.accept("rel"):
             poly = self._expr(vs)
-            if not self.at_keyword("solve"):
+            if not self.accept("solve"):
                 raise SemanticError("triangular presentation required: "
                                     "every rel needs a solve clause",
                                     rel_tok.line, rel_tok.col)
-            self.advance()
-            solve_tok = self.expect_ident("solvable coordinate")
-            if solve_tok.text not in coords:
-                raise SemanticError(f"unknown coordinate {solve_tok.text!r}",
-                                    solve_tok.line, solve_tok.col)
-            relations.append((poly, solve_tok.text))
-            self.expect_op(";")
-        self.expect_op("}")
+            relations.append((poly, self._coordinate(vs, what="solvable coordinate")))
+            self.expect(";")
+        self.expect("}")
         self.model.chart = chart(vs, invertible, relations)
 
     # ------------------------------------------------------- expressions
 
-    def _resolve_atom(self, tok: Token, variables: tuple[str, ...]) -> LaurentPoly:
-        if tok.text in variables:
-            return LaurentPoly.variable(variables, tok.text)
-        if tok.text in self.model.polys:
-            return self.model.polys[tok.text]
-        raise SemanticError(f"unknown identifier {tok.text!r}", tok.line, tok.col)
-
     def _expr(self, variables: tuple[str, ...]) -> LaurentPoly:
         value = self._term(variables)
         while True:
-            if self.accept_op("+"):
+            if self.accept("+"):
                 value = value + self._term(variables)
-            elif self.accept_op("-"):
+            elif self.accept("-"):
                 value = value - self._term(variables)
             else:
                 return value
@@ -298,9 +265,9 @@ class _Parser:
     def _term(self, variables) -> LaurentPoly:
         value = self._factor(variables)
         while True:
-            if self.accept_op("*"):
+            if self.accept("*"):
                 value = value * self._factor(variables)
-            elif self.accept_op("/"):
+            elif self.accept("/"):
                 tok = self.peek()
                 divisor = self._factor(variables)
                 try:
@@ -313,132 +280,98 @@ class _Parser:
                 return value
 
     def _factor(self, variables) -> LaurentPoly:
-        if self.accept_op("-"):
+        if self.accept("-"):
             return -self._factor(variables)
         return self._power(variables)
 
     def _power(self, variables) -> LaurentPoly:
         base = self._atom(variables)
-        if self.accept_op("**"):
-            exponent = self._exponent()
-            try:
-                return base ** exponent
-            except VolformError as exc:
-                tok = self.peek()
-                raise SemanticError(str(exc), tok.line, tok.col) from exc
-        return base
+        if not self.accept("**"):
+            return base
+        exponent = self._exponent()
+        try:
+            return base ** exponent
+        except VolformError as exc:
+            tok = self.peek()
+            raise SemanticError(str(exc), tok.line, tok.col) from exc
 
     def _exponent(self) -> int:
-        if self.accept_op("("):
-            sign = -1 if self.accept_op("-") else 1
-            tok = self._expect_kind("INT", "integer exponent")
-            self.expect_op(")")
-            return sign * int(tok.text)
-        sign = -1 if self.accept_op("-") else 1
-        tok = self._expect_kind("INT", "integer exponent")
-        return sign * int(tok.text)
+        """``"-"? INT``, optionally in parentheses."""
+        parenthesized = self.accept("(")
+        sign = -1 if self.accept("-") else 1
+        value = sign * int(self.expect("INT", "integer exponent").text)
+        if parenthesized:
+            self.expect(")")
+        return value
 
     def _atom(self, variables) -> LaurentPoly:
         tok = self.peek()
-        if tok.kind == "INT":
-            self.advance()
+        if self.accept("INT"):
             return LaurentPoly.constant(variables, int(tok.text))
-        if tok.kind == "IDENT":
-            self.advance()
-            return self._resolve_atom(tok, variables)
-        if self.accept_op("("):
+        if self.accept("IDENT"):
+            if tok.text in variables:
+                return LaurentPoly.variable(variables, tok.text)
+            if tok.text in self.model.polys:
+                return self.model.polys[tok.text]
+            raise SemanticError(f"unknown identifier {tok.text!r}", tok.line, tok.col)
+        if self.accept("("):
             value = self._expr(variables)
-            self.expect_op(")")
+            self.expect(")")
             return value
-        raise ParseError(f"expected a polynomial atom, found {tok.text or 'end of input'!r}",
-                         tok.line, tok.col)
+        raise self._expected("a polynomial atom")
 
     # ------------------------------------------------------------ field
 
     def _field_stmt(self):
-        opener = self.advance()
-        on = self._require_chart(opener)
-        name_tok = self.expect_ident("field name")
-        self._define(name_tok)
-        self.expect_op("=")
+        on = self._require_chart()
+        name = self._head("field")
         coeffs: dict[str, LaurentPoly] = {}
-        sign = -1 if self.accept_op("-") else 1
-        while True:
-            coeff, coord_tok = self._field_term(on)
-            target = coord_tok.text
-            if target not in on.coordinates:
-                raise SemanticError(f"unknown coordinate {target!r} in derivation",
-                                    coord_tok.line, coord_tok.col)
+        for sign, (coeff, target) in self._signed_terms(lambda: self._field_term(on)):
             entry = coeff if sign > 0 else -coeff
             coeffs[target] = coeffs.get(target, LaurentPoly.zero(on.coordinates)) + entry
-            if self.accept_op("+"):
-                sign = 1
-            elif self.accept_op("-"):
-                sign = -1
-            else:
-                break
-        self.expect_op(";")
-        self.model.fields[name_tok.text] = vector_field(on, coeffs)
+        self.expect(";")
+        self.model.fields[name] = vector_field(on, coeffs)
 
-    def _field_term(self, on: Chart) -> tuple[LaurentPoly, Token]:
-        if self.peek().kind == "DERIV":
-            tok = self.advance()
-            return LaurentPoly.one(on.coordinates), tok
-        coeff = self._term(on.coordinates)
-        tok = self._expect_kind("DERIV", "a derivation token d/d<coordinate>")
-        return coeff, tok
+    def _field_term(self, on: Chart) -> tuple[LaurentPoly, str]:
+        """``term? d/d<coordinate>``: the coefficient and the coordinate."""
+        vs = on.coordinates
+        coeff = LaurentPoly.one(vs) if self.at("DERIV") else self._term(vs)
+        return coeff, self._coordinate(vs, "DERIV", "a derivation token d/d<coordinate>")
 
     # ------------------------------------------------------------- forms
 
     def _form_stmt(self):
-        opener = self.advance()
-        on = self._require_chart(opener)
-        name_tok = self.expect_ident("form name")
-        self._define(name_tok)
-        self.expect_op("=")
+        on = self._require_chart()
+        name = self._head("form")
         value = self._form_literal(on)
-        self.expect_op(";")
-        self.model.forms[name_tok.text] = value
+        self.expect(";")
+        self.model.forms[name] = value
 
     def _volume_stmt(self):
-        opener = self.advance()
-        on = self._require_chart(opener)
+        opener = self.peek()
         if self.model.volume is not None:
             raise SemanticError("only one volume block per document",
                                 opener.line, opener.col)
-        name_tok = self.expect_ident("volume name")
-        self._define(name_tok)
-        self.expect_op("=")
+        on = self._require_chart()
+        name = self._head("volume")
         value = self._form_literal(on)
-        self.expect_op(";")
+        self.expect(";")
         if len(value.coefficients) != 1 or value.degree != on.dimension:
             raise SemanticError("volume literal must be a single top-degree term",
                                 opener.line, opener.col)
         self.model.volume = volume_form(on, value.coefficients[0][1])
-        self.model.volume_name = name_tok.text
+        self.model.volume_name = name
 
     def _form_literal(self, on: Chart) -> DiffForm:
         total = zero_form(on)
-        sign = -1 if self.accept_op("-") else 1
-        while True:
-            term = self._form_term(on)
+        for sign, term in self._signed_terms(lambda: self._form_term(on)):
             total = total + term if sign > 0 else total - term
-            if self.accept_op("+"):
-                sign = 1
-            elif self.accept_op("-"):
-                sign = -1
-            else:
-                break
         return total
 
     def _form_term(self, on: Chart) -> DiffForm:
         tok = self.peek()
-        if tok.kind == "INT":
-            self.advance()
-            coeff = LaurentPoly.constant(on.coordinates, int(tok.text))
-        elif self.accept_op("("):
-            coeff = self._expr(on.coordinates)
-            self.expect_op(")")
+        if self.at("INT") or self.at("("):
+            coeff = self._atom(on.coordinates)
         elif self._at_differential(on):
             coeff = LaurentPoly.one(on.coordinates)
         else:
@@ -449,7 +382,7 @@ class _Parser:
         result = scalar_form(on, coeff)
         if self._at_differential(on):
             result = wedge(result, self._differential(on))
-            while self.accept_op("^"):
+            while self.accept("^"):
                 result = wedge(result, self._differential(on))
         return result
 
@@ -468,88 +401,61 @@ class _Parser:
     # -------------------------------------------------------- poly/action
 
     def _poly_stmt(self):
-        opener = self.advance()
-        on = self._require_chart(opener)
-        name_tok = self.expect_ident("polynomial name")
-        self._define(name_tok)
-        self.expect_op("=")
+        on = self._require_chart()
+        name = self._head("polynomial")
         value = self._expr(on.coordinates)
-        self.expect_op(";")
-        self.model.polys[name_tok.text] = on.validate_poly(value)
+        self.expect(";")
+        self.model.polys[name] = on.validate_poly(value)
 
     def _action_stmt(self):
-        opener = self.advance()
-        on = self._require_chart(opener)
-        name_tok = self.expect_ident("action name")
-        self._define(name_tok)
-        self.expect_op(":")
-        images: dict[str, LaurentPoly] = {}
-        while True:
-            coord_tok = self.expect_ident("coordinate name")
-            if coord_tok.text not in on.coordinates:
-                raise SemanticError(f"unknown coordinate {coord_tok.text!r}",
-                                    coord_tok.line, coord_tok.col)
-            self.expect_op("->")
-            images[coord_tok.text] = self._expr(on.coordinates)
-            if not self.accept_op(","):
-                break
-        self.expect_keyword("order")
-        order_tok = self._expect_kind("INT", "action order")
-        self.expect_op(";")
-        self.model.actions[name_tok.text] = action(
-            on, name_tok.text, images, int(order_tok.text)
-        )
+        on = self._require_chart()
+        name = self._head("action", ":")
+
+        def image() -> tuple[str, LaurentPoly]:
+            coord = self._coordinate(on.coordinates)
+            self.expect("->")
+            return coord, self._expr(on.coordinates)
+
+        images = dict(self._commas(image))
+        self.expect("order")
+        order = int(self.expect("INT", "action order").text)
+        self.expect(";")
+        self.model.actions[name] = action(on, name, images, order)
 
     # -------------------------------------------------------------- group
 
     def _group_stmt(self):
-        self.advance()
-        name_tok = self.expect_ident("group name")
-        self._define(name_tok)
-        self.expect_op("{")
-        self.expect_keyword("ambient")
-        size_tok = self._expect_kind("INT", "ambient matrix size")
-        self.expect_op(";")
-        self.expect_keyword("basis")
-        basis = [self._matrix()]
-        while self.accept_op(","):
-            basis.append(self._matrix())
-        self.expect_op(";")
+        name = self._head("group", "{")
+        self.expect("ambient")
+        size = int(self.expect("INT", "ambient matrix size").text)
+        self.expect(";")
+        self.expect("basis")
+        basis = self._commas(self._matrix)
+        self.expect(";")
         elements: list[tuple[str, list[list[Fraction]]]] = []
-        while self.at_keyword("element"):
-            self.advance()
-            el_tok = self.expect_ident("element name")
-            self.expect_op("=")
+        while self.accept("element"):
+            el_name = self.expect("IDENT", "element name").text
+            self.expect("=")
             matrix = self._matrix()
-            self.expect_op(";")
-            elements.append((el_tok.text, matrix))
-        self.expect_op("}")
-        self.model.groups[name_tok.text] = group_presentation(
-            int(size_tok.text), basis, elements
-        )
+            self.expect(";")
+            elements.append((el_name, matrix))
+        self.expect("}")
+        self.model.groups[name] = group_presentation(size, basis, elements)
 
     def _matrix(self) -> list[list[Fraction]]:
-        self.expect_op("[")
-        rows = [self._matrix_row()]
-        while self.accept_op(","):
-            rows.append(self._matrix_row())
-        self.expect_op("]")
-        return rows
+        return self._brackets(lambda: self._brackets(self._number))
 
-    def _matrix_row(self) -> list[Fraction]:
-        self.expect_op("[")
-        row = [self._number()]
-        while self.accept_op(","):
-            row.append(self._number())
-        self.expect_op("]")
-        return row
+    def _brackets(self, item: Callable[[], T]) -> list[T]:
+        self.expect("[")
+        items = self._commas(item)
+        self.expect("]")
+        return items
 
     def _number(self) -> Fraction:
-        sign = -1 if self.accept_op("-") else 1
-        tok = self._expect_kind("INT", "a number")
-        value = Fraction(int(tok.text))
-        if self.accept_op("/"):
-            den = self._expect_kind("INT", "a denominator")
+        sign = -1 if self.accept("-") else 1
+        value = Fraction(int(self.expect("INT", "a number").text))
+        if self.accept("/"):
+            den = self.expect("INT", "a denominator")
             if int(den.text) == 0:
                 raise SemanticError("zero denominator", den.line, den.col)
             value = value / int(den.text)
@@ -559,38 +465,31 @@ class _Parser:
 
     def _check_stmt(self):
         self.advance()
-        kind_tok = self.expect_ident("check kind")
-        self.expect_op("(")
-        args: list = []
-        if not self.at_op(")"):
-            args.append(self._check_arg())
-            while self.accept_op(","):
-                args.append(self._check_arg())
-        self.expect_op(")")
+        kind_tok = self.expect("IDENT", "check kind")
+        args = self._args()
         problem = arity_error(kind_tok.text, len(args))
         if problem:
             raise SemanticError(problem, kind_tok.line, kind_tok.col)
-        self.expect_op(";")
+        self.expect(";")
         self.model.checks = self.model.checks + (CheckDirective(kind_tok.text, tuple(args)),)
+
+    def _args(self) -> list:
+        """``"(" (arg ("," arg)*)? ")"``: a check's arguments or a tuple argument."""
+        self.expect("(")
+        args = [] if self.at(")") else self._commas(self._check_arg)
+        self.expect(")")
+        return args
 
     def _check_arg(self):
         tok = self.peek()
-        if tok.kind == "IDENT":
-            self.advance()
+        if self.accept("IDENT"):
             return tok.text
-        if tok.kind == "INT" or (tok.kind == "OP" and tok.text == "-"):
+        if self.at("INT") or self.at("-"):
             value = self._number()
             return int(value) if value.denominator == 1 else value
-        if self.accept_op("("):
-            inner: list = []
-            if not self.at_op(")"):
-                inner.append(self._check_arg())
-                while self.accept_op(","):
-                    inner.append(self._check_arg())
-            self.expect_op(")")
-            return tuple(inner)
-        raise ParseError(f"expected a check argument, found {tok.text or 'end of input'!r}",
-                         tok.line, tok.col)
+        if self.at("("):
+            return tuple(self._args())
+        raise self._expected("a check argument")
 
 
 def parse(text: str, source: str = "<document>") -> Document:

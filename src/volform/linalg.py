@@ -5,7 +5,9 @@ echelon form over sparse rational vectors with an arbitrary ordered column
 space (Laurent-monomial columns for kernels and spans, integer columns for
 dense matrices).  It is fraction-free: inputs are scaled to integers once
 (integer inputs are only copied), rows are stored as primitive integer
-vectors, and a row is divided by its pivot entry only when it is read out.
+vectors, a row is divided by its pivot entry only when
+:meth:`SpanBuilder.basis` reads it out, and :meth:`SpanBuilder.nullspace`
+gives integer vectors.
 :func:`row_echelon` is its dense front end, and :func:`solve_exact` and
 :func:`mat_inverse` read the reduced echelon form it builds.
 :func:`det_bareiss` is separate: a fraction-free determinant.
@@ -17,6 +19,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Sequence
 
+from .algebra import _integral
 from .errors import GroupError
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -71,12 +74,6 @@ def det_bareiss(a: Matrix) -> Fraction:
             m[i][k] = 0
         prev = m[k][k]
     return Fraction(sign * m[n - 1][n - 1], 1) / scale
-
-
-def _integral(vec: dict) -> dict[Hashable, int]:
-    """The vector times the lcm of its denominators: integer entries."""
-    den = math.lcm(*(v.denominator for v in vec.values()))
-    return {k: v.numerator * (den // v.denominator) for k, v in vec.items()}
 
 
 def _eliminate(vec: dict, key: Hashable, row: dict) -> dict:
@@ -134,7 +131,8 @@ class SpanBuilder:
         rescales the entries at the others: the pivots to clear are those
         present in the input.  An integer input is copied, not rescaled:
         elimination consumes the vector it starts from."""
-        vec = dict(vec) if all(type(v) is int for v in vec.values()) else _integral(vec)
+        integral = all(type(v) is int for v in vec.values())
+        vec = dict(vec if integral else _integral(vec.items())[1])
         rows = self._rows
         for pivot in [k for k in vec if k in rows]:
             vec = _eliminate(vec, pivot, rows[pivot])
@@ -173,22 +171,23 @@ class SpanBuilder:
         rows of :meth:`basis` each times its pivot entry."""
         return [dict(row) for _, row in self._sorted_rows()]
 
-    def nullspace(self, keys: Iterable[Hashable]) -> list[dict]:
+    def nullspace(self, keys: Iterable[Hashable]) -> list[dict[Hashable, int]]:
         """Basis of {x : sum over k of x[k] * (column k) = 0} on ``keys``.
 
-        One vector per non-pivot key, in the order of ``keys``: 1 at that key
-        and -row[key] at the pivot of each stored row (rows read with pivot 1).
+        One integer vector per non-pivot key, in the order of ``keys``: the
+        rational vector with 1 at that key and -row[key] / row[pivot] at the
+        pivot of each stored row, times the lcm of its denominators.
         """
         ordered = self._sorted_rows()
         out = []
         for key in keys:
             if key in self._rows:
                 continue
-            vec = {key: Fraction(1)}
-            for pivot, row in ordered:
-                c = row.get(key)
-                if c:
-                    vec[pivot] = Fraction(-c, row[pivot])
+            entries = [(pivot, row[key], row[pivot]) for pivot, row in ordered if key in row]
+            den = math.lcm(*(p // math.gcd(c, p) for _, c, p in entries))
+            vec = {key: den}
+            for pivot, c, p in entries:
+                vec[pivot] = -c * den // p  # exact: p / gcd(c, p) divides den
             out.append(vec)
         return out
 

@@ -78,6 +78,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "triangular" in err
 
 
+def test_document_that_is_not_utf8_exits_two(tmp_path, capsys):
+    doc = tmp_path / "latin1.vf"
+    doc.write_bytes(b"chart { vars x; }\npoly \xff = x;\n")
+    for command in ("check", "parse"):
+        assert main([command, str(doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot read {doc}: 'utf-8' codec can't decode byte 0xff"), err
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--points", "-3"),
     ("--points", "0"),
@@ -179,6 +188,7 @@ ERROR_DETAILS = {
     ("check tangent(dz) expect FAIL;", 2, None),
     ("check tangent(dz) expect BOGUS;", 2, None),
     ("form a = dx + dx^dy;", 2, None),
+    ("poly p = x**²;", 2, None),
 ])
 def test_bad_document_input_never_ends_in_a_traceback(statement, code, status, tmp_path, capsys):
     doc = tmp_path / "case.vf"
@@ -204,10 +214,9 @@ def test_unknown_scenario_address(capsys):
 
 
 def test_scenario_flag_alternative(capsys):
-    assert main(["check", "--scenario", "torus:2"]) == 0
-    capsys.readouterr()
+    # the positional target is the only way to name a document or scenario
     assert main(["check"]) == 2
-    assert main(["check", "torus:2", "--scenario", "sl2"]) == 2
+    assert "the following arguments are required: target" in capsys.readouterr().err
 
 
 def test_group_document_runs(capsys):

@@ -3,6 +3,8 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volform import (
     LaurentPoly,
@@ -12,7 +14,8 @@ from volform import (
     parse_polynomial,
     surface,
 )
-from volform.errors import ParseError, SemanticError
+from volform.dsl import tokenize
+from volform.errors import ParseError, SemanticError, VolformError
 
 DATA = Path(__file__).parent / "data"
 
@@ -231,6 +234,21 @@ def test_form_literal_terms_are_never_empty():
     with pytest.raises(SemanticError) as err:
         parse(CHART_ONLY + "form a = (x) + dx;")
     assert "cannot add forms of degree 0 and 1" in str(err.value)
+
+
+@settings(max_examples=300, deadline=500)
+@given(st.text())
+def test_any_text_tokenizes_or_fails_with_a_positioned_error(text):
+    try:
+        tokens = tokenize(text)
+    except ParseError as exc:
+        assert exc.line >= 1 and exc.col >= 1
+    else:
+        assert tokens[-1].kind == "EOF"
+    try:
+        parse(text)
+    except VolformError:
+        pass
 
 
 def test_check_may_name_an_object_defined_after_it():

@@ -109,15 +109,29 @@ def _apply(rows, vec):
     return [sum((x * v for x, v in zip(row, vec)), Fraction(0)) for row in rows]
 
 
+def _per_free_key(nullspace, pivots):
+    """Integer nullspace vectors, each divided by its entry at its own free
+    key (its one key that is not a pivot), after checking that the vector is
+    the primitive integer multiple of that rational vector."""
+    out = []
+    for vec in nullspace:
+        assert all(type(v) is int for v in vec.values())
+        (free,) = [k for k in vec if k not in pivots]
+        assert vec[free] > 0 and math.gcd(*vec.values()) == 1
+        out.append({k: Fraction(v, vec[free]) for k, v in vec.items()})
+    return out
+
+
 def test_nullspace_matches_dense_oracle():
     rng = random.Random(2012)
     deficient = 0
     for _ in range(150):
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
         rows = _random_sparse(rng, nrows, ncols)
+        pivots = set(dense_pivots(dense_rref(rows)))
         kernel = [
             [vec.get(c, Fraction(0)) for c in range(ncols)]
-            for vec in row_echelon(rows).nullspace(range(ncols))
+            for vec in _per_free_key(row_echelon(rows).nullspace(range(ncols)), pivots)
         ]
         assert kernel == dense_nullspace(rows)
         for vec in kernel:
@@ -223,6 +237,7 @@ def test_span_builder_matches_dense_rref_in_any_insertion_order():
         expected = dense_rref(rows)
         mirrored = dense_rref([row[::-1] for row in rows])
         kernel = dense_nullspace(rows)
+        pivots = set(dense_pivots(expected))
         for _ in range(4):
             order = rows[:]
             rng.shuffle(order)
@@ -230,8 +245,9 @@ def test_span_builder_matches_dense_rref_in_any_insertion_order():
             span = SpanBuilder(key_order=lambda c: -c)
             for row in order:
                 span.insert(_sparse(row))
-            basis, nullspace = span.basis(), span.nullspace(range(ncols))
-            assert _fractions_only(basis) and _fractions_only(nullspace)
+            basis = span.basis()
+            nullspace = _per_free_key(span.nullspace(range(ncols)), pivots)
+            assert _fractions_only(basis)
             assert [_dense(vec, range(ncols)) for vec in basis] == expected
             assert [_dense(vec, range(ncols)) for vec in nullspace] == kernel
             # rightmost column pivots first: the oracle on mirrored columns
