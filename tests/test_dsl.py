@@ -236,6 +236,17 @@ def test_form_literal_terms_are_never_empty():
     assert "cannot add forms of degree 0 and 1" in str(err.value)
 
 
+def test_words_start_with_a_letter_and_integers_are_decimal_digits():
+    # "d/d²" derives along no coordinate: it is the words d and d²
+    assert [(t.kind, t.text, t.col) for t in tokenize("x² d/d² ٣٢")] == [
+        ("IDENT", "x²", 1), ("IDENT", "d", 4), ("OP", "/", 5), ("IDENT", "d²", 6),
+        ("INT", "٣٢", 9), ("EOF", "", 11),
+    ]
+    with pytest.raises(ParseError) as err:
+        tokenize("x**²")
+    assert str(err.value) == "1:4: unexpected character '²'"
+
+
 @settings(max_examples=300, deadline=500)
 @given(st.text())
 def test_any_text_tokenizes_or_fails_with_a_positioned_error(text):
