@@ -556,14 +556,11 @@ def _format_field(field) -> str:
 
 
 def _format_form(form) -> str:
-    if form.is_zero:
-        key = "^".join(f"d{c}" for c in form.chart.free_coordinates[: form.degree])
-        return f"(0) {key}"
-    chunks = []
-    for key, coeff in form.coefficients:
-        wedge_text = "^".join(f"d{c}" for c in key)
-        chunks.append(f"({coeff}) {wedge_text}")
-    return " + ".join(chunks)
+    terms = form.coefficients or ((form.chart.free_coordinates[: form.degree], 0),)
+    return " + ".join(
+        f"({coeff}) " + "^".join(f"d{c}" for c in key) if key else f"({coeff})"
+        for key, coeff in terms
+    )
 
 
 def _format_matrix(matrix) -> str:
