@@ -363,18 +363,6 @@ class LaurentPoly:
             out[tuple(e)] = coeff
         return LaurentPoly.from_dict(vs, out)
 
-    def drop_variables(self, names: Iterable[str]) -> "LaurentPoly":
-        """Remove variables that occur nowhere in the support."""
-        doomed = set(names)
-        used = self.support()
-        clash = doomed & used
-        if clash:
-            raise VariableMismatchError(f"cannot drop variables still in use: {sorted(clash)}")
-        keep = [i for i, v in enumerate(self.variables) if v not in doomed]
-        vs = tuple(self.variables[i] for i in keep)
-        out = {tuple(exps[i] for i in keep): coeff for exps, coeff in self.terms}
-        return LaurentPoly.from_dict(vs, out)
-
     # -------------------------------------------------------------- rendering
 
     def __str__(self) -> str:

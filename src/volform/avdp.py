@@ -332,20 +332,17 @@ def verify_flow_jacobian(
     if reduced_f.evaluate(values) != 0:
         raise PreconditionError("f does not vanish at the point")
 
-    symbol = "_flow_t"
-    flow = lnd_flow(f * nu, symbol, bound)
-    at_one = {
-        name: image.substitute(
-            {symbol: LaurentPoly.one(image.variables)}
-        ).drop_variables((symbol,))
-        for name, image in flow.items()
-    }
-
+    flow = lnd_flow(f * nu, bound)
     free = on.free_coordinates
     jac = []
     for name in free:
-        row_poly = on.normal_form(at_one[name])
-        jac.append([row_poly.partial_derivative(c).evaluate(values) for c in free])
+        # the time-1 image c + sum_k xi^k(c)/k!, already in normal form
+        at_one = on.generator(name)
+        factorial = 1
+        for k, iterate in enumerate(flow[name], 1):
+            factorial *= k
+            at_one = at_one + iterate * Fraction(1, factorial)
+        jac.append([at_one.partial_derivative(c).evaluate(values) for c in free])
 
     v = [nu.free_components()[c].evaluate(values) for c in free]
     grad = [reduced_f.partial_derivative(c).evaluate(values) for c in free]

@@ -313,9 +313,7 @@ def _check_wedge_span(model: Model, flags, pairs) -> tuple[str, str]:
 
 @register("lnd", "field bound?")
 def _check_lnd(model: Model, flags, field, bound) -> tuple[str, str]:
-    images = lnd_flow(field, "t", bound)
-    moved = [n for n, img in images.items()
-             if img != field.chart.generator(n).extend_variables(img.variables)]
+    moved = [name for name, iterates in lnd_flow(field, bound).items() if iterates]
     return PASS, f"locally nilpotent within bound {bound}; flow moves {moved or 'nothing'}"
 
 

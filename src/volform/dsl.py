@@ -141,8 +141,8 @@ class _Parser:
 
     def _expected(self, what: str) -> ParseError:
         tok = self.peek()
-        return ParseError(f"expected {what}, found {tok.text or 'end of input'!r}",
-                          tok.line, tok.col)
+        found = f"d/d{tok.text}" if tok.kind == "DERIV" else tok.text or "end of input"
+        return ParseError(f"expected {what}, found {found!r}", tok.line, tok.col)
 
     # ------------------------------------------------------- shared rules
 

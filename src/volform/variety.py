@@ -107,18 +107,6 @@ class Chart:
                 )
         return Point(self, tuple((c, vals[c]) for c in self.coordinates))
 
-    def extend(self, names: Iterable[str], invertible: Iterable[str] = ()) -> "Chart":
-        """Append fresh free coordinates (used for flow parameters)."""
-        extra = tuple(names)
-        for name in extra:
-            if name in self.coordinates:
-                raise ChartError(f"coordinate {name!r} already exists")
-        coords = self.coordinates + extra
-        rels = [
-            (rel.poly.extend_variables(coords), rel.solves) for rel in self.relations
-        ]
-        return chart(coords, self.invertible | set(invertible), rels)
-
 
 def chart(
     coordinates: Iterable[str],

@@ -1,5 +1,6 @@
 """Exterior calculus: frozen worked examples plus randomized identity suites."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -324,73 +325,94 @@ def test_lie_derivative_leibniz_over_wedge():
             assert forms_equal(lhs, rhs)
 
 
+def time_t_flow(xi, parameters=("t",), bound=8):
+    """exp(t*xi) built from lnd_flow's iterates, on xi's chart with the free
+    coordinates ``parameters`` appended; returns that chart, the image of each
+    coordinate and the variable t (the first parameter)."""
+    on = xi.chart
+    names = on.coordinates + parameters
+    with_t = chart(names, on.invertible,
+                   [(rel.poly.extend_variables(names), rel.solves) for rel in on.relations])
+    t = with_t.generator(parameters[0])
+    images = {}
+    for name, iterates in lnd_flow(xi, bound).items():
+        images[name] = with_t.generator(name) + sum(
+            (Fraction(1, math.factorial(k)) * t ** k * iterate.extend_variables(names)
+             for k, iterate in enumerate(iterates, 1)),
+            LaurentPoly.zero(names),
+        )
+    return with_t, images, t
+
+
 def test_lnd_flow_on_sl2():
     sl2 = sl2_chart()
-    b1 = sl2.generator("b1")
-    b2 = sl2.generator("b2")
+    a1, a2, b1, b2 = sl2.generators()
     xi = vector_field(sl2, {"a1": b1, "a2": b2})
-    flow = lnd_flow(xi, "t", 4)
-    ext = flow["a1"].variables
-    t = LaurentPoly.variable(ext, "t")
-    extended = sl2.extend(("t",))
-    for name, expected in (
-        ("a1", sl2.generator("a1").extend_variables(ext) + t * b1.extend_variables(ext)),
-        ("a2", sl2.generator("a2").extend_variables(ext) + t * b2.extend_variables(ext)),
-        ("b1", b1.extend_variables(ext)),
-        ("b2", b2.extend_variables(ext)),
-    ):
-        assert extended.normal_form(flow[name]) == extended.normal_form(expected)
+    flow = lnd_flow(xi, 4)
+    assert flow == {"a1": [b1], "a2": [sl2.normal_form(b2)], "b1": [], "b2": []}
+    with_t, images, t = time_t_flow(xi)
+    a1, a2, b1, b2 = (c.extend_variables(with_t.coordinates) for c in (a1, a2, b1, b2))
+    for name, expected in (("a1", a1 + t * b1), ("a2", a2 + t * b2), ("b1", b1), ("b2", b2)):
+        assert with_t.normal_form(images[name]) == with_t.normal_form(expected)
 
 
 def test_lnd_flow_identity_for_zero_field():
     on = torus_chart(2)
-    zero = vector_field(on, {})
-    flow = lnd_flow(zero, "t", 1)
-    for name in on.coordinates:
-        assert flow[name] == on.generator(name).extend_variables(flow[name].variables)
+    assert lnd_flow(vector_field(on, {}), 1) == {name: [] for name in on.coordinates}
 
 
 def test_lnd_flow_rejects_semisimple_field():
     on = torus_chart(1)
     nu = vector_field(on, {"z1": on.generator("z1")})
-    with pytest.raises(NilpotencyError):
-        lnd_flow(nu, "t", 12)
+    with pytest.raises(NilpotencyError, match=r"^xi\^13\(z1\) is still nonzero; .* bound 12$"):
+        lnd_flow(nu, 12)
 
 
-def flow_composes_additively(on, xi, bound=8):
-    flow_t = lnd_flow(xi, "t", bound)
-    flow_s = lnd_flow(xi, "s", bound)
-    both = tuple(dict.fromkeys(flow_t[on.coordinates[0]].variables + ("s",)))
-    lifted = {c: flow_s[c].extend_variables(both) for c in on.coordinates}
-    t_plus_s = LaurentPoly.variable(both, "t") + LaurentPoly.variable(both, "s")
-    for name in on.coordinates:
-        composed = flow_t[name].extend_variables(both).substitute(lifted)
-        direct = flow_t[name].extend_variables(both).substitute({"t": t_plus_s})
-        assert composed == direct
+def flow_composes_additively(xi, bound=8):
+    # exp(t*xi) after exp(s*xi) is exp((t + s)*xi)
+    with_ts, flow_t, t = time_t_flow(xi, ("t", "s"), bound)
+    _, flow_s, s = time_t_flow(xi, ("s", "t"), bound)
+    flow_s = {c: image.extend_variables(with_ts.coordinates) for c, image in flow_s.items()}
+    s = s.extend_variables(with_ts.coordinates)
+    for name in xi.chart.coordinates:
+        composed = flow_t[name].substitute(flow_s)
+        direct = flow_t[name].substitute({"t": t + s})
+        assert with_ts.normal_form(composed) == with_ts.normal_form(direct)
 
 
 def test_flow_composition_in_two_formal_parameters():
     # triangular shear on affine 3-space exercises the factorial terms
     c3 = chart(("x", "y", "z"))
-    y = c3.generator("y")
-    z = c3.generator("z")
+    x, y, z = c3.generators()
     shear = vector_field(c3, {"x": y, "y": z})
-    flow = lnd_flow(shear, "t", 4)
-    t = LaurentPoly.variable(flow["x"].variables, "t")
-    expected_x = (
-        c3.generator("x").extend_variables(t.variables)
-        + t * y.extend_variables(t.variables)
-        + Fraction(1, 2) * t ** 2 * z.extend_variables(t.variables)
-    )
-    assert flow["x"] == expected_x
-    flow_composes_additively(c3, shear)
+    assert lnd_flow(shear, 4) == {"x": [y, z], "y": [z], "z": []}
+    with_t, images, t = time_t_flow(shear)
+    x, y, z = (c.extend_variables(with_t.coordinates) for c in (x, y, z))
+    assert images["x"] == x + t * y + Fraction(1, 2) * t ** 2 * z
+    flow_composes_additively(shear)
 
     # and on a chart with a relation, where the flow stays polynomial
     names = ("x", "y", "u", "v")
     x_, y_, u_, v_ = LaurentPoly.generators(names)
     xm = chart(names, invertible=("x",), relations=[(x_ ** 2 * v_ - y_ * u_ - 1, "v")])
     nu = vector_field(xm, {"y": x_ ** 2, "v": u_})
-    flow_composes_additively(xm, nu, bound=4)
+    flow_composes_additively(nu, bound=4)
+
+
+@pytest.mark.parametrize("address, name", [
+    ("sl2", "xi"), ("sl2", "eta"),
+    *((f"xm1:{m}", name) for m in (1, 2, 3) for name in ("nu_y", "nu_u")),
+])
+def test_lnd_flow_maps_relations_into_the_ideal(address, name):
+    # tangency makes the time-t flow a chart endomorphism; lnd_flow does not
+    # re-check it, so this is the oracle
+    xi = scenario_by_name(address).fields[name]
+    with_t, images, _ = time_t_flow(xi)
+    assert any(images[c] != with_t.generator(c) for c in xi.chart.coordinates)
+    assert xi.chart.relations
+    for rel in xi.chart.relations:
+        lifted = rel.poly.extend_variables(with_t.coordinates)
+        assert with_t.normal_form(lifted.substitute(images)).is_zero
 
 
 def test_scalar_multiplication_of_forms_and_fields():

@@ -125,7 +125,8 @@ group N { ambient 2; basis [[1, 0], [0, -1]]; element A0 = [[0, -1], [1, 0]]; }
 
 
 # statement -> the full detail of its one ERROR record (exit 1); each wording
-# is part of the contract
+# is part of the contract.  A statement that opens its own chart block is the
+# whole document; every other one follows CASE_PREAMBLE.
 ERROR_DETAILS = {
     # bounds below 0 would pass vacuously
     "check semicompat(dz, dy, -1);": "SemanticError: degree bound must be at least 0, got -1",
@@ -170,6 +171,9 @@ ERROR_DETAILS = {
     "action s: x -> y, y -> x order 2; check invariant(N, s);":
         "SemanticError: 'N' is not a polynomial, coordinate, field, form or volume",
     # work budgets: an ERROR record in seconds instead of a run that never ends
+    "chart { vars z*; } field nu = (z) d/dz; check lnd(nu, 100000);":
+        "NilpotencyError: xi^100001(z) is still nonzero; field not verified locally "
+        "nilpotent at bound 100000",
     "check kernel_spans(dz, 40, pz, 41);": "ResourceLimitError: 12341 monomials of degree <= 40 "
                                            "in 3 coordinates exceed the budget of 300",
     "check semicompat(dz, dy, 40);": "ResourceLimitError: 12341 monomials of degree <= 40 "
@@ -192,7 +196,8 @@ ERROR_DETAILS = {
 ])
 def test_bad_document_input_never_ends_in_a_traceback(statement, code, status, tmp_path, capsys):
     doc = tmp_path / "case.vf"
-    doc.write_text(CASE_PREAMBLE + statement + "\n")
+    preamble = "" if statement.startswith("chart") else CASE_PREAMBLE
+    doc.write_text(preamble + statement + "\n")
     assert main(["check", str(doc), "--format", "json"]) == code
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
@@ -206,6 +211,23 @@ def test_bad_document_input_never_ends_in_a_traceback(statement, code, status, t
         assert [(r["status"], r["detail"]) for r in records] == [
             ("ERROR", ERROR_DETAILS[statement])
         ]
+
+
+# a coordinate may carry any name, including the formal time variable the
+# flow checks once added to the chart
+@pytest.mark.parametrize("document, detail", [
+    ("chart { vars s, t; }\nfield nu = (t) d/ds;\ncheck lnd(nu);\n",
+     "locally nilpotent within bound 32; flow moves ['s']"),
+    ("chart { vars s, _flow_t; }\nfield nu = (_flow_t) d/ds;\npoly f = _flow_t;\n"
+     "check flow_jacobian(nu, f, ((s, 1), (_flow_t, 0)));\n",
+     "flow Jacobian equals identity plus the rank-one shear"),
+], ids=["lnd_on_t", "flow_jacobian_on__flow_t"])
+def test_flow_checks_accept_any_coordinate_name(document, detail, tmp_path, capsys):
+    doc = tmp_path / "flow.vf"
+    doc.write_text(document)
+    assert main(["check", str(doc), "--format", "json"]) == 0
+    records = json.loads(capsys.readouterr().out)["checks"]
+    assert [(r["status"], r["detail"]) for r in records] == [("PASS", detail)]
 
 
 def test_unknown_scenario_address(capsys):

@@ -132,6 +132,8 @@ PARSE_ERRORS = {
     "empty_document": ("", ParseError, "1:1: empty document"),
     "comment_only_document": ("# nothing here\n\n", ParseError, "1:1: empty document"),
     "expected_statement": ("; chart", ParseError, "1:1: expected a statement, found ';'"),
+    # a derivation token is named as written, not by its coordinate alone
+    "derivation_as_statement": ("d/dx;", ParseError, "1:1: expected a statement, found 'd/dx'"),
     "unknown_statement": ("bogus stuff;", ParseError, "1:1: unknown statement 'bogus'"),
     "construction_error": (ONE_LINE_CHART + "action bad: x -> -x order 2;", SemanticError,
                            "2:1: substitution does not preserve the ideal: "
@@ -188,6 +190,8 @@ PARSE_ERRORS = {
                     SemanticError, "2:7: check tangent takes 1 argument(s), got 0"),
     "bad_check_argument": (ONE_LINE_CHART + "check tangent(;);",
                            ParseError, "2:15: expected a check argument, found ';'"),
+    "derivation_as_check_argument": (ONE_LINE_CHART + "check tangent(d/dx);", ParseError,
+                                     "2:15: expected a check argument, found 'd/dx'"),
 }
 
 
