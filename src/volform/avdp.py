@@ -16,11 +16,11 @@ from .calculus import (
     DiffForm,
     VectorField,
     VolumeForm,
+    _require_tangent,
     contract_volume,
     divergence,
     exterior_derivative,
     interior_product,
-    is_tangent,
     lie_bracket,
     lnd_flow,
     scalar_form,
@@ -28,7 +28,6 @@ from .calculus import (
 from .errors import (
     ChartError,
     DimensionError,
-    NotTangentError,
     PointError,
     PreconditionError,
     ResourceLimitError,
@@ -66,7 +65,7 @@ def bracket_identity_residual(
 ) -> DiffForm:
     """Contraction of the bracket minus d of the double contraction."""
     _require_divergence_free(a, b, volume)
-    lhs = contract_volume(lie_bracket(a, b), volume)
+    lhs = interior_product(lie_bracket(a, b), volume)
     rhs = exterior_derivative(interior_product(a, interior_product(b, volume)))
     return lhs - rhs
 
@@ -182,8 +181,7 @@ def _span_builder() -> SpanBuilder:
 def kernel_basis(xi: VectorField, degree_bound: int) -> list[LaurentPoly]:
     """Echelonized basis of {f : xi(f) = 0 on the chart} within the span of
     ambient monomials of total degree <= bound, all in normal form."""
-    if not is_tangent(xi):
-        raise NotTangentError("kernel computation needs a tangent field")
+    _require_tangent(xi)
     forms, (images,) = _monomial_table(xi.chart, degree_bound, (xi,))
     kernel = _kernel_from_table(forms, images)
     return [LaurentPoly.from_dict(xi.chart.coordinates, row) for row in kernel.basis()]
@@ -238,9 +236,8 @@ def semicompat_bounded(
     a: VectorField, b: VectorField, degree_bound: int
 ) -> SemicompatVerdict:
     on = a.chart
-    for f in (a, b):
-        if not is_tangent(f):
-            raise NotTangentError("semi-compatibility needs tangent fields")
+    _require_tangent(a)
+    _require_tangent(b)
     # spans ignore row scale: kernels, products and witnesses are integer rows
     forms, images = _monomial_table(on, degree_bound, (a, b))
     kernel_a, kernel_b = (

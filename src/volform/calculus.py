@@ -13,6 +13,7 @@ d(f dx_I) = sum_j df/dx_j dx_j ^ dx_I.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Union
 
 from .algebra import LaurentPoly, Scalar
@@ -52,6 +53,11 @@ class VectorField:
     @property
     def is_zero(self) -> bool:
         return all(c.is_zero for _, c in self.coefficients)
+
+    @cached_property
+    def residuals(self) -> tuple[LaurentPoly, ...]:
+        """xi(r) in normal form for each defining relation r, computed once."""
+        return tuple(self.apply(rel.poly) for rel in self.chart.relations)
 
     def apply(self, f: LaurentPoly) -> LaurentPoly:
         """xi(f) = sum coeff_i * df/dx_i, in normal form."""
@@ -97,7 +103,7 @@ def vector_field(on: Chart, coefficients: Mapping[str, LaurentPoly | Scalar]) ->
 
 def is_tangent(field: VectorField) -> bool:
     """True iff the field maps each defining polynomial into the ideal."""
-    return all(field.apply(rel.poly).is_zero for rel in field.chart.relations)
+    return all(r.is_zero for r in field.residuals)
 
 
 def _require_tangent(field: VectorField) -> None:

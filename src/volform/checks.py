@@ -28,7 +28,9 @@ from .calculus import (
     divergence,
     exterior_derivative,
     forms_equal,
+    interior_product,
     is_invariant,
+    is_tangent,
     lie_bracket,
     lnd_flow,
     scalar_form,
@@ -210,10 +212,9 @@ def _tuples(value, width: int, what: str) -> tuple:
 
 @register("tangent", "field")
 def _check_tangent(model: Model, flags, field) -> tuple[str, str]:
-    residuals = [field.apply(rel.poly) for rel in field.chart.relations]
-    if all(r.is_zero for r in residuals):
+    if is_tangent(field):
         return PASS, "field is tangent to every defining relation"
-    return FAIL, f"relation residuals: {[str(r) for r in residuals]}"
+    return FAIL, f"relation residuals: {[str(r) for r in field.residuals]}"
 
 
 @register("divergence_zero", "field volume")
@@ -244,9 +245,8 @@ def _check_potential(model: Model, flags, poly, field, volume) -> tuple[str, str
 @register("bracket_potential", "field field volume poly")
 def _check_bracket_potential(model: Model, flags, a, b, volume, expected) -> tuple[str, str]:
     value = bracket_potential(a, b, volume)
-    exact = exterior_derivative(scalar_form(a.chart, value)) - contract_volume(
-        lie_bracket(a, b), volume
-    )
+    exact = (exterior_derivative(scalar_form(a.chart, value))
+             - interior_product(lie_bracket(a, b), volume))
     if not exact.is_zero:
         return FAIL, f"d(potential) misses the bracket contraction by {_render_form(exact)}"
     target = a.chart.normal_form(expected)

@@ -182,7 +182,7 @@ def test_monomial_table_matches_direct_normal_forms_and_images(address):
 
 
 def test_kernel_reduction_work_does_not_grow_with_the_bound(monkeypatch):
-    dz = scenario_by_name(CUBIC).fields["dz"]
+    # fresh fields per bound: a field computes its tangency residuals once
     calls = []
     reduce = Chart.normal_form
 
@@ -193,6 +193,7 @@ def test_kernel_reduction_work_does_not_grow_with_the_bound(monkeypatch):
     monkeypatch.setattr(Chart, "normal_form", counted)
     counts = []
     for bound in (3, 6):
+        dz = scenario_by_name(CUBIC).fields["dz"]
         calls.clear()
         kernel_basis(dz, bound)
         counts.append(len(calls))
@@ -203,7 +204,6 @@ def test_kernel_reduction_work_does_not_grow_with_the_bound(monkeypatch):
 def test_polynomial_products_do_not_grow_with_the_bound(monkeypatch, search):
     # the monomial table, kernel products and witness tests are integer
     # convolutions; LaurentPoly products serve only the chart's generators
-    fields = scenario_by_name(CUBIC).fields
     calls = []
     multiply = LaurentPoly.__mul__
 
@@ -215,6 +215,7 @@ def test_polynomial_products_do_not_grow_with_the_bound(monkeypatch, search):
     monkeypatch.setattr(LaurentPoly, "__rmul__", counted)
     counts = []
     for bound in (3, 6):
+        fields = scenario_by_name(CUBIC).fields
         calls.clear()
         if search == "kernel_basis":
             kernel_basis(fields["dz"], bound)
@@ -265,7 +266,6 @@ def test_surface_kernels_at_larger_bounds_are_powers_of_one_coordinate(
 def test_semicompat_does_no_repeated_table_work(monkeypatch):
     # one table serves both kernels and the witness search, and products of
     # normal forms are not reduced again
-    fields = scenario_by_name(CUBIC).fields
     tables, calls = [], []
     table, reduce = avdp._monomial_table, Chart.normal_form
 
@@ -281,6 +281,7 @@ def test_semicompat_does_no_repeated_table_work(monkeypatch):
     monkeypatch.setattr(Chart, "normal_form", counted)
     counts = []
     for bound in (3, 6):
+        fields = scenario_by_name(CUBIC).fields
         tables.clear()
         calls.clear()
         semicompat_bounded(fields["dz"], fields["dy"], bound)

@@ -415,6 +415,22 @@ def test_lnd_flow_maps_relations_into_the_ideal(address, name):
         assert with_t.normal_form(lifted.substitute(images)).is_zero
 
 
+@pytest.mark.parametrize("address", [
+    "sl2", "surface:p=x,q=y", "surface:p=x**2,q=y**3", "surface:p=2*x-x**3,q=y**2+y",
+    "xm1:1", "xm1:2", "xm1:3", "torus:3",
+])
+def test_brackets_of_tangent_fields_are_tangent(address):
+    # a bracket's contraction takes no tangency test of its own: [a, b] maps
+    # the ideal into itself when a and b do.  This is the oracle, recomputed
+    # from scratch on a field rebuilt from the bracket's coefficients
+    fields = list(scenario_by_name(address).fields.values())
+    assert len(fields) >= 2
+    for i, a in enumerate(fields):
+        for b in fields[i + 1:]:
+            fresh = vector_field(a.chart, lie_bracket(a, b).as_dict())
+            assert all(fresh.apply(rel.poly).is_zero for rel in a.chart.relations)
+
+
 def test_scalar_multiplication_of_forms_and_fields():
     on = surface_chart()
     w = surface_volume(on)

@@ -1,11 +1,15 @@
 """Built-in scenarios: every expected record executes, products behave."""
 
+from functools import cached_property
+from pathlib import Path
+
 import pytest
 
 from volform import (
     CheckDirective,
     LaurentPoly,
     RunFlags,
+    VectorField,
     action,
     chart,
     execute,
@@ -26,6 +30,7 @@ from volform import (
 from volform.errors import ChartError, SemanticError
 
 XYZ = ("x", "y", "z")
+DATA = Path(__file__).parent / "data"
 
 
 def xvar():
@@ -300,3 +305,21 @@ def test_kernel_spans_reads_each_power_of_the_generator(generator, status, detai
     s = scenario_by_name("surface:p=2*x+x**3,q=y**2+y")
     record = run_check(s, CheckDirective("kernel_spans", ("dz", 3, generator, 4)), RunFlags())
     assert (record.status, record.detail) == (status, detail)
+
+
+def test_a_document_computes_each_fields_residuals_once(monkeypatch):
+    # every check reads a field's cached residuals, and the brackets of the
+    # identity and potential checks are contracted without a tangency test
+    computed = []
+    residuals = VectorField.__dict__["residuals"].func
+
+    def counted(field):
+        computed.append(field)
+        return residuals(field)
+
+    prop = cached_property(counted)
+    prop.__set_name__(VectorField, "residuals")
+    monkeypatch.setattr(VectorField, "residuals", prop)
+    doc = parse((DATA / "surface_xy.vf").read_text())
+    assert {r.status for r in execute(doc, RunFlags())} == {"PASS"}
+    assert len({id(f) for f in computed}) == len(computed) == len(doc.fields)
