@@ -348,7 +348,7 @@ def lnd_flow(field: VectorField, bound: int = 32) -> dict[str, list[LaurentPoly]
         iterates = flow[name] = []
         current = field.apply(field.chart.generator(name))
         while not current.is_zero:
-            if len(iterates) == bound:
+            if len(iterates) >= bound:
                 raise NilpotencyError(
                     f"xi^{bound + 1}({name}) is still nonzero; field not verified "
                     f"locally nilpotent at bound {bound}"

@@ -47,12 +47,23 @@ ERROR = "ERROR"
 # UNKNOWN is shared with the semicompat verdict vocabulary
 
 
+# the least value of each numeric run flag, as in the report schema; the CLI
+# holds its flags to the same table
+FLAG_MINIMUMS = (("points", 1), ("degree_bound", 0), ("lnd_bound", 0))
+
+
 @dataclass(frozen=True)
 class RunFlags:
     seed: int = 0
     degree_bound: int = 4
     lnd_bound: int = 32
     points: int = 20
+
+    def __post_init__(self) -> None:
+        for name, minimum in FLAG_MINIMUMS:
+            if getattr(self, name) < minimum:
+                raise SemanticError(
+                    f"{name} must be at least {minimum}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -230,7 +241,7 @@ def _check_identity1(model: Model, flags, a, b, volume) -> tuple[str, str]:
     residual = bracket_identity_residual(a, b, volume)
     if residual.is_zero:
         return PASS, "contraction of the bracket equals d of the double contraction"
-    return FAIL, f"residual form: {_render_form(residual)}"
+    return FAIL, f"residual form: {render_form(residual)}"
 
 
 @register("potential", "poly field volume")
@@ -239,7 +250,7 @@ def _check_potential(model: Model, flags, poly, field, volume) -> tuple[str, str
     for c in (1, -1):
         if (c * df - theta).is_zero:
             return PASS, f"matched constant c = {c:+d}"
-    return FAIL, f"no sign matches; residual for c=+1: {_render_form(df - theta)}"
+    return FAIL, f"no sign matches; residual for c=+1: {render_form(df - theta)}"
 
 
 @register("bracket_potential", "field field volume poly")
@@ -248,7 +259,7 @@ def _check_bracket_potential(model: Model, flags, a, b, volume, expected) -> tup
     exact = (exterior_derivative(scalar_form(a.chart, value))
              - interior_product(lie_bracket(a, b), volume))
     if not exact.is_zero:
-        return FAIL, f"d(potential) misses the bracket contraction by {_render_form(exact)}"
+        return FAIL, f"d(potential) misses the bracket contraction by {render_form(exact)}"
     target = a.chart.normal_form(expected)
     for c in (1, -1):
         if (value - c * target).is_zero:
@@ -296,7 +307,7 @@ def _check_wedge_span(model: Model, flags, pairs) -> tuple[str, str]:
     points = []
     seen = set()
     attempt = 0
-    while len(points) < flags.points and attempt < 50 * max(flags.points, 1):
+    while len(points) < flags.points and attempt < 50 * flags.points:
         candidate = sample_point(chart, flags.seed + attempt)
         attempt += 1
         if candidate.values in seen:
@@ -322,7 +333,7 @@ def _check_exact_volume(model: Model, flags, form, volume) -> tuple[str, str]:
     residual = exterior_derivative(form) - volume
     if residual.is_zero:
         return PASS, "d(form) equals the volume form exactly"
-    return FAIL, f"residual form: {_render_form(residual)}"
+    return FAIL, f"residual form: {render_form(residual)}"
 
 
 @register("invariant", "object action")
@@ -347,7 +358,7 @@ def _check_theta_equals(model: Model, flags, field, volume, name) -> tuple[str, 
     for c in (1, -1):
         if forms_equal(value, c * expected):
             return PASS, f"contraction matches {c:+d} * {name}"
-    return FAIL, f"contraction is {_render_form(value)}"
+    return FAIL, f"contraction is {render_form(value)}"
 
 
 @register("flow_jacobian", "field poly point bound?")
@@ -366,10 +377,9 @@ def _check_submodular(model: Model, flags, group, element, expected) -> tuple[st
     return FAIL, f"determinant is {value}, expected {expected}"
 
 
-def _render_form(form: DiffForm) -> str:
-    if form.is_zero:
-        return "0"
+def render_form(form: DiffForm) -> str:
+    """``(c) dx^dy + ...``, with a 0-form as ``(c)`` and the zero form as ``0``."""
     return " + ".join(
-        f"({coeff}) d{'^d'.join(key) if key else '(scalar)'}"
+        f"({coeff}) " + "^".join(f"d{c}" for c in key) if key else f"({coeff})"
         for key, coeff in form.coefficients
-    )
+    ) or "0"

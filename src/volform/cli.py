@@ -11,15 +11,13 @@ import json
 import sys
 from pathlib import Path
 
-from .checks import CheckRecord, RunFlags, execute
+from .checks import FLAG_MINIMUMS, CheckRecord, RunFlags, execute
 from .dsl import parse
 from .errors import ParseError, SemanticError, VolformError
 from .model import Model
 from .scenarios import SCENARIO_SUMMARY, scenario_by_name
 
 SCHEMA_PATH = Path(__file__).with_name("report.schema.json")
-# the report schema's minimums for the numeric `check` flags
-FLAG_MINIMUMS = (("points", 1), ("degree_bound", 0), ("lnd_bound", 0))
 
 
 def build_parser() -> argparse.ArgumentParser:

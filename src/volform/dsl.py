@@ -32,7 +32,7 @@ from .calculus import (
     wedge,
     zero_form,
 )
-from .checks import arity_error
+from .checks import arity_error, render_form
 from .errors import ParseError, SemanticError, VolformError
 from .groups import group_presentation
 from .model import CheckDirective, Model
@@ -556,11 +556,11 @@ def _format_field(field) -> str:
 
 
 def _format_form(form) -> str:
-    terms = form.coefficients or ((form.chart.free_coordinates[: form.degree], 0),)
-    return " + ".join(
-        f"({coeff}) " + "^".join(f"d{c}" for c in key) if key else f"({coeff})"
-        for key, coeff in terms
-    )
+    if form.coefficients:
+        return render_form(form)
+    # the zero form keeps its degree, so that it parses back as one
+    key = form.chart.free_coordinates[: form.degree]
+    return f"(0) {'^'.join(f'd{c}' for c in key)}" if key else "(0)"
 
 
 def _format_matrix(matrix) -> str:

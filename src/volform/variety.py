@@ -234,9 +234,6 @@ class SubstitutionAction:
     def as_dict(self) -> dict[str, LaurentPoly]:
         return dict(self.images)
 
-    def apply(self, p: LaurentPoly) -> LaurentPoly:
-        return p.substitute(self.as_dict())
-
 
 def action(
     on: Chart,
@@ -265,10 +262,15 @@ def action(
                 f"coordinates"
             )
 
-    # order check: the order-fold composite is the identity modulo the ideal
-    current = {c: on.generator(c) for c in on.coordinates}
-    for _ in range(order):
-        current = {c: current[c].substitute(full) for c in on.coordinates}
+    # order check: the order-fold composite is the identity modulo the ideal;
+    # powers of one substitution commute, so compose by repeated squaring
+    current, power, rest = {c: on.generator(c) for c in on.coordinates}, full, order
+    while rest:
+        if rest & 1:
+            current = {c: current[c].substitute(power) for c in on.coordinates}
+        rest >>= 1
+        if rest:
+            power = {c: power[c].substitute(power) for c in on.coordinates}
     for c in on.coordinates:
         if on.normal_form(current[c]) != on.normal_form(on.generator(c)):
             raise ActionError(

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from volform import (
     Chart,
@@ -18,6 +24,20 @@ from volform import (
 from volform.errors import ChartError
 
 XYZ = ("x", "y", "z")
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_snippet(code: str, timeout: float = 10.0) -> subprocess.CompletedProcess:
+    """Run Python code in a fresh interpreter that imports this checkout's
+    package, and fail the calling test if it is still running after
+    ``timeout`` seconds: a hang regression then fails fast, not at the CI
+    job's timeout."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    try:
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=timeout, env={**os.environ, "PYTHONPATH": path})
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"still running after {timeout} s:\n{code}")
 
 
 def surface_chart(p: LaurentPoly | None = None, q: LaurentPoly | None = None) -> Chart:

@@ -43,6 +43,7 @@ from helpers import (
     random_form,
     random_poly,
     random_tangent_field,
+    run_snippet,
     sl2_chart,
     surface_chart,
     surface_fields,
@@ -431,6 +432,20 @@ def test_brackets_of_tangent_fields_are_tangent(address):
             assert all(fresh.apply(rel.poly).is_zero for rel in a.chart.relations)
 
 
+def test_lnd_flow_stops_at_a_negative_bound():
+    # the bound test is len(iterates) >= bound, so a negative bound ends at
+    # the first nonzero iterate instead of iterating forever
+    result = run_snippet("""
+from volform import lnd_flow, parse
+from volform.errors import NilpotencyError
+try:
+    lnd_flow(parse("chart { vars z*; } field nu = (z) d/dz;").fields["nu"], -1)
+except NilpotencyError as exc:
+    print(exc)
+""")
+    assert result.stdout.endswith("at bound -1\n"), result.stderr
+
+
 def test_scalar_multiplication_of_forms_and_fields():
     on = surface_chart()
     w = surface_volume(on)
@@ -468,7 +483,7 @@ def test_field_invariance_matches_inverse_jacobian_oracle(address):
     assert model.actions
     for act in model.actions.values():
         p = random_poly(rng, on, max_terms=2, max_degree=2)
-        symmetric = p + act.apply(p)  # fixed by an action of order 2
+        symmetric = p + p.substitute(act.as_dict())  # fixed by an action of order 2
         # g * f and p d/dc move one coordinate's coefficient at a time, the
         # latter also along solvable coordinates, off the tangent fields
         cases = base + [symmetric * f for f in base[:3]] + [

@@ -334,6 +334,18 @@ def test_parse_format_parse_is_fixed_point():
         assert format_document(again) == printed
 
 
+def test_check_details_and_documents_print_forms_alike():
+    # one printer serves FAIL details and format_document; a 0-form is (c)
+    doc = parse("chart { vars z*; } volume w = (1/z) dz; field nu = (z) d/dz; "
+                "form t = (2); form r = (z) dz; "
+                "check theta_equals(nu, w, t); check exact_volume(r, w);")
+    assert [(r.status, r.detail) for r in execute(doc)] == [
+        ("FAIL", "contraction is (1)"),
+        ("FAIL", "residual form: (-z**-1) dz"),
+    ]
+    assert "form t = (2);\nform r = (z) dz;\n" in format_document(doc)
+
+
 def test_scenario_documents_round_trip():
     from volform import sl2, torus, xm1
 

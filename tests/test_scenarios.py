@@ -29,6 +29,8 @@ from volform import (
 )
 from volform.errors import ChartError, SemanticError
 
+from helpers import run_snippet
+
 XYZ = ("x", "y", "z")
 DATA = Path(__file__).parent / "data"
 
@@ -323,3 +325,27 @@ def test_a_document_computes_each_fields_residuals_once(monkeypatch):
     doc = parse((DATA / "surface_xy.vf").read_text())
     assert {r.status for r in execute(doc, RunFlags())} == {"PASS"}
     assert len({id(f) for f in computed}) == len(computed) == len(doc.fields)
+
+
+@pytest.mark.parametrize("flag, value, minimum", [
+    ("points", 0, 1), ("degree_bound", -1, 0), ("lnd_bound", -1, 0),
+])
+def test_run_flags_hold_the_cli_minimums(flag, value, minimum):
+    # below these a check passed vacuously ("status FULL_RING at bound -1",
+    # "at 0 sampled points") or iterated forever (lnd)
+    with pytest.raises(SemanticError, match=f"^{flag} must be at least {minimum}, got {value}$"):
+        RunFlags(**{flag: value})
+    assert getattr(RunFlags(**{flag: minimum}), flag) == minimum
+
+
+def test_a_negative_lnd_bound_ends_at_once():
+    result = run_snippet("""
+from volform import CheckDirective, RunFlags, parse, run_check
+from volform.errors import SemanticError
+model = parse("chart { vars z*; } field nu = (z) d/dz;")
+try:
+    print(run_check(model, CheckDirective("lnd", ("nu",)), RunFlags(lnd_bound=-1)))
+except SemanticError as exc:
+    print(exc)
+""")
+    assert result.stdout == "lnd_bound must be at least 0, got -1\n", result.stderr

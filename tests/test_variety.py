@@ -15,6 +15,7 @@ from volform.errors import (
 
 from helpers import (
     random_poly,
+    run_snippet,
     sl2_chart,
     surface_chart,
     surface_fields,
@@ -148,6 +149,33 @@ def test_action_order_validation():
     assert ok.order == 2
 
 
+def test_action_order_is_checked_by_repeated_squaring():
+    on = torus_chart(3)
+    z1, z2, z3 = on.generators()
+    cycle = {"z1": z2, "z2": z3, "z3": -z1}  # a signed 3-cycle of order 6
+    for order in (6, 12, 600):
+        assert action(on, "cycle", cycle, order).order == order
+    for order in (1, 3, 5, 7, 601):
+        with pytest.raises(ActionError, match=f"after {order} iterations$"):
+            action(on, "cycle", cycle, order)
+    # 2*log2(order) compositions, not order of them
+    result = run_snippet("""
+from volform import parse
+from volform.errors import SemanticError
+model = parse("chart { vars x, y; } action s: x -> y, y -> x order 100000000;")
+print(model.actions["s"].order)
+try:
+    parse("chart { vars x, y; } action s: x -> y, y -> x order 100000001;")
+except SemanticError as exc:
+    print(exc)
+""")
+    assert result.stdout.splitlines() == [
+        "100000000",
+        "1:22: substitution is not of order 100000001: coordinate 'x' maps to y "
+        "after 100000001 iterations",
+    ], result.stderr
+
+
 def test_action_preserves_ideal():
     on = surface_chart()
     x, y, z = on.generators()
@@ -180,7 +208,7 @@ def test_invariance_of_composite_identity():
         p = random_poly(rng, on)
         image = p
         for _ in range(sigma.order):
-            image = sigma.apply(image)
+            image = image.substitute(sigma.as_dict())
         assert on.normal_form(image) == on.normal_form(p)
 
 
