@@ -312,8 +312,6 @@ def divergence(field: VectorField, volume: VolumeForm) -> LaurentPoly:
     """The unique scalar g with L_xi(omega) = g * omega."""
     _same_chart(field, volume)
     _require_tangent(field)
-    if not volume.unit_coefficient().is_monomial:
-        raise VolumeFormError("volume coefficient is not a unit; divergence would leave the ring")
     derived = lie_derivative(field, volume)
     if derived.is_zero:
         return LaurentPoly.zero(field.chart.coordinates)

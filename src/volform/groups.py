@@ -74,8 +74,6 @@ def adjoint_matrix(h: Matrix | Sequence[Sequence], basis: Sequence[Matrix]) -> M
     hm = make_matrix(h)
     size = len(hm)
     _check_square(hm, size, "group element")
-    if det_bareiss(hm) == 0:
-        raise GroupError("group element is singular")
     basis_mats = [make_matrix(b) for b in basis]
     for b in basis_mats:
         _check_square(b, size, "basis matrix")

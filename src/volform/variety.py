@@ -19,9 +19,7 @@ from .algebra import LaurentPoly, Scalar
 from .errors import (
     ActionError,
     ChartError,
-    EvaluationError,
     PointError,
-    ResourceLimitError,
     UnknownVariableError,
     VariableMismatchError,
 )
@@ -200,21 +198,18 @@ class Point:
         raise UnknownVariableError(f"no coordinate {name!r} in point")
 
 
-def sample_point(on: Chart, seed: int, retries: int = 100) -> Point:
+def sample_point(on: Chart, seed: int) -> Point:
     """Deterministic rational point: random nonzero integer draws for the free
-    coordinates, solvable coordinates computed from the relations."""
+    coordinates, solvable coordinates computed from the relations.  The first
+    draw is always a point: invertible coordinates are free and drawn nonzero,
+    and the solved coordinates satisfy every relation identically."""
     rng = random.Random(seed)
-    for _ in range(retries):
-        values: dict[str, Fraction] = {
-            name: Fraction(rng.choice(SAMPLE_RANGE)) for name in on.free_coordinates
-        }
-        try:
-            for name, expr in on.solutions:
-                values[name] = expr.evaluate(values)
-            return on.point(values)
-        except (PointError, EvaluationError):
-            continue
-    raise ResourceLimitError(f"no valid point found in {retries} attempts")
+    values: dict[str, Fraction] = {
+        name: Fraction(rng.choice(SAMPLE_RANGE)) for name in on.free_coordinates
+    }
+    for name, expr in on.solutions:
+        values[name] = expr.evaluate(values)
+    return Point(on, tuple((c, values[c]) for c in on.coordinates))
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,7 @@ def charts_under_test():
 
 
 def test_volume_form_validation():
+    # divergence relies on this unit test and does not repeat it
     on = surface_chart()
     x, y, z = on.generators()
     with pytest.raises(VolumeFormError):

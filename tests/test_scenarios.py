@@ -245,6 +245,32 @@ def test_exactness_field_contraction_is_exact():
             exactness_field(nu2, nu1, s.chart.generator("z1"))  # not in Ker nu1
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_exactness_fields_equal_their_brackets(n):
+    # exactness_field does not recompute [xi, f*eta]; this is the oracle
+    from volform import exactness_field
+
+    s = torus(n)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            nu_i, nu_j = s.fields[f"nu{i}"], s.fields[f"nu{j}"]
+            for xi, eta, f in ((nu_j, nu_i, f"z{j}"), (nu_i, nu_j, f"z{i}")):
+                f = s.chart.generator(f)
+                assert exactness_field(xi, eta, f) == lie_bracket(xi, f * eta)
+
+
+@pytest.mark.parametrize("p, q", [
+    ("x", "y"), ("x", "2*y"), ("x**2", "y**2"), ("2*x-x**3", "2*y-y**3"), ("x**2", "y**3"),
+])
+def test_swap_action_exactly_when_p_and_q_swap(p, q):
+    # surface tests p(y) == q only; q(x) == p follows, as p is in x alone
+    from volform import parse_polynomial
+
+    p, q = parse_polynomial(p, XYZ), parse_polynomial(q, XYZ)
+    swaps = p.substitute({"x": yvar()}) == q and q.substitute({"y": xvar()}) == p
+    assert ("swap_xy" in surface(p, q).actions) == swaps
+
+
 def test_volume_coefficients_are_nonzero_at_sampled_points():
     from volform import sample_point
 

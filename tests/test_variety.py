@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from volform import LaurentPoly, action, chart, sample_point, vector_field
+from volform import LaurentPoly, action, chart, sample_point, scenario_by_name, vector_field
 from volform.calculus import is_invariant, is_tangent
 from volform.errors import (
     ActionError,
@@ -22,6 +22,7 @@ from helpers import (
     surface_volume,
     torus_chart,
 )
+from test_golden import SCENARIOS
 
 
 def test_normal_form_surface_xyz():
@@ -122,6 +123,33 @@ def test_sample_point_solves_relations_by_hand():
     for seed in range(10):
         v = sample_point(sl2, seed).as_dict()
         assert v["b2"] == (1 + v["a2"] * v["b1"]) / v["a1"]
+
+
+# sample_point does not re-validate its draw; Chart.point is the oracle
+@pytest.mark.parametrize("address", SCENARIOS)
+def test_sample_point_first_draw_is_a_point(address):
+    on = scenario_by_name(address).chart
+    for seed in range(25):
+        point = sample_point(on, seed)
+        assert on.point(dict(point.values)) == point
+
+
+# values drawn before sample_point lost its retry loop
+RECORDED_POINTS = {
+    "sl2": ["4 5 -8 -39/4", "-5 -7 -1 -8/5", "-8 -7 -7 -25/4", "-2 9 -5 22", "-2 1 -6 5/2"],
+    "surface:p=2*x-x**3,q=y**2+y": ["4 5 27/20", "-5 -7 -156/35", "-8 -7 -537/56",
+                                    "-2 9 31/6", "-2 1 5/2"],
+    "product:xm1:2|torus:1": ["4 5 -8 -39/16 -1", "-5 -7 -1 8/25 -6", "-8 -7 -7 25/32 3",
+                              "-2 9 -5 -11 3", "-2 1 -6 -5/4 4"],
+}
+
+
+@pytest.mark.parametrize("address", RECORDED_POINTS)
+def test_sample_point_reproduces_recorded_points(address):
+    on = scenario_by_name(address).chart
+    for seed, text in enumerate(RECORDED_POINTS[address]):
+        values = tuple(Fraction(v) for v in text.split())
+        assert sample_point(on, seed).values == tuple(zip(on.coordinates, values))
 
 
 def test_sample_point_determinism():
