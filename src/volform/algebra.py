@@ -18,6 +18,7 @@ from typing import Collection, Iterable, Mapping, Union
 from .errors import (
     EvaluationError,
     NotAUnitError,
+    ResourceLimitError,
     UnknownVariableError,
     VariableMismatchError,
 )
@@ -47,6 +48,16 @@ def _convolve(*products: tuple[Iterable[tuple], Collection[tuple]]) -> dict[Expo
                 e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + n1 * n2
     return {e: n for e, n in out.items() if n}
+
+
+def scalar_text(c: Fraction) -> str:
+    """``str(c)``; ResourceLimitError when a part is longer than Python's
+    int-to-string digit limit (4300 digits by default) lets it print."""
+    try:
+        return str(c)
+    except ValueError:
+        bits = max(c.numerator.bit_length(), c.denominator.bit_length())
+        raise ResourceLimitError(f"a coefficient of {bits} bits is too long to print") from None
 
 
 def _integral(terms: Collection[tuple]) -> tuple[int, list[tuple]]:
@@ -248,8 +259,9 @@ class LaurentPoly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:  # square only while a bit remains
+                base = base * base
         return result
 
     def __truediv__(self, other: PolyLike) -> "LaurentPoly":
@@ -376,13 +388,13 @@ class LaurentPoly:
                     continue
                 factors.append(v if e == 1 else f"{v}**{e}")
             if not factors:
-                body = str(abs(coeff))
+                body = scalar_text(abs(coeff))
             else:
                 mag = abs(coeff)
                 if mag == 1:
                     body = "*".join(factors)
                 else:
-                    body = "*".join([str(mag)] + factors)
+                    body = "*".join([scalar_text(mag)] + factors)
             sign = "-" if coeff < 0 else "+"
             chunks.append((sign, body))  # type: ignore[arg-type]
         first_sign, first_body = chunks[0]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .algebra import LaurentPoly, _grlex_key
+from .algebra import LaurentPoly, _grlex_key, scalar_text
 from .avdp import (
     FULL_RING,
     IDEAL_WITNESS,
@@ -368,8 +368,8 @@ def _check_flow_jacobian(model: Model, flags, field, poly, values, bound) -> tup
 def _check_submodular(model: Model, flags, group, element, expected) -> tuple[str, str]:
     value = submodular(group.element(element), group.lie_basis)
     if value == expected:
-        return PASS, f"determinant of the adjoint action is {value}"
-    return FAIL, f"determinant is {value}, expected {expected}"
+        return PASS, f"determinant of the adjoint action is {scalar_text(value)}"
+    return FAIL, f"determinant is {scalar_text(value)}, expected {expected}"
 
 
 def render_form(form: DiffForm) -> str:

@@ -30,12 +30,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="run the check suite of a document or scenario")
     check.add_argument("target", help="path to a document, or a scenario address")
-    check.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    check.add_argument("--degree-bound", type=int, default=4,
+    defaults = RunFlags()
+    check.add_argument("--seed", type=int, default=defaults.seed,
+                       help=f"sampling seed (default {defaults.seed})")
+    check.add_argument("--degree-bound", type=int, default=defaults.degree_bound,
                        help="default degree bound for kernel/semicompat checks")
-    check.add_argument("--lnd-bound", type=int, default=32,
+    check.add_argument("--lnd-bound", type=int, default=defaults.lnd_bound,
                        help="default bound for local nilpotency verification")
-    check.add_argument("--points", type=int, default=20,
+    check.add_argument("--points", type=int, default=defaults.points,
                        help="sample-point count for pointwise span checks")
     check.add_argument("--format", choices=("text", "json"), default="text")
     check.add_argument("--timings", action="store_true",

@@ -54,7 +54,7 @@ class DimensionError(VolformError):
 
 
 class ResourceLimitError(VolformError):
-    """A rewriting or sampling loop exceeded its budget."""
+    """A computation exceeded its work budget, or a number is too long to print."""
 
 
 class GroupError(VolformError):

@@ -10,6 +10,7 @@ from volform import LaurentPoly
 from volform.errors import (
     EvaluationError,
     NotAUnitError,
+    ResourceLimitError,
     UnknownVariableError,
     VariableMismatchError,
 )
@@ -50,6 +51,33 @@ def test_canonical_order_is_graded_lex():
     x, y = gens(*XY)
     p = 1 + y + x + x * y
     assert [e for e, _ in p.terms] == [(1, 1), (1, 0), (0, 1), (0, 0)]
+
+
+@pytest.mark.parametrize("n, products", [(0, 0), (1, 1), (2, 2), (5, 4), (8, 4)])
+def test_power_squares_only_while_bits_remain(n, products, monkeypatch):
+    x, y = gens(*XY)
+    p = 1 + x + y
+    expected = p ** n
+    calls = []
+    original = LaurentPoly.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+    assert p ** n == expected
+    assert len(calls) == products
+
+
+def test_coefficient_past_the_digit_limit_prints_as_an_error():
+    x, y = gens(*XY)
+    big = 2 ** 20000 * x
+    with pytest.raises(ResourceLimitError, match="too long to print"):
+        str(big)
+    with pytest.raises(ResourceLimitError):
+        str(LaurentPoly.constant(XY, Fraction(1, 3 ** 10000)))
+    assert str(2 ** 1000 * x) == f"{2 ** 1000}*x"
 
 
 def test_partial_derivative_power_rule():

@@ -1,6 +1,7 @@
 """Command line behaviour: exit codes, JSON schema, determinism."""
 
 import ast
+import dataclasses
 import json
 import subprocess
 import sys
@@ -9,7 +10,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from volform.cli import SCHEMA_PATH, main
+from volform.checks import RunFlags
+from volform.cli import SCHEMA_PATH, build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -178,6 +180,9 @@ ERROR_DETAILS = {
                                            "in 3 coordinates exceed the budget of 300",
     "check semicompat(dz, dy, 40);": "ResourceLimitError: 12341 monomials of degree <= 40 "
                                      "in 3 coordinates exceed the budget of 300",
+    # a detail whose coefficient is longer than Python prints
+    "volume w = (x**-1*y**-1) dx^dy; poly bad = 2**20000*z; check potential(bad, dz, w);":
+        "ResourceLimitError: a coefficient of 20001 bits is too long to print",
 }
 
 
@@ -193,6 +198,10 @@ ERROR_DETAILS = {
     ("check tangent(dz) expect BOGUS;", 2, None),
     ("form a = dx + dx^dy;", 2, None),
     ("poly p = x**²;", 2, None),
+    # past Python's int-to-string digit limit: a literal, and an action's order
+    # message that prints a coefficient 2**20000
+    pytest.param("poly p = " + "1" * 5000 + ";", 2, None, id="5000-digit-literal-2-None"),
+    ("chart { vars x*; } action s: x -> 2*x order 20000;", 2, None),
 ])
 def test_bad_document_input_never_ends_in_a_traceback(statement, code, status, tmp_path, capsys):
     doc = tmp_path / "case.vf"
@@ -202,10 +211,11 @@ def test_bad_document_input_never_ends_in_a_traceback(statement, code, status, t
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     if status is None:
+        line = preamble.count("\n") + 1
         assert captured.out == ""
-        assert captured.err.startswith(f"{doc}:6:"), captured.err
+        assert captured.err.startswith(f"{doc}:{line}:"), captured.err
         assert main(["parse", str(doc)]) == 2
-        assert capsys.readouterr().err.startswith(f"{doc}:6:")
+        assert capsys.readouterr().err.startswith(f"{doc}:{line}:")
     else:
         records = json.loads(captured.out)["checks"]
         assert [(r["status"], r["detail"]) for r in records] == [
@@ -246,6 +256,12 @@ def test_group_document_runs(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 3
     assert "pass: 3" in out
+
+
+def test_flag_defaults_are_the_run_flag_defaults():
+    args = build_parser().parse_args(["check", "x"])
+    for field in dataclasses.fields(RunFlags):
+        assert getattr(args, field.name) == getattr(RunFlags(), field.name), field.name
 
 
 def test_flags_are_threaded_through(capsys):
