@@ -274,7 +274,7 @@ def product(s1: Scenario, s2: Scenario) -> Scenario:
     the first free suffix ``_2``, ``_3``, ...  A poly equal to the one it
     clashes with is dropped instead.  Factor actions lift (identity on the
     other factor) and are named by their keys, and each equal-order pair
-    combines into a diagonal action ``a*b``.  Objects that verify as
+    combines into a diagonal action ``a_b``.  Objects that verify as
     invariant under a diagonal action are recorded as invariance checks:
     lifted fields under their own names, and an anti-invariant field or the
     volume form ``w`` rescaled by an anti-invariant coordinate ``c`` as the
@@ -327,7 +327,7 @@ def product(s1: Scenario, s2: Scenario) -> Scenario:
     for n1, images1, order in images[0]:
         for n2, images2, order2 in images[1]:
             if order == order2:
-                name = _fresh(actions, f"{n1}*{n2}")
+                name = _fresh(actions, f"{n1}_{n2}")
                 actions[name] = action(both, name, {**images1, **images2}, order)
                 diagonals.append(name)
 

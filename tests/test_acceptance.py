@@ -286,7 +286,7 @@ def test_criterion_13_group_invariance():
             for i in range(1, n + 1):
                 assert is_invariant(s.fields[f"nu{i}"], negate)
         prod = product(surface_xy(), torus(1))
-        diag = prod.actions["swap_xy*negate"]
+        diag = prod.actions["swap_xy_negate"]
         assert is_invariant(prod.fields["nu1"], diag)
         assert is_invariant(prod.fields["z1dz"], diag)
         assert is_invariant(prod.forms["z1w"], diag)

@@ -468,7 +468,7 @@ def test_form_addition_degree_mismatch():
 
 
 # every built-in action: negate, swap_xy, the lifted factor actions and the
-# product diagonals (negate*negate, swap_xy*negate)
+# product diagonals (negate_negate, swap_xy_negate)
 @pytest.mark.parametrize("address", [
     "torus:2",
     "surface:p=x,q=y",

@@ -2,6 +2,7 @@
 must reproduce tests/data/golden/ byte for byte, with the same exit code.
 Product scenarios are also pinned structurally: their document text, each
 action's key and name, and their check labels (tests/data/golden/products.json).
+Every scenario's printed document parses back to it and runs the same checks.
 
 The reports were recorded once and are the reference for refactors that must
 not change behaviour.  When a report change is intended, rewrite them and the
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from volform import format_document, scenario_by_name
+from volform import execute, format_document, parse, scenario_by_name
 from volform.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,6 +63,13 @@ PRODUCTS = (
     "product:surface:p=2*x+x**3,q=y**2+y|torus:2",
 ) + tuple(t for t in SCENARIOS if t.startswith("product:"))
 PRODUCT_SNAPSHOT = GOLDEN / "products.json"
+# every address above, and three-factor products, whose diagonals pair the
+# first product's diagonal again; product names come from dict order, so CI
+# runs these under two hash seeds
+ROUND_TRIPS = tuple(dict.fromkeys(SCENARIOS + PRODUCTS + (
+    "product:torus:1|torus:1|torus:1",
+    "product:surface:p=x,q=y|torus:1|torus:1",
+)))
 
 
 def golden_path(target: str) -> Path:
@@ -102,6 +110,15 @@ def product_snapshot(address: str) -> dict:
 def test_product_matches_snapshot(address):
     recorded = json.loads(PRODUCT_SNAPSHOT.read_text(encoding="utf-8"))
     assert product_snapshot(address) == recorded[address]
+
+
+@pytest.mark.parametrize("address", ROUND_TRIPS)
+def test_printed_scenario_parses_back(address):
+    s = scenario_by_name(address)
+    doc = parse(format_document(s))
+    assert doc == s
+    assert [(r.name, r.status, r.detail) for r in execute(doc)] == [
+        (r.name, r.status, r.detail) for r in execute(s)]
 
 
 if __name__ == "__main__":

@@ -133,8 +133,8 @@ def test_product_lifted_fields_commute():
 
 def test_product_diagonal_action_invariants():
     prod = product(surface(xvar(), yvar()), torus(1))
-    assert "swap_xy*negate" in prod.actions
-    diag = prod.actions["swap_xy*negate"]
+    assert "swap_xy_negate" in prod.actions
+    diag = prod.actions["swap_xy_negate"]
     # the torus scaling field lifts to an invariant field
     assert is_invariant(prod.fields["nu1"], diag)
     # the anti-invariant surface shear becomes invariant after scaling by z1
@@ -150,9 +150,9 @@ def test_product_diagonal_action_invariants():
 
 @pytest.mark.parametrize("address, kept, added", [
     ("product:torus:1|torus:1|torus:1",
-     ("negate*negate", ["z1", "z1_2"]), ("negate*negate_2", ["z1", "z1_3"])),
+     ("negate_negate", ["z1", "z1_2"]), ("negate_negate_2", ["z1", "z1_3"])),
     ("product:surface:p=x,q=y|torus:1|torus:1",
-     ("swap_xy*negate", ["z1"]), ("swap_xy*negate_2", ["z1_2"])),
+     ("swap_xy_negate", ["z1"]), ("swap_xy_negate_2", ["z1_2"])),
 ])
 def test_diagonal_actions_take_fresh_names(address, kept, added):
     # the first product's diagonal stays; the diagonal pairing the same
@@ -167,7 +167,7 @@ def test_diagonal_actions_take_fresh_names(address, kept, added):
 def test_lifted_actions_are_named_by_their_keys():
     prod = scenario_by_name("product:torus:1|torus:1")
     assert {key: act.name for key, act in prod.actions.items()} == {
-        "negate": "negate", "negate_2": "negate_2", "negate*negate": "negate*negate"}
+        "negate": "negate", "negate_2": "negate_2", "negate_negate": "negate_negate"}
     record = run_check(prod, CheckDirective("invariant", ("nu1_2", "negate_2")), RunFlags())
     assert (record.status, record.detail) == ("PASS", "nu1_2 is invariant under negate_2")
 
@@ -177,7 +177,7 @@ def test_three_factor_product_records_each_check_once():
     prod = scenario_by_name("product:surface:p=x,q=y|torus:1|torus:1")
     labels = [d.label() for d in prod.checks]
     assert len(labels) == len(set(labels)) == 45
-    assert "invariant(z1dz, swap_xy*negate*negate)" in labels
+    assert "invariant(z1dz, swap_xy_negate_negate)" in labels
     run_all(prod)
 
 
@@ -204,7 +204,7 @@ def test_quadric_surface_times_torus_spot_check():
         },
     )
     prod = product(base, torus(1))
-    diag = prod.actions["negate*negate"]
+    diag = prod.actions["negate_negate"]
     for name in ("xi_u", "xi_v", "nu1"):
         assert is_invariant(prod.fields[name], diag)
 
