@@ -51,8 +51,7 @@ def _convolve(*products: tuple[Iterable[tuple], Collection[tuple]]) -> dict[Expo
 
 
 def scalar_text(c: Fraction) -> str:
-    """``str(c)``; ResourceLimitError when a part is longer than Python's
-    int-to-string digit limit (4300 digits by default) lets it print."""
+    """``str(c)``, or ResourceLimitError past Python's int-to-string digit limit."""
     try:
         return str(c)
     except ValueError:

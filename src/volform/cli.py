@@ -7,6 +7,7 @@ warning), 1 when any check fails or errors, 2 for usage and parse problems.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -82,10 +83,7 @@ def _emit_json(model: Model, records: list[CheckRecord], flags: RunFlags) -> Non
     # no wall-clock entries: reports must be byte-identical for a fixed seed
     payload = {
         "source": model.name,
-        "seed": flags.seed,
-        "degree_bound": flags.degree_bound,
-        "lnd_bound": flags.lnd_bound,
-        "points": flags.points,
+        **dataclasses.asdict(flags),
         "checks": [
             {"name": r.name, "status": r.status, "detail": r.detail} for r in records
         ],
@@ -130,12 +128,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"OK: {counted} definitions and checks")
         return 0
 
-    flags = RunFlags(
-        seed=args.seed,
-        degree_bound=args.degree_bound,
-        lnd_bound=args.lnd_bound,
-        points=args.points,
-    )
+    flags = RunFlags(**{f.name: getattr(args, f.name) for f in dataclasses.fields(RunFlags)})
     records = execute(model, flags)
     if args.format == "json":
         _emit_json(model, records, flags)

@@ -62,8 +62,7 @@ _KINDS = ("IDENT", "INT", "DERIV", "EOF")
 # Alternatives are tried in order at each position.  A word (IDENT, or the
 # coordinate of a derivation d/d<word>) continues with letters, digits and
 # "_"; [^\W\d] also admits numerals such as "²", so tokenize checks that it
-# starts with a letter or "_".  Integers are decimal digits, which int() reads
-# up to Python's digit limit; tokenize rejects a longer one.
+# starts with a letter or "_".  Integers are decimal digits, which int() reads.
 _TOKEN = re.compile(r"""
     (?P<NEWLINE>\n)
   | (?P<SPACE>[ \t\r]+)
@@ -90,7 +89,7 @@ def tokenize(text: str) -> list[Token]:
         if kind == "BAD":
             raise ParseError(f"unexpected character {value[0]!r}",
                              line, m.start() - line_start + 1)
-        if kind == "INT":  # past Python's int-to-string digit limit int() fails
+        if kind == "INT":  # int() fails past Python's int-to-string digit limit
             try:
                 int(value)
             except ValueError:
