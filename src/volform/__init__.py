@@ -40,15 +40,13 @@ from .calculus import (
     vector_field,
     volume_form,
     wedge,
-    zero_form,
 )
 from .checks import RunFlags, execute, run_check
-from .dsl import Document, format_document, parse, parse_polynomial
+from .dsl import format_document, parse, parse_polynomial
 from .errors import VolformError
 from .groups import GroupPresentation, adjoint_matrix, group_presentation, submodular
 from .model import CheckDirective, Model
 from .scenarios import (
-    Scenario,
     exactness_field,
     product,
     scenario_by_name,
@@ -72,7 +70,6 @@ __all__ = [
     "CheckDirective",
     "Chart",
     "DiffForm",
-    "Document",
     "FULL_RING",
     "GroupPresentation",
     "IDEAL_WITNESS",
@@ -80,7 +77,6 @@ __all__ = [
     "Model",
     "Point",
     "RunFlags",
-    "Scenario",
     "SemicompatVerdict",
     "SubstitutionAction",
     "UNKNOWN",
@@ -129,5 +125,4 @@ __all__ = [
     "volume_form",
     "wedge",
     "xm1",
-    "zero_form",
 ]

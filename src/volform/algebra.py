@@ -252,16 +252,16 @@ class LaurentPoly:
             raise TypeError("exponent must be an integer")
         if n < 0:
             return self.unit_inverse() ** (-n)
-        result = LaurentPoly.one(self.variables)
+        result = None
         base = self
         k = n
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
             if k:  # square only while a bit remains
                 base = base * base
-        return result
+        return LaurentPoly.one(self.variables) if result is None else result
 
     def __truediv__(self, other: PolyLike) -> "LaurentPoly":
         q = self._coerce(other)

@@ -290,9 +290,10 @@ def spans_wedge_square(pairs: Sequence[WedgePair], point: Point) -> bool:
     for a, b, witness in pairs:
         if a.chart != on or b.chart != on:
             raise ChartError("pair fields live on different charts")
-        scale = on.normal_form(witness).evaluate(values)
-        va = [a.free_components()[c].evaluate(values) for c in free]
-        vb = [b.free_components()[c].evaluate(values) for c in free]
+        # a point of the chart satisfies every relation, so w(p) = nf(w)(p)
+        scale = on.validate_poly(witness).evaluate(values)
+        va = [a.coefficient(c).evaluate(values) for c in free]
+        vb = [b.coefficient(c).evaluate(values) for c in free]
         vec = {}
         for i, j in itertools.combinations(range(n), 2):
             entry = scale * (va[i] * vb[j] - va[j] * vb[i])
@@ -300,9 +301,9 @@ def spans_wedge_square(pairs: Sequence[WedgePair], point: Point) -> bool:
                 vec[(i, j)] = entry
         if vec:
             span.insert(vec)
-        if span.rank == target:
+        if len(span) == target:
             return True
-    return span.rank == target
+    return False
 
 
 # -------------------------------------------------------- flow Jacobians
@@ -312,7 +313,7 @@ def verify_flow_jacobian(
     nu: VectorField,
     f: LaurentPoly,
     point: Point,
-    bound: int = 32,
+    bound: int,
 ) -> bool:
     """Check the tangent map of the time-1 flow of f*nu at a zero of f.
 
@@ -341,7 +342,7 @@ def verify_flow_jacobian(
             at_one = at_one + iterate * Fraction(1, factorial)
         jac.append([at_one.partial_derivative(c).evaluate(values) for c in free])
 
-    v = [nu.free_components()[c].evaluate(values) for c in free]
+    v = [nu.coefficient(c).evaluate(values) for c in free]
     grad = [reduced_f.partial_derivative(c).evaluate(values) for c in free]
     for i in range(len(free)):
         for j in range(len(free)):

@@ -195,20 +195,20 @@ RawPairs = Iterable[tuple[Iterable[str], Union[LaurentPoly, Scalar]]]
 def diff_form(
     on: Chart,
     degree: int,
-    coefficients: Mapping[Iterable[str], LaurentPoly | Scalar] | RawPairs | None = None,
+    coefficients: Mapping[Iterable[str], LaurentPoly | Scalar] | RawPairs,
 ) -> DiffForm:
     """Canonical form from raw (index tuple, coefficient) pairs, given as a
     mapping or an iterable: each tuple is sorted and signed, tuples with a
     repeated index are dropped, equal tuples are summed, and each sum is
-    taken to normal form once."""
+    taken to normal form once.  ``diff_form(on, k, ())`` is the zero k-form."""
     if degree < 0:
         return DiffForm(on, 0, ())
     if isinstance(coefficients, Mapping):
         coefficients = coefficients.items()
     order = {name: i for i, name in enumerate(on.free_coordinates)}
     sums: dict[FormKey, LaurentPoly] = {}
-    for raw_key, value in coefficients or ():
-        key = (raw_key,) if isinstance(raw_key, str) else tuple(raw_key)
+    for raw_key, value in coefficients:
+        key = tuple(raw_key)
         if len(key) != degree:
             raise DimensionError(f"key {key} does not match degree {degree}")
         canon = _canonical_key(order, key)
@@ -227,19 +227,12 @@ def scalar_form(on: Chart, value: LaurentPoly | Scalar) -> DiffForm:
     return diff_form(on, 0, {(): value})
 
 
-def zero_form(on: Chart, degree: int = 0) -> DiffForm:
-    return DiffForm(on, max(degree, 0), ())
-
-
 @dataclass(frozen=True)
 class VolumeForm(DiffForm):
     """Nonvanishing top form; the single coefficient is a unit monomial."""
 
     def unit_coefficient(self) -> LaurentPoly:
         return self.coefficients[0][1]
-
-    def coefficient_inverse(self) -> LaurentPoly:
-        return self.unit_coefficient().unit_inverse()
 
 
 def volume_form(on: Chart, coefficient: LaurentPoly | Scalar) -> VolumeForm:
@@ -316,7 +309,7 @@ def divergence(field: VectorField, volume: VolumeForm) -> LaurentPoly:
     if derived.is_zero:
         return LaurentPoly.zero(field.chart.coordinates)
     coeff = derived.coefficients[0][1]
-    return field.chart.normal_form(coeff * volume.coefficient_inverse())
+    return field.chart.normal_form(coeff * volume.unit_coefficient().unit_inverse())
 
 
 def contract_volume(field: VectorField, volume: VolumeForm) -> DiffForm:
@@ -325,7 +318,7 @@ def contract_volume(field: VectorField, volume: VolumeForm) -> DiffForm:
     return interior_product(field, volume)
 
 
-def lnd_flow(field: VectorField, bound: int = 32) -> dict[str, list[LaurentPoly]]:
+def lnd_flow(field: VectorField, bound: int) -> dict[str, list[LaurentPoly]]:
     """Flow exp(t*xi) of a locally nilpotent field, as iterates.
 
     Returns, for each coordinate c, the nonzero iterates xi^k(c), k >= 1, in
@@ -367,7 +360,7 @@ def pullback_form(form: DiffForm, act: SubstitutionAction) -> DiffForm:
         name: exterior_derivative(scalar_form(on, images[name]))
         for name in on.free_coordinates
     }
-    total = zero_form(on, form.degree)
+    total = diff_form(on, form.degree, ())
     for key, coeff in form.coefficients:
         term = scalar_form(on, coeff.substitute(images))
         for name in key:

@@ -25,12 +25,12 @@ from typing import Callable, Iterable, Iterator, TypeVar
 from .algebra import LaurentPoly
 from .calculus import (
     DiffForm,
+    diff_form,
     exterior_derivative,
     scalar_form,
     vector_field,
     volume_form,
     wedge,
-    zero_form,
 )
 from .checks import arity_error, render_form
 from .errors import ParseError, SemanticError, VolformError
@@ -38,7 +38,6 @@ from .groups import group_presentation
 from .model import CheckDirective, Model
 from .variety import Chart, action, chart
 
-Document = Model
 T = TypeVar("T")
 
 KEYWORDS = {
@@ -369,7 +368,7 @@ class _Parser:
         self.model.volume_name = name
 
     def _form_literal(self, on: Chart) -> DiffForm:
-        total = zero_form(on)
+        total = diff_form(on, 0, ())
         for sign, term in self._signed_terms(lambda: self._form_term(on)):
             total = total + term if sign > 0 else total - term
         return total
@@ -498,7 +497,7 @@ class _Parser:
         raise self._expected("a check argument")
 
 
-def parse(text: str, source: str = "<document>") -> Document:
+def parse(text: str, source: str = "<document>") -> Model:
     """Parse a document into a Model; ParseError/SemanticError carry positions."""
     return _Parser(tokenize(text), source).parse_document()
 

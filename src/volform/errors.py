@@ -61,24 +61,19 @@ class GroupError(VolformError):
     """A matrix group presentation is invalid (singular element, unstable span, ...)."""
 
 
-class ParseError(VolformError):
-    """Lexical or syntactic error in a DSL document."""
-
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
-        self.message = message
-        self.line = line
-        self.col = col
-
-
-class SemanticError(VolformError):
-    """A well-formed DSL construct that refers to unknown or ill-typed objects."""
+class _PositionedError(VolformError):
+    """An error whose message is prefixed with ``line:col`` when it has a position."""
 
     def __init__(self, message: str, line: int = 0, col: int = 0):
-        if line:
-            super().__init__(f"{line}:{col}: {message}")
-        else:
-            super().__init__(message)
+        super().__init__(f"{line}:{col}: {message}" if line else message)
         self.message = message
         self.line = line
         self.col = col
+
+
+class ParseError(_PositionedError):
+    """Lexical or syntactic error in a DSL document."""
+
+
+class SemanticError(_PositionedError):
+    """A well-formed DSL construct that refers to unknown or ill-typed objects."""

@@ -120,10 +120,6 @@ class SpanBuilder:
     def __len__(self) -> int:
         return len(self._rows)
 
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
     def _reduce(self, vec: dict) -> dict[Hashable, int]:
         """A positive multiple of vec minus its projection on the stored rows.
 

@@ -18,11 +18,9 @@ from .calculus import (
     vector_field,
     volume_form,
 )
-from .errors import ChartError, PreconditionError, VolformError
+from .errors import ChartError, PreconditionError
 from .model import CheckDirective, Model
 from .variety import SubstitutionAction, action, chart
-
-Scenario = Model
 
 
 def exactness_field(xi: VectorField, eta: VectorField, f: LaurentPoly) -> VectorField:
@@ -39,7 +37,7 @@ def exactness_field(xi: VectorField, eta: VectorField, f: LaurentPoly) -> Vector
     return xi.apply(f) * eta
 
 
-def torus(n: int) -> Scenario:
+def torus(n: int) -> Model:
     """(C*)^n with the invariant volume form and the coordinate scalings."""
     if n < 1:
         raise ChartError(f"torus dimension must be >= 1, got {n}")
@@ -98,7 +96,7 @@ def torus(n: int) -> Scenario:
     )
 
 
-def sl2() -> Scenario:
+def sl2() -> Model:
     """SL2 as a1*b2 - a2*b1 = 1, with the two triangular shear fields."""
     names = ("a1", "a2", "b1", "b2")
     rel = LaurentPoly.from_dict(names, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1, (0, 0, 0, 0): -1})
@@ -132,7 +130,7 @@ def sl2() -> Scenario:
     )
 
 
-def surface(p: LaurentPoly, q: LaurentPoly) -> Scenario:
+def surface(p: LaurentPoly, q: LaurentPoly) -> Model:
     """The surface p(x) + q(y) + x*y*z = 1 with its three shear fields.
 
     p must be a polynomial in x alone with p(0) = 0, q likewise in y.  The
@@ -201,7 +199,7 @@ def surface(p: LaurentPoly, q: LaurentPoly) -> Scenario:
     )
 
 
-def xm1(m: int) -> Scenario:
+def xm1(m: int) -> Model:
     """The hypersurface x^m*v - y*u = 1, its volume form x^-m dx^dy^du, and
     for m >= 2 the primitive whose exterior derivative recovers it."""
     if m < 1:
@@ -266,7 +264,7 @@ def _add(table: dict, name: str, value) -> str:
     return key
 
 
-def product(s1: Scenario, s2: Scenario) -> Scenario:
+def product(s1: Model, s2: Model) -> Model:
     """Product scenario: concatenated chart, product volume, lifted fields.
 
     Every table (coordinates, fields, forms, polys, actions) keeps the first
@@ -359,11 +357,7 @@ def product(s1: Scenario, s2: Scenario) -> Scenario:
         for _, target, obj, table in sorted(candidates, key=lambda c: c[0]):
             if target in recorded:
                 continue
-            try:
-                invariant = is_invariant(obj, act, both)
-            except VolformError:
-                continue
-            if invariant:
+            if is_invariant(obj, act):
                 table[target] = obj
                 recorded.add(target)
                 checks.append(CheckDirective("invariant", (target, diag)))
@@ -392,7 +386,7 @@ SCENARIO_SUMMARY = (
 )
 
 
-def scenario_by_name(address: str) -> Scenario:
+def scenario_by_name(address: str) -> Model:
     """Resolve a CLI scenario address."""
     from .dsl import parse_polynomial  # local import keeps modules acyclic
 

@@ -191,12 +191,6 @@ class Point:
     def as_dict(self) -> dict[str, Fraction]:
         return dict(self.values)
 
-    def __getitem__(self, name: str) -> Fraction:
-        for key, value in self.values:
-            if key == name:
-                return value
-        raise UnknownVariableError(f"no coordinate {name!r} in point")
-
 
 def sample_point(on: Chart, seed: int) -> Point:
     """Deterministic rational point: random nonzero integer draws for the free

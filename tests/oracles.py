@@ -1,7 +1,7 @@
 """Independent oracles: dense Gaussian elimination over Fraction, sympy
 conversions, dense kernels and semi-compatibility, field invariance through
-a sympy inverse Jacobian, and brute-force form coefficients summed over
-permutations.
+a sympy inverse Jacobian, wedge spans evaluated in sympy, and brute-force
+form coefficients summed over permutations.
 Nothing here reuses the package's echelon, kernel or form-key machinery.
 """
 
@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import sympy
 
-from volform import Chart, DiffForm, LaurentPoly, SubstitutionAction, VectorField
+from volform import Chart, DiffForm, LaurentPoly, Point, SubstitutionAction, VectorField
 
 
 def poly_to_sympy(p: LaurentPoly):
@@ -174,6 +174,35 @@ def brute_force_semicompat(a: VectorField, b: VectorField, degree_bound: int):
         if all(contains(dict_product(w, nf)) for nf in normal_forms):
             return "IDEAL_WITNESS", contains
     return "UNKNOWN", contains
+
+
+# ------------------------------------------------------------ wedge spans
+
+
+def wedge_span_by_substitution(
+    pairs: list[tuple[VectorField, VectorField, LaurentPoly]], point: Point
+) -> bool:
+    """Whether the rows w*(a_i*b_j - a_j*b_i), i < j over the free
+    coordinates, have rank n(n-1)/2 at the point.  The witness w and the
+    fields' free components go to sympy, and the point's value replaces
+    every coordinate, solvable ones included, so no normal form is taken."""
+    free = pairs[0][0].chart.free_coordinates
+    n = len(free)
+    values = {sympy.Symbol(c): sympy.Rational(v.numerator, v.denominator)
+              for c, v in point.as_dict().items()}
+
+    def at(p: LaurentPoly) -> Fraction:
+        value = sympy.Rational(poly_to_sympy(p).subs(values))
+        return Fraction(int(value.p), int(value.q))
+
+    rows = []
+    for a, b, witness in pairs:
+        w = at(witness)
+        va = [at(a.coefficient(c)) for c in free]
+        vb = [at(b.coefficient(c)) for c in free]
+        rows.append([w * (va[i] * vb[j] - va[j] * vb[i])
+                     for i, j in itertools.combinations(range(n), 2)])
+    return dense_rank(rows) == n * (n - 1) // 2
 
 
 # ------------------------------------------------------------- invariance

@@ -53,7 +53,7 @@ def test_canonical_order_is_graded_lex():
     assert [e for e, _ in p.terms] == [(1, 1), (1, 0), (0, 1), (0, 0)]
 
 
-@pytest.mark.parametrize("n, products", [(0, 0), (1, 1), (2, 2), (5, 4), (8, 4)])
+@pytest.mark.parametrize("n, products", [(0, 0), (1, 0), (2, 1), (5, 3), (8, 3)])
 def test_power_squares_only_while_bits_remain(n, products, monkeypatch):
     x, y = gens(*XY)
     p = 1 + x + y

@@ -56,6 +56,7 @@ from oracles import (
     dense_rref,
     dict_product,
     row_space_contains,
+    wedge_span_by_substitution,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -437,8 +438,40 @@ def test_wedge_span_on_surface_at_generic_point():
     one = LaurentPoly.one(on.coordinates)
     point = sample_point(on, 0)
     # generic: the single pair wedge is x*y*(p' + y*z), nonzero unless y = 1
-    assert point["y"] != 1
+    assert point.as_dict()["y"] != 1
     assert spans_wedge_square([(fields["dz"], fields["dy"], one)], point)
+
+
+def _wedge_cases():
+    for n in (2, 3, 4):
+        model = scenario_by_name(f"torus:{n}")
+        (check,) = [c for c in model.checks if c.kind == "wedge_span"]
+        triples = [tuple(map(model.lookup, triple)) for triple in check.args[0]]
+        yield f"torus:{n}", model.chart, triples
+    for address in ("surface:p=x,q=y", "surface:p=2*x+x**3,q=y**2+y"):
+        model = scenario_by_name(address)
+        on, f = model.chart, model.fields
+        one = LaurentPoly.one(on.coordinates)
+        pairs = (("dz", "dy"), ("dz", "dx"), ("dy", "dx"))
+        for witness in (on.generator("z"), one):
+            for a, b in pairs:
+                yield f"{address} ({a}, {b}, {witness})", on, [(f[a], f[b], witness)]
+            yield f"{address} all pairs, {witness}", on, [(f[a], f[b], witness) for a, b in pairs]
+        yield f"{address} (dz, dz, 1)", on, [(f["dz"], f["dz"], one)]
+        yield f"{address} zero", on, [(f["dz"], f["dy"], LaurentPoly.zero(on.coordinates))]
+
+
+def test_wedge_span_agrees_with_substitution_oracle():
+    # the oracle evaluates the witness z, a solvable coordinate, without
+    # taking its normal form; spans_wedge_square must agree at every point
+    outcomes = set()
+    for label, on, triples in _wedge_cases():
+        for seed in range(10):
+            point = sample_point(on, seed)
+            got = spans_wedge_square(triples, point)
+            assert got == wedge_span_by_substitution(triples, point), (label, seed)
+            outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------- flow Jacobian

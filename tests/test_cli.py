@@ -285,6 +285,16 @@ def test_every_public_name_resolves():
     assert [name for name in volform.__all__ if not hasattr(volform, name)] == []
 
 
+def test_no_public_object_has_two_names():
+    # a second name for one class or function is a concept defined twice
+    import volform
+
+    names: dict[int, list[str]] = {}
+    for name in volform.__all__:
+        names.setdefault(id(getattr(volform, name)), []).append(name)
+    assert [group for group in names.values() if len(group) > 1] == []
+
+
 # Public names that no package code uses, each with the reason it stays.
 UNUSED_BY_DESIGN = {
     "format_document": "the DSL printer, inverse of parse; round-trip tests pin it",

@@ -165,7 +165,7 @@ def test_point_validation():
     with pytest.raises(PointError):
         on.point({"x": 0, "y": 1, "z": 0})
     good = on.point({"x": 2, "y": 3, "z": Fraction(-2, 3)})
-    assert good["z"] == Fraction(-2, 3)
+    assert good.as_dict()["z"] == Fraction(-2, 3)
 
 
 def test_action_order_validation():
