@@ -19,6 +19,7 @@ from .errors import (
     EvaluationError,
     NotAUnitError,
     ResourceLimitError,
+    ScalarError,
     UnknownVariableError,
     VariableMismatchError,
 )
@@ -59,6 +60,15 @@ def scalar_text(c: Fraction) -> str:
         raise ResourceLimitError(f"a coefficient of {bits} bits is too long to print") from None
 
 
+def exact_scalar(value: object, what: str, key: object) -> Scalar:
+    """``value`` itself when it is an int or a Fraction; otherwise ScalarError
+    naming ``what`` and ``key``.  ``Fraction`` would take a float or a string
+    as an exact rational, so nothing else reaches it."""
+    if isinstance(value, (int, Fraction)):
+        return value
+    raise ScalarError(f"{what} {key!r} is {value!r}, not an int or a Fraction")
+
+
 def _integral(terms: Collection[tuple]) -> tuple[int, list[tuple]]:
     """The lcm of the denominators of (key, Fraction) pairs, and the pairs times it."""
     den = math.lcm(*(c.denominator for _, c in terms))
@@ -95,7 +105,8 @@ class LaurentPoly:
                 raise VariableMismatchError(
                     f"exponent vector {exps} has length {len(exps)}, expected {nvars}"
                 )
-            checked[tuple(int(e) for e in exps)] = Fraction(coeff)
+            checked[tuple(int(e) for e in exps)] = Fraction(
+                exact_scalar(coeff, "coefficient at exponents", exps))
         return LaurentPoly._from_terms(vs, checked)
 
     @staticmethod
@@ -113,7 +124,7 @@ class LaurentPoly:
     @staticmethod
     def constant(variables: Iterable[str], value: Scalar) -> "LaurentPoly":
         vs = tuple(variables)
-        c = Fraction(value)
+        c = Fraction(exact_scalar(value, "constant over", vs))
         if c == 0:
             return LaurentPoly(vs, ())
         return LaurentPoly(vs, (((0,) * len(vs), c),))
@@ -324,30 +335,49 @@ class LaurentPoly:
         return LaurentPoly._from_terms(self.variables, result)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
-        """Exact value at a rational point; zero assigned to a negatively
-        occurring variable is an error."""
-        values: dict[int, Fraction] = {}
+        """Exact value at a rational point, in integers.
+
+        Each value's numerator and denominator are read once.  A term is an
+        integer numerator over an integer denominator (a negative exponent
+        swaps the value's two parts); the terms are summed over the lcm of
+        their denominators and one ``Fraction`` is built at the end.  A value
+        that is not an int or a Fraction is a ScalarError, zero assigned to a
+        negatively occurring variable an EvaluationError, and a name that is
+        not a variable, or a used variable with no value, an
+        UnknownVariableError.
+        """
+        parts: list[tuple[int, int] | None] = [None] * len(self.variables)
         for name, value in point.items():
-            values[self._index(name)] = Fraction(value)
-        total = Fraction(0)
+            idx = self._index(name)
+            value = exact_scalar(value, "value of variable", name)
+            parts[idx] = (value.numerator, value.denominator)
+        total, den = 0, 1
         for exps, coeff in self.terms:
-            term = coeff
+            n, d = coeff.numerator, coeff.denominator
             for idx, e in enumerate(exps):
                 if e == 0:
                     continue
-                if idx not in values:
+                part = parts[idx]
+                if part is None:
                     raise UnknownVariableError(
                         f"no value assigned to variable {self.variables[idx]!r}"
                     )
-                v = values[idx]
-                if v == 0 and e < 0:
+                vn, vd = part
+                if e > 0:
+                    n *= vn ** e
+                    d *= vd ** e
+                elif vn:
+                    n *= vd ** -e
+                    d *= vn ** -e
+                else:
                     raise EvaluationError(
                         f"zero assigned to {self.variables[idx]!r}, which occurs "
                         f"with negative exponent {e}"
                     )
-                term *= v ** e
-            total += term
-        return total
+            g = math.gcd(den, d)
+            total = total * (d // g) + n * (den // g)
+            den = den // g * d
+        return Fraction(total, den)
 
     # ------------------------------------------------------- variable surgery
 

@@ -273,37 +273,48 @@ WedgePair = tuple[VectorField, VectorField, LaurentPoly]
 
 
 def spans_wedge_square(pairs: Sequence[WedgePair], point: Point) -> bool:
-    """Strong pointwise test: do the witness-scaled wedges of the pairs span
-    the full wedge square of the tangent space at the point?"""
+    """Strong pointwise test: do the wedges a(p) ^ b(p) of the pairs span the
+    full wedge square of the tangent space at the point?  The witness gates
+    the pair; a nonzero value only rescales its row, which leaves the span
+    as it is, so the rows are integer wedges of integer-scaled values."""
     if not pairs:
         raise PreconditionError("no field pairs supplied")
     on = pairs[0][0].chart
     if point.chart != on:
         raise PointError("point does not belong to the fields' chart")
-    free = on.free_coordinates
-    n = len(free)
+    for a, b, witness in pairs:
+        if a.chart != on or b.chart != on:
+            raise ChartError("pair fields live on different charts")
+        on.validate_poly(witness)
+    n = on.dimension
     target = n * (n - 1) // 2
     if target == 0:
         return True
     values = point.as_dict()
     span = SpanBuilder(key_order=lambda k: k)
     for a, b, witness in pairs:
-        if a.chart != on or b.chart != on:
-            raise ChartError("pair fields live on different charts")
         # a point of the chart satisfies every relation, so w(p) = nf(w)(p)
-        scale = on.validate_poly(witness).evaluate(values)
-        va = [a.coefficient(c).evaluate(values) for c in free]
-        vb = [b.coefficient(c).evaluate(values) for c in free]
+        if not witness.evaluate(values):
+            continue
+        va, vb = _integer_values(a, values), _integer_values(b, values)
         vec = {}
         for i, j in itertools.combinations(range(n), 2):
-            entry = scale * (va[i] * vb[j] - va[j] * vb[i])
+            entry = va[i] * vb[j] - va[j] * vb[i]
             if entry:
                 vec[(i, j)] = entry
         if vec:
             span.insert(vec)
-        if len(span) == target:
-            return True
+            if len(span) == target:
+                return True
     return False
+
+
+def _integer_values(field: VectorField, values: dict[str, Fraction]) -> list[int]:
+    """The field's free components at the point, all times the lcm of their
+    denominators; a zero component is not evaluated."""
+    vals = [0 if p.is_zero else p.evaluate(values) for p in field.free_components().values()]
+    den = math.lcm(*(v.denominator for v in vals))
+    return [v.numerator * (den // v.denominator) for v in vals]
 
 
 # -------------------------------------------------------- flow Jacobians

@@ -21,6 +21,10 @@ class EvaluationError(VolformError):
     """A point assignment is unusable, e.g. zero raised to a negative power."""
 
 
+class ScalarError(VolformError):
+    """A scalar is not exact: only ``int`` and ``Fraction`` values are accepted."""
+
+
 class ChartError(VolformError):
     """A chart presentation violates the triangular degree-1 restrictions."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .algebra import LaurentPoly, Scalar
+from .algebra import LaurentPoly, Scalar, exact_scalar
 from .errors import (
     ActionError,
     ChartError,
@@ -91,7 +91,7 @@ class Chart:
         for name in self.coordinates:
             if name not in values:
                 raise PointError(f"missing value for coordinate {name!r}")
-            vals[name] = Fraction(values[name])
+            vals[name] = Fraction(exact_scalar(values[name], "value of coordinate", name))
         extra = set(values) - set(self.coordinates)
         if extra:
             raise PointError(f"unknown coordinates in point: {sorted(extra)}")

@@ -11,6 +11,7 @@ from volform.errors import (
     EvaluationError,
     NotAUnitError,
     ResourceLimitError,
+    ScalarError,
     UnknownVariableError,
     VariableMismatchError,
 )
@@ -128,14 +129,36 @@ def test_evaluate_examples():
 
 def test_evaluate_zero_at_negative_power():
     x, _ = gens(*XY)
-    with pytest.raises(EvaluationError):
+    with pytest.raises(EvaluationError, match=r"^zero assigned to 'x', which occurs with negative exponent -1$"):
         (x ** -1).evaluate({"x": 0, "y": 3})
 
 
 def test_evaluate_missing_assignment():
     x, y = gens(*XY)
-    with pytest.raises(UnknownVariableError):
+    with pytest.raises(UnknownVariableError, match=r"^no value assigned to variable 'y'$"):
         (x * y).evaluate({"x": 1})
+    assert x.evaluate({"x": 1}) == 1  # an unused variable needs no value
+
+
+@pytest.mark.parametrize("p", [gens(*XY)[0], LaurentPoly.zero(XY)], ids=["x", "zero"])
+def test_evaluate_unknown_point_name(p):
+    # the point is read even when no term uses it
+    with pytest.raises(UnknownVariableError, match=r"^unknown variable 'w'$"):
+        p.evaluate({"x": 1, "w": 2})
+
+
+def test_inexact_scalars_are_rejected():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    p = LaurentPoly.from_dict(XY, {(1, 0): 1, (0, -1): 2})
+    with pytest.raises(ScalarError, match=r"^value of variable 'x' is 0\.1, not an int or a Fraction$"):
+        p.evaluate({"x": 0.1, "y": 1})
+    with pytest.raises(ScalarError, match=r"^value of variable 'y' is '1/2', "):
+        p.evaluate({"x": 1, "y": "1/2"})
+    with pytest.raises(ScalarError, match=r"^coefficient at exponents \(1,\) is 0\.1, "):
+        LaurentPoly.from_dict(("x",), {(1,): 0.1})
+    with pytest.raises(ScalarError, match=r"^constant over \('x', 'y'\) is 0\.5, "):
+        LaurentPoly.constant(XY, 0.5)
+    assert p.evaluate({"x": Fraction(1, 10), "y": 1}) == Fraction(21, 10)
 
 
 def test_variable_list_mismatch():
@@ -272,6 +295,37 @@ def test_products_of_wide_operands_match_sympy_in_canonical_form():
     assert_canonical(a * 7)
     assert zero * a == a * zero == zero
     assert five * z * a == a * (z * five)
+
+
+POINT_VALUES = [0, 1, -1, 3, -7, Fraction(5), Fraction(-3, 4), Fraction(22, 7),
+                Fraction(-1, 10 ** 9), Fraction(999999937, 12)]
+
+
+def test_evaluate_matches_sympy_substitution():
+    # mixed denominators; zero values only where no exponent is negative, which
+    # multiplying by z**3 guarantees for z
+    rng = random.Random(2025)
+    symbols = sympy.symbols(XYZ)
+    z = LaurentPoly.variable(XYZ, "z")
+    zeros = 0
+    for k in range(80):
+        p = wide_poly(rng, rng.randint(0, 8))
+        if k % 2:
+            p = p * z ** 3
+        point = {}
+        for name in XYZ:
+            value = rng.choice(POINT_VALUES)
+            while value == 0 and p.min_degree_in(name) < 0:
+                value = rng.choice(POINT_VALUES)
+            point[name] = value
+        zeros += 0 in point.values()
+        got = p.evaluate(point)
+        expected = poly_to_sympy(p).xreplace(
+            {sym: sympy.Rational(point[name]) for name, sym in zip(XYZ, symbols)}
+        )
+        assert type(got) is Fraction
+        assert sympy.Rational(got.numerator, got.denominator) == expected, (p, point)
+    assert zeros
 
 
 def test_rename_and_extend_variables():

@@ -37,7 +37,7 @@ from volform import (
 )
 from volform import avdp, linalg
 from volform.avdp import _monomial_table
-from volform.errors import DimensionError, PreconditionError
+from volform.errors import ChartError, DimensionError, PreconditionError, VariableMismatchError
 from volform.linalg import SpanBuilder
 from volform.algebra import _grlex_key
 
@@ -424,6 +424,19 @@ def test_wedge_span_rejects_foreign_points():
         spans_wedge_square([(nu1, nu2, one)], sample_point(other, 0))
 
 
+def test_wedge_span_checks_every_triple_on_a_one_dimensional_chart():
+    # nothing spans there (the target is 0), but wrong inputs still raise
+    a, b = chart(["x"], ["x"]), chart(["u", "v"])
+    on_a = vector_field(a, {"x": a.generator("x")})
+    on_b = vector_field(b, {"u": b.generator("v")})
+    point = sample_point(a, 0)
+    with pytest.raises(ChartError):
+        spans_wedge_square([(on_a, on_b, LaurentPoly.one(a.coordinates))], point)
+    with pytest.raises(VariableMismatchError):
+        spans_wedge_square([(on_a, on_a, LaurentPoly.one(b.coordinates))], point)
+    assert spans_wedge_square([(on_a, on_a, LaurentPoly.one(a.coordinates))], point)
+
+
 def test_wedge_span_fails_with_zero_witnesses():
     on = torus_chart(2)
     zero = LaurentPoly.zero(on.coordinates)
@@ -442,12 +455,20 @@ def test_wedge_span_on_surface_at_generic_point():
     assert spans_wedge_square([(fields["dz"], fields["dy"], one)], point)
 
 
+def _torus_wedge_triples(n):
+    model = scenario_by_name(f"torus:{n}")
+    (check,) = [c for c in model.checks if c.kind == "wedge_span"]
+    return model.chart, [tuple(map(model.lookup, triple)) for triple in check.args[0]]
+
+
 def _wedge_cases():
-    for n in (2, 3, 4):
-        model = scenario_by_name(f"torus:{n}")
-        (check,) = [c for c in model.checks if c.kind == "wedge_span"]
-        triples = [tuple(map(model.lookup, triple)) for triple in check.args[0]]
-        yield f"torus:{n}", model.chart, triples
+    for n in (2, 3, 4, 5):
+        on, triples = _torus_wedge_triples(n)
+        yield f"torus:{n}", on, triples
+        # z1 + z2 vanishes at the seed-6 point (-7, 7, ...) and nowhere else in 0-9
+        (a, b, _), *rest = triples
+        gate = on.generator("z1") + on.generator("z2")
+        yield f"torus:{n}, z1 + z2 gates the first pair", on, [(a, b, gate), *rest]
     for address in ("surface:p=x,q=y", "surface:p=2*x+x**3,q=y**2+y"):
         model = scenario_by_name(address)
         on, f = model.chart, model.fields
@@ -459,19 +480,40 @@ def _wedge_cases():
             yield f"{address} all pairs, {witness}", on, [(f[a], f[b], witness) for a, b in pairs]
         yield f"{address} (dz, dz, 1)", on, [(f["dz"], f["dz"], one)]
         yield f"{address} zero", on, [(f["dz"], f["dy"], LaurentPoly.zero(on.coordinates))]
+        # fractional coefficients, so the values are scaled to integers
+        third, mix = Fraction(1, 3) * f["dz"], Fraction(-5, 2) * f["dy"] + Fraction(2, 7) * f["dx"]
+        witness = Fraction(3, 4) * on.generator("z") - Fraction(1, 6)
+        yield f"{address} fractional", on, [(third, mix, witness)]
 
 
 def test_wedge_span_agrees_with_substitution_oracle():
     # the oracle evaluates the witness z, a solvable coordinate, without
     # taking its normal form; spans_wedge_square must agree at every point
     outcomes = set()
+    witness_zero = {}  # (label, triple index) -> whether the witness vanished, per seed
     for label, on, triples in _wedge_cases():
         for seed in range(10):
             point = sample_point(on, seed)
             got = spans_wedge_square(triples, point)
             assert got == wedge_span_by_substitution(triples, point), (label, seed)
             outcomes.add(got)
+            for k, (_, _, witness) in enumerate(triples):
+                vanished = witness.evaluate(point.as_dict()) == 0
+                witness_zero.setdefault((label, k), set()).add(vanished)
     assert outcomes == {True, False}
+    for n in (2, 3, 4, 5):
+        assert witness_zero[(f"torus:{n}, z1 + z2 gates the first pair", 0)] == {True, False}
+
+
+def test_wedge_span_evaluates_only_gates_and_nonzero_components(monkeypatch):
+    # torus:5: 10 pairs, each a witness and one nonzero free component per field
+    on, triples = _torus_wedge_triples(5)
+    calls = []
+    evaluate = LaurentPoly.evaluate
+    monkeypatch.setattr(LaurentPoly, "evaluate", lambda p, point: calls.append(p) or evaluate(p, point))
+    assert spans_wedge_square(triples, sample_point(on, 0))
+    assert len(calls) <= 30
+    assert not any(p.is_zero for p in calls)
 
 
 # ---------------------------------------------------------- flow Jacobian

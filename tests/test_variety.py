@@ -11,6 +11,7 @@ from volform.errors import (
     ActionError,
     ChartError,
     PointError,
+    ScalarError,
 )
 
 from helpers import (
@@ -164,6 +165,8 @@ def test_point_validation():
         on.point({"x": 1, "y": 1, "z": 17})
     with pytest.raises(PointError):
         on.point({"x": 0, "y": 1, "z": 0})
+    with pytest.raises(ScalarError, match=r"^value of coordinate 'x' is 2\.0, not an int or a Fraction$"):
+        on.point({"x": 2.0, "y": 3, "z": Fraction(-2, 3)})
     good = on.point({"x": 2, "y": 3, "z": Fraction(-2, 3)})
     assert good.as_dict()["z"] == Fraction(-2, 3)
 
