@@ -3,6 +3,8 @@ must reproduce tests/data/golden/ byte for byte, with the same exit code.
 Product scenarios are also pinned structurally: their document text, each
 action's key and name, and their check labels (tests/data/golden/products.json).
 Every scenario's printed document parses back to it and runs the same checks.
+The printed kernel bases and semicompat verdicts of the benchmark's kernel
+and certify cases are pinned too (tests/data/golden/searches.json).
 
 The reports were recorded once and are the reference for refactors that must
 not change behaviour.  When a report change is intended, rewrite them and the
@@ -21,7 +23,8 @@ from pathlib import Path
 
 import pytest
 
-from volform import execute, format_document, parse, scenario_by_name
+from volform import execute, format_document, kernel_basis, parse, scenario_by_name
+from volform import semicompat_bounded
 from volform.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,6 +73,33 @@ ROUND_TRIPS = tuple(dict.fromkeys(SCENARIOS + PRODUCTS + (
     "product:torus:1|torus:1|torus:1",
     "product:surface:p=x,q=y|torus:1|torus:1",
 )))
+
+# (address, a, b, bound): the kernel of a and semicompat(a, b) at the bound.
+# The first surface of each class of the benchmark's kernels workload at seed
+# 1, its field paired with the next of dz, dy, dx; then every certify class,
+# both field orders
+SEARCHES = (
+    ("surface:p=-3*x,q=-3*y", "dz", "dy", 4),
+    ("surface:p=3*x,q=-2*y-3*y**2", "dy", "dx", 5),
+    ("surface:p=2*x,q=-2*y", "dx", "dz", 6),
+    ("surface:p=-1*x-2*x**2,q=3*y", "dz", "dy", 5),
+    ("surface:p=-1*x+2*x**2+3*x**3,q=-1*y-2*y**2-1*y**3", "dy", "dx", 4),
+    ("surface:p=-2*x+2*x**2,q=2*y+3*y**2+2*y**3", "dx", "dz", 4),
+    ("surface:p=1*x-3*x**2,q=1*y+3*y**2", "dz", "dy", 6),
+    ("surface:p=-1*x-1*x**2,q=1*y", "dy", "dx", 6),
+    ("surface:p=2*x-3*x**2-2*x**3,q=-1*y-1*y**2", "dx", "dz", 5),
+) + tuple(
+    (address, *pair, bound)
+    for address, fields, bounds in (
+        ("sl2", ("xi", "eta"), (3, 4)),
+        ("xm1:1", ("nu_y", "nu_u"), (2, 3, 4)),
+        ("xm1:2", ("nu_y", "nu_u"), (2, 3, 4)),
+        ("xm1:3", ("nu_y", "nu_u"), (2, 3, 4)),
+    )
+    for bound in bounds
+    for pair in (fields, fields[::-1])
+)
+SEARCH_SNAPSHOT = GOLDEN / "searches.json"
 
 
 def golden_path(target: str) -> Path:
@@ -121,6 +151,26 @@ def test_printed_scenario_parses_back(address):
         (r.name, r.status, r.detail) for r in execute(s)]
 
 
+def search_record(address: str, a: str, b: str, bound: int) -> dict:
+    fields = scenario_by_name(address).fields
+    verdict = semicompat_bounded(fields[a], fields[b], bound)
+    return {
+        "kernel": [str(row) for row in kernel_basis(fields[a], bound)],
+        "status": verdict.status,
+        "witness": None if verdict.witness is None else str(verdict.witness),
+    }
+
+
+def search_key(search: tuple) -> str:
+    return " ".join(map(str, search))
+
+
+@pytest.mark.parametrize("search", SEARCHES, ids=search_key)
+def test_search_matches_snapshot(search):
+    recorded = json.loads(SEARCH_SNAPSHOT.read_text(encoding="utf-8"))
+    assert search_record(*search) == recorded[search_key(search)]
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
     codes = {}
@@ -130,3 +180,5 @@ if __name__ == "__main__":
     EXIT_CODES.write_text(json.dumps(codes, indent=2) + "\n", encoding="utf-8")
     snapshot = {address: product_snapshot(address) for address in PRODUCTS}
     PRODUCT_SNAPSHOT.write_text(json.dumps(snapshot, indent=1) + "\n", encoding="utf-8")
+    searches = {search_key(s): search_record(*s) for s in SEARCHES}
+    SEARCH_SNAPSHOT.write_text(json.dumps(searches, indent=1) + "\n", encoding="utf-8")
