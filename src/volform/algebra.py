@@ -40,17 +40,6 @@ def _term_key(term: tuple[Exponents, Fraction]) -> tuple[int, Exponents]:
     return (sum(exps), exps)
 
 
-def _convolve(*products: tuple[Iterable[tuple], Collection[tuple]]) -> dict[Exponents, int]:
-    """Sum of the products of pairs of (exponents, int) term lists, zeros dropped."""
-    out: dict[Exponents, int] = {}
-    for a, b in products:
-        for e1, n1 in a:
-            for e2, n2 in b:
-                e = tuple(map(add, e1, e2))
-                out[e] = out.get(e, 0) + n1 * n2
-    return {e: n for e, n in out.items() if n}
-
-
 def scalar_text(c: Fraction) -> str:
     """``str(c)``, or ResourceLimitError past Python's int-to-string digit limit."""
     try:
@@ -82,12 +71,13 @@ class LaurentPoly:
     ``terms`` is stored already canonicalized: graded-lex descending, no zero
     coefficients.  Use :meth:`from_dict` or the arithmetic operators rather
     than the raw constructor.  :meth:`from_dict` is the validating path: it
-    checks each exponent vector's length and converts every coefficient and
-    exponent.  :meth:`_from_terms` is internal, for arithmetic results only,
-    whose terms are already ``Fraction`` coefficients on int tuples.  A product
-    convolves the operands' integer numerators over the lcm of their
-    denominators and builds one ``Fraction`` per output term; a single-term
-    operand only shifts the other's exponents, which keeps their order.
+    checks that each exponent vector has the right length and only ``int``
+    entries, and converts every coefficient.  :meth:`_from_terms` is internal,
+    for arithmetic results only, whose terms are already ``Fraction``
+    coefficients on int tuples.  A product convolves the operands' integer
+    numerators over the lcm of their denominators and builds one ``Fraction``
+    per output term; a single-term operand only shifts the other's exponents,
+    which keeps their order.
     """
 
     variables: tuple[str, ...]
@@ -105,8 +95,9 @@ class LaurentPoly:
                 raise VariableMismatchError(
                     f"exponent vector {exps} has length {len(exps)}, expected {nvars}"
                 )
-            checked[tuple(int(e) for e in exps)] = Fraction(
-                exact_scalar(coeff, "coefficient at exponents", exps))
+            if not all(type(e) is int for e in exps):
+                raise ScalarError(f"exponent vector {exps!r} has an exponent that is not an int")
+            checked[tuple(exps)] = Fraction(exact_scalar(coeff, "coefficient at exponents", exps))
         return LaurentPoly._from_terms(vs, checked)
 
     @staticmethod
@@ -252,8 +243,13 @@ class LaurentPoly:
             return LaurentPoly(self.variables, tuple([(tuple(map(add, e1, e2)), c) for e2, c in b]))
         (d1, a), (d2, b) = _integral(a), _integral(b)
         den = d1 * d2
+        out: dict[Exponents, int] = {}
+        for e1, n1 in a:
+            for e2, n2 in b:
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + n1 * n2
         return LaurentPoly._from_terms(self.variables, {
-            e: Fraction(n, den) if den != 1 else Fraction(n) for e, n in _convolve((a, b)).items()
+            e: Fraction(n, den) if den != 1 else Fraction(n) for e, n in out.items() if n
         })
 
     __rmul__ = __mul__

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .algebra import Exponents, LaurentPoly, _convolve, _grlex_key
+from .algebra import Exponents, LaurentPoly
 from .calculus import (
     DiffForm,
     VectorField,
@@ -41,12 +41,12 @@ UNKNOWN = "UNKNOWN"
 # Largest monomial basis a kernel or semicompat search may enumerate: it
 # admits bound 10 on a surface (286 monomials).  The slowest admitted cases
 # measured, semicompat(dz, dx, 10) and semicompat(dx, dz, 10) on
-# p = x + x^3, q = 2y + y^3, take 0.45-0.6 s each (CPython 3.11.7, shared
-# 2-core host); under cProfile over a third is the witness search, a quarter
-# the product span, a fifth the elimination behind the two kernels and a
-# sixth the monomial table.
+# p = x + x^3, q = 2y + y^3, take 0.21-0.31 s each (best of 3, CPython
+# 3.11.7, shared 2-core host); under cProfile a third is the witness search,
+# under a third the product span, a quarter the two kernels and an eighth
+# the monomial table.
 MAX_MONOMIALS = 300
-IntTerms = dict[Exponents, int]  # an integer multiple of a polynomial's terms
+IntTerms = dict[int, int]  # an integer multiple of a polynomial's terms, by exponent code
 
 
 # ------------------------------------------------------------ identities
@@ -115,11 +115,9 @@ def monomials_up_to(on: Chart, degree_bound: int) -> list[LaurentPoly]:
             f"{count} monomials of degree <= {degree_bound} in {n} coordinates "
             f"exceed the budget of {MAX_MONOMIALS}"
         )
-    out: list[LaurentPoly] = []
-    for total in range(degree_bound + 1):
-        for exps in _compositions(total, n):
-            out.append(LaurentPoly.monomial(on.coordinates, exps))
-    return out
+    one = Fraction(1)
+    return [LaurentPoly(on.coordinates, ((exps, one),))
+            for total in range(degree_bound + 1) for exps in _compositions(total, n)]
 
 
 def _compositions(total: int, parts: int) -> Iterable[Exponents]:
@@ -131,60 +129,96 @@ def _compositions(total: int, parts: int) -> Iterable[Exponents]:
             yield (head,) + rest
 
 
+class _Packing:
+    """Exponent vectors over n coordinates as integers.  The code of e has
+    the digits (sum(e), e_1, ..., e_n), most significant first, each plus
+    O = 2**(width-1) in a field of ``width`` bits.  While every digit lies
+    within +-(O-1), integer order of codes is ``algebra._grlex_key`` order,
+    and code(e1 + e2) = code(e1) + code(e2) - base, where ``base``, the code
+    of 0, holds O in every digit."""
+
+    def __init__(self, n: int, width: int):
+        self.width, self.offset = width, 1 << (width - 1)
+        self.shifts = range(width * n, -1, -width)  # one per digit, most significant first
+        self.base = self.pack((0,) * n)
+
+    def pack(self, exps: Exponents) -> int:
+        return sum((digit + self.offset) << shift
+                   for digit, shift in zip((sum(exps), *exps), self.shifts))
+
+    def unpack(self, code: int) -> Exponents:
+        mask = (1 << self.width) - 1
+        return tuple((code >> shift & mask) - self.offset for shift in self.shifts[1:])
+
+
+def _convolve(*products: tuple[Iterable[tuple], Iterable[tuple]]) -> IntTerms:
+    """Sum of the products of (code, int) term pairs, the second shifted by -base."""
+    out: IntTerms = {}
+    for a, b in products:
+        for e1, n1 in a:
+            for e2, n2 in b:
+                e = e1 + e2
+                out[e] = out.get(e, 0) + n1 * n2
+    return {e: n for e, n in out.items() if n}
+
+
 def _monomial_table(
     on: Chart, degree_bound: int, fields: Sequence[VectorField] = ()
-) -> tuple[list[IntTerms], list[list[IntTerms]]]:
+) -> tuple[list[IntTerms], list[list[IntTerms]], _Packing]:
     """Normal forms of the monomials m_j of degree <= bound, in the order of
     :func:`monomials_up_to`, and their images under each field, as integer
     term dicts s_j*nf(m_j) and s_j*xi(m_j) for one integer s_j > 0 per j;
-    no nullspace or span read from the table depends on the s_j.
+    no nullspace or span read from the table depends on the s_j.  Terms are
+    keyed by the codes of the returned packing.
 
     Generator x_i's normal form and images are scaled by t_i, the lcm of
     their denominators.  Each m*x_i comes from the earlier entry m:
     nf(m*x_i) = nf(m)*nf(x_i) and, by Leibniz, xi(m*x_i) = xi(m)*nf(x_i) +
     nf(m)*xi(x_i), so s_{m*x_i} = s_m*t_i.  Products of normal forms (free
     coordinates only) are normal forms.
+
+    Width: let top >= 1 bound every |exponent| of the generators' normal
+    forms and images.  An entry sums products of at most d = bound of those,
+    so its exponents are within d*top, those of a product of three entries
+    (a semicompat witness test) within 3*d*top, and its degree digit within
+    n*3*d*top; (3*n*max(d, 1)*top).bit_length() + 2 bits hold all of them.
     """
     monomials = monomials_up_to(on, degree_bound)
+    generators = [[on.normal_form(g), *(xi.apply(g) for xi in fields)] for g in on.generators()]
+    n = len(generators)
+    top = max([1] + [abs(e) for ps in generators for p in ps for exps, _ in p.terms for e in exps])
+    packing = _Packing(n, (3 * n * max(degree_bound, 1) * top).bit_length() + 2)
+    base = packing.base
     scaled = []  # per generator: its normal form, then its image under each field
-    for g in on.generators():
-        polys = [on.normal_form(g), *(xi.apply(g) for xi in fields)]
+    for polys in generators:
         den = math.lcm(*(c.denominator for p in polys for _, c in p.terms))
-        scaled.append([[(e, c.numerator * (den // c.denominator)) for e, c in p.terms]
-                       for p in polys])
+        scaled.append([[(packing.pack(e) - base, c.numerator * (den // c.denominator))
+                        for e, c in p.terms] for p in polys])
     # extend along the coordinate whose normal form has the fewest terms
     order = sorted(range(len(scaled)), key=lambda i: len(scaled[i][0]))
-    position: dict[Exponents, int] = {}
-    forms: list[IntTerms] = []
-    images: list[list[IntTerms]] = [[] for _ in fields]
-    for j, m in enumerate(monomials):
+    position: dict[Exponents, int] = {(0,) * n: 0}
+    forms: list[IntTerms] = [{base: 1}]  # the constant 1 comes first
+    images: list[list[IntTerms]] = [[{}] for _ in fields]
+    for j, m in enumerate(monomials[1:], 1):
         exps = m.terms[0][0]
         position[exps] = j
-        if not any(exps):  # the constant 1
-            forms.append({exps: 1})
-            for column in images:
-                column.append({})
-            continue
         i = next(i for i in order if exps[i])
         k = position[exps[:i] + (exps[i] - 1,) + exps[i + 1:]]
         form, gen_form, gen_images = forms[k].items(), scaled[i][0], scaled[i][1:]
         for column, gen_image in zip(images, gen_images):
             column.append(_convolve((column[k].items(), gen_form), (form, gen_image)))
         forms.append(_convolve((form, gen_form)))
-    return forms, images
-
-
-def _span_builder() -> SpanBuilder:
-    return SpanBuilder(key_order=_grlex_key)
+    return forms, images, packing
 
 
 def kernel_basis(xi: VectorField, degree_bound: int) -> list[LaurentPoly]:
     """Echelonized basis of {f : xi(f) = 0 on the chart} within the span of
     ambient monomials of total degree <= bound, all in normal form."""
     _require_tangent(xi)
-    forms, (images,) = _monomial_table(xi.chart, degree_bound, (xi,))
-    kernel = _kernel_from_table(forms, images)
-    return [LaurentPoly.from_dict(xi.chart.coordinates, row) for row in kernel.basis()]
+    forms, (images,), packing = _monomial_table(xi.chart, degree_bound, (xi,))
+    return [LaurentPoly.from_dict(xi.chart.coordinates,
+                                  {packing.unpack(e): c for e, c in row.items()})
+            for row in _kernel_from_table(forms, images).basis()]
 
 
 def _kernel_from_table(forms: list[IntTerms], images: list[IntTerms]) -> SpanBuilder:
@@ -194,10 +228,10 @@ def _kernel_from_table(forms: list[IntTerms], images: list[IntTerms]) -> SpanBui
     # the kernel of the image map in any elimination order, so eliminate
     # sparsest first to limit fill-in (Markowitz): shortest rows first, and
     # the index with the fewest image entries pivots, lowest index on ties
-    image_rows: dict[Exponents, dict[int, int]] = {}
+    image_rows: dict[int, dict[int, int]] = {}
     for j, w in enumerate(images):
-        for exps, n in w.items():
-            image_rows.setdefault(exps, {})[j] = n
+        for code, n in w.items():
+            image_rows.setdefault(code, {})[j] = n
     column_count = [len(w) for w in images]
     image_span = SpanBuilder(key_order=lambda j: (-column_count[j], -j))
     for row in sorted(image_rows.values(), key=len):
@@ -205,13 +239,13 @@ def _kernel_from_table(forms: list[IntTerms], images: list[IntTerms]) -> SpanBui
 
     # forms[j] and images[j] share one scale, so a cancelling combination of
     # images weighs the forms; the echelon basis ignores row scale
-    basis_span = _span_builder()
+    basis_span = SpanBuilder(key_order=int)
     for combo in image_span.nullspace(range(len(forms))):
         member: IntTerms = {}
         for j, k in combo.items():
-            for exps, n in forms[j].items():
-                member[exps] = member.get(exps, 0) + k * n
-        basis_span.insert({exps: n for exps, n in member.items() if n})
+            for code, n in forms[j].items():
+                member[code] = member.get(code, 0) + k * n
+        basis_span.insert({code: n for code, n in member.items() if n})
     return basis_span
 
 
@@ -239,28 +273,27 @@ def semicompat_bounded(
     _require_tangent(a)
     _require_tangent(b)
     # spans ignore row scale: kernels, products and witnesses are integer rows
-    forms, images = _monomial_table(on, degree_bound, (a, b))
-    kernel_a, kernel_b = (
-        [row.items() for row in _kernel_from_table(forms, column).primitive_rows()]
-        for column in images
-    )
+    forms, images, packing = _monomial_table(on, degree_bound, (a, b))
+    base = packing.base
+    kernel_a, kernel_b = (_kernel_from_table(forms, column).primitive_rows() for column in images)
+    kernel_b = [[(e - base, n) for e, n in g.items()] for g in kernel_b]
 
     # products of normal forms (free coordinates only) are normal forms
-    span = _span_builder()
+    span = SpanBuilder(key_order=int)
     for f in kernel_a:
         for g in kernel_b:
-            span.insert(_convolve((f, g)))
+            span.insert(_convolve((f.items(), g)))
 
     if all(span.contains(m) for m in forms):
         return SemicompatVerdict(FULL_RING, LaurentPoly.one(on.coordinates), degree_bound)
 
     for row in span.primitive_rows():
-        candidate = row.items()
-        if all(span.contains(_convolve((candidate, m.items()))) for m in forms):
+        candidate = [(e - base, n) for e, n in row.items()]
+        if all(span.contains(_convolve((m.items(), candidate))) for m in forms):
             # the echelon row with pivot entry 1, as basis() reads it
-            lead = row[max(row, key=_grlex_key)]
+            lead = row[max(row)]
             witness = LaurentPoly.from_dict(
-                on.coordinates, {e: Fraction(n, lead) for e, n in candidate}
+                on.coordinates, {packing.unpack(e): Fraction(n, lead) for e, n in row.items()}
             )
             return SemicompatVerdict(IDEAL_WITNESS, witness, degree_bound)
 

@@ -161,6 +161,15 @@ def test_inexact_scalars_are_rejected():
     assert p.evaluate({"x": Fraction(1, 10), "y": 1}) == Fraction(21, 10)
 
 
+@pytest.mark.parametrize("exps", [(1.5,), ("2",), (2.0,), (True,), (Fraction(2),)])
+def test_non_int_exponents_are_rejected(exps):
+    # int() would truncate 1.5 to x and read '2' as x**2; ** refuses 2.0 too
+    with pytest.raises(ScalarError, match=r"^exponent vector \(.*\) has an exponent that is not an int$"):
+        LaurentPoly.from_dict(("x",), {exps: 1})
+    with pytest.raises(ScalarError, match=r"^exponent vector \(0, .*\) has "):
+        LaurentPoly.monomial(XY, (0, *exps))
+
+
 def test_variable_list_mismatch():
     x, _ = gens(*XY)
     other = LaurentPoly.variable(("x", "y", "z"), "x")

@@ -36,7 +36,7 @@ from volform import (
     verify_potential,
 )
 from volform import avdp, linalg
-from volform.avdp import _monomial_table
+from volform.avdp import _Packing, _monomial_table
 from volform.errors import ChartError, DimensionError, PreconditionError, VariableMismatchError
 from volform.linalg import SpanBuilder
 from volform.algebra import _grlex_key
@@ -174,18 +174,109 @@ def test_monomial_table_matches_direct_normal_forms_and_images(address):
     for bound in range(4):
         monomials = monomials_up_to(on, bound)
         for table_fields in ([], fields):
-            forms, images = _monomial_table(on, bound, table_fields)
+            forms, images, packing = _monomial_table(on, bound, table_fields)
             assert len(forms) == len(monomials)
             assert len(images) == len(table_fields)
             for j, m in enumerate(monomials):
+                entries = [forms[j]] + [column[j] for column in images]
+                assert all(type(n) is int for entry in entries for n in entry.values())
+                decoded = [{packing.unpack(e): n for e, n in entry.items()} for entry in entries]
                 nf = on.normal_form(m)
                 lead, coeff = nf.terms[0]
-                scale = forms[j][lead] / coeff
+                scale = decoded[0][lead] / coeff
                 assert scale.denominator == 1 and scale > 0
                 expected = [nf] + [field.apply(m) for field in table_fields]
-                for entry, poly in zip([forms[j]] + [column[j] for column in images], expected):
-                    assert all(type(n) is int for n in entry.values())
+                for entry, poly in zip(decoded, expected):
                     assert entry == {e: c * scale for e, c in poly.terms}
+
+
+def packed_cases(n: int, limit: int, rng: random.Random) -> list[tuple]:
+    """Exponent vectors whose every digit, the degree sum included, lies
+    within +-limit: the extremes on one coordinate, cancelling extremes, and
+    seeded random vectors."""
+    cases = [(0,) * n]
+    for i in range(n):
+        for sign in (1, -1):
+            e = [0] * n
+            e[i] = sign * limit
+            cases.append(tuple(e))
+            if n > 1:
+                e[(i + 1) % n] = -sign * limit
+                cases.append(tuple(e))
+    while len(cases) < 60:
+        e = tuple(rng.randint(-limit, limit) for _ in range(n))
+        if abs(sum(e)) <= limit:
+            cases.append(e)
+    return cases
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("width", [2, 5, 9])
+def test_packed_codes_round_trip_order_and_add_at_the_digit_limits(n, width):
+    # digits at +-(O-1), the most a width-bit field offset by O holds; a
+    # field one bit narrower carries into the next digit
+    packing = _Packing(n, width)
+    limit = 2 ** (width - 1) - 1
+    cases = packed_cases(n, limit, random.Random(f"{n}/{width}"))
+    codes = [packing.pack(e) for e in cases]
+    assert [packing.unpack(c) for c in codes] == cases
+    assert packing.base == packing.pack((0,) * n)
+    assert sorted(cases, key=packing.pack) == sorted(cases, key=_grlex_key)
+    for e1, c1 in zip(cases, codes):
+        for e2, c2 in zip(cases, codes):
+            total = tuple(a + b for a, b in zip(e1, e2))
+            if max(map(abs, total + (sum(total),))) <= limit:
+                assert c1 + c2 - packing.base == packing.pack(total)
+
+
+@pytest.mark.parametrize("address", ["xm1:20", "surface:p=x**6-2*x,q=y**2+y", "torus:1"])
+def test_table_packing_holds_the_proven_exponent_bound(address):
+    # every exponent of a product of three table entries is within 3*d*top,
+    # and its degree within n*3*d*top, top bounding the generators' data; on
+    # one coordinate the exponent digit is as wide as the degree digit
+    fields = list(scenario_by_name(address).fields.values())
+    on = fields[0].chart
+    n = len(on.coordinates)
+    polys = [on.normal_form(g) for g in on.generators()]
+    polys += [field.apply(g) for field in fields for g in on.generators()]
+    top = max([1] + [abs(e) for p in polys for exps, _ in p.terms for e in exps])
+    for bound in (0, 1, 3):
+        _, _, packing = _monomial_table(on, bound, fields)
+        limit = 3 * max(bound, 1) * top
+        extremes = [(limit,) * n, (-limit,) * n, (limit,) + (0,) * (n - 1)]
+        for e in extremes:
+            assert packing.unpack(packing.pack(e)) == e
+            half = tuple(x // 2 for x in e)
+            rest = tuple(x - h for x, h in zip(e, half))
+            assert packing.pack(half) + packing.pack(rest) - packing.base == packing.pack(e)
+        assert packing.pack(extremes[1]) < packing.base < packing.pack(extremes[0])
+
+
+@pytest.mark.parametrize("address, a, b", [
+    ("xm1:20", "nu_y", "nu_u"),
+    ("surface:p=x**6-2*x,q=y**2+y", "dz", "dx"),
+])
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_wide_exponents_match_dense_oracles(address, a, b, bound):
+    # xm1:20's normal forms carry x**-20 and the sextic's z carries x**5, so
+    # the packed codes span more than the other oracle tests reach
+    fields = scenario_by_name(address).fields
+    on = fields[a].chart
+    for name in (a, b):
+        basis = kernel_basis(fields[name], bound)
+        dimension, functions, columns = brute_force_kernel(fields[name], on, bound)
+        assert len(basis) == dimension
+        for member in basis:
+            assert set(e for e, _ in member.terms) <= set(columns)
+            vec = [dict(member.terms).get(c, Fraction(0)) for c in columns]
+            assert row_space_contains(functions, vec)
+    verdict = semicompat_bounded(fields[a], fields[b], bound)
+    status, contains = brute_force_semicompat(fields[a], fields[b], bound)
+    assert verdict.status == status
+    if status == IDEAL_WITNESS:
+        witness = dict(verdict.witness.terms)
+        for m in monomials_up_to(on, bound):
+            assert contains(dict_product(witness, dict(on.normal_form(m).terms)))
 
 
 def test_kernel_reduction_work_does_not_grow_with_the_bound(monkeypatch):
