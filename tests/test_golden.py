@@ -4,7 +4,8 @@ Product scenarios are also pinned structurally: their document text, each
 action's key and name, and their check labels (tests/data/golden/products.json).
 Every scenario's printed document parses back to it and runs the same checks.
 The printed kernel bases and semicompat verdicts of the benchmark's kernel
-and certify cases are pinned too (tests/data/golden/searches.json).
+and certify cases, and of larger bounds beyond them, are pinned too
+(tests/data/golden/searches.json).
 
 The reports were recorded once and are the reference for refactors that must
 not change behaviour.  When a report change is intended, rewrite them and the
@@ -98,6 +99,18 @@ SEARCHES = (
     )
     for bound in bounds
     for pair in (fields, fields[::-1])
+) + tuple(
+    # beyond the benchmark's classes: larger bounds, and the largest surface
+    # searches the monomial budget admits
+    (f"xm1:{k}", *pair, bound)
+    for k in (1, 2, 3)
+    for bound in (5, 6)
+    for pair in (("nu_y", "nu_u"), ("nu_u", "nu_y"))
+) + (
+    ("sl2", "xi", "eta", 6),
+    ("surface:p=x**3+x,q=y**3+2*y", "dz", "dx", 10),
+    ("surface:p=x**3+x,q=y**3+2*y", "dx", "dz", 10),
+    ("surface:p=2*x+x**3,q=y**2+y", "dz", "dy", 10),
 )
 SEARCH_SNAPSHOT = GOLDEN / "searches.json"
 
