@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Hashable, Iterable, KeysView, Mapping, Sequence
 
 from .algebra import _integral
 from .errors import GroupError
@@ -162,10 +163,14 @@ class SpanBuilder:
             for pivot, row in self._sorted_rows()
         ]
 
-    def primitive_rows(self) -> list[dict[Hashable, int]]:
-        """The stored primitive integer rows, pivot columns descending: the
-        rows of :meth:`basis` each times its pivot entry."""
-        return [dict(row) for _, row in self._sorted_rows()]
+    @property
+    def pivots(self) -> KeysView[Hashable]:  # a read-only view
+        return self._rows.keys()
+
+    def primitive_rows(self) -> list[Mapping[Hashable, int]]:
+        """Read-only views of the stored primitive integer rows, pivot columns
+        descending: the rows of :meth:`basis` each times its pivot entry."""
+        return [MappingProxyType(row) for _, row in self._sorted_rows()]
 
     def nullspace(self, keys: Iterable[Hashable]) -> list[dict[Hashable, int]]:
         """Basis of {x : sum over k of x[k] * (column k) = 0} on ``keys``.

@@ -52,14 +52,16 @@ def torus(n: int) -> Model:
     for i, name in enumerate(names, start=1):
         fields[f"nu{i}"] = vector_field(t, {name: gens[name]})
     # nu_i rescaled by nu_j(z_j) = z_j: exactness fields whose contractions
-    # with omega are exact; they feed the wedge-span test
+    # with omega are exact; they feed the wedge-span test.  The second of a
+    # pair is exactness_field(nu_i, nu_j, z_i): nu_j(z_i) = 0, and the first
+    # has tested the commutation
     pair_triples: list[tuple[str, str, str]] = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             left = f"nu{i}x{j}"
             right = f"nu{j}x{i}"
             fields[left] = exactness_field(fields[f"nu{j}"], fields[f"nu{i}"], gens[f"z{j}"])
-            fields[right] = exactness_field(fields[f"nu{i}"], fields[f"nu{j}"], gens[f"z{i}"])
+            fields[right] = fields[f"nu{i}"].apply(gens[f"z{i}"]) * fields[f"nu{j}"]
             pair_triples.append((left, right, "one"))
 
     forms: dict[str, DiffForm] = {}

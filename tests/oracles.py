@@ -146,8 +146,9 @@ def brute_force_semicompat(a: VectorField, b: VectorField, degree_bound: int):
     holds the normal form of every monomial of degree <= bound,
     IDEAL_WITNESS when some row w of its reduced echelon form (columns in
     graded-lex descending order) has w*nf(m) in the span for every such m,
-    and UNKNOWN otherwise.  Returns the status and a membership test of the
-    span on exponents -> coefficient dicts.
+    and UNKNOWN otherwise.  Returns the status and the witness as an
+    exponents -> coefficient dict: 1 for FULL_RING, the first such row
+    divided by its pivot entry for IDEAL_WITNESS, None for UNKNOWN.
     """
     from volform import monomials_up_to
 
@@ -159,21 +160,30 @@ def brute_force_semicompat(a: VectorField, b: VectorField, degree_bound: int):
     products = [dict_product(f, g) for f in kernels[0] for g in kernels[1]]
     columns = sorted({e for p in products for e in p}, key=lambda e: (sum(e), e), reverse=True)
     rref = dense_rref([[p.get(c, Fraction(0)) for c in columns] for p in products])
+    pivots = dense_pivots(rref)
 
     def contains(terms: dict) -> bool:
         # a term outside every product's support cannot be cancelled
         if not set(terms) <= set(columns):
             return False
-        return row_space_contains(rref, [Fraction(terms.get(c, 0)) for c in columns])
+        # each rref row has pivot entry 1 and is 0 at the other pivots, so
+        # clearing the pivots row by row leaves 0 exactly on the row space
+        vec = [Fraction(terms.get(c, 0)) for c in columns]
+        for row, pivot in zip(rref, pivots):
+            if vec[pivot]:
+                f = vec[pivot]
+                vec = [x - f * y for x, y in zip(vec, row)]
+        return not any(vec)
 
     normal_forms = [dict(on.normal_form(m).terms) for m in monomials_up_to(on, degree_bound)]
     if all(contains(nf) for nf in normal_forms):
-        return "FULL_RING", contains
+        return "FULL_RING", {(0,) * len(on.coordinates): Fraction(1)}
     for row in rref:
-        w = {c: x for c, x in zip(columns, row) if x}
+        pivot = next(x for x in row if x)
+        w = {c: x / pivot for c, x in zip(columns, row) if x}
         if all(contains(dict_product(w, nf)) for nf in normal_forms):
-            return "IDEAL_WITNESS", contains
-    return "UNKNOWN", contains
+            return "IDEAL_WITNESS", w
+    return "UNKNOWN", None
 
 
 # ------------------------------------------------------------ wedge spans

@@ -287,8 +287,32 @@ def test_span_builder_insert_and_contains_agree_with_dense_rank():
             assert was_new == (len(after) > len(before))
             assert {pivot} == after - before if was_new else pivot is None
             assert len(span) == len(after)
+            assert set(span.pivots) == after
             outcomes["new" if was_new else "dependent"] += 1
     assert min(outcomes.values()) > 20
+
+
+def test_span_members_lead_with_a_pivot():
+    # each stored row leads with its own pivot and is 0 at the others, so a
+    # nonzero combination leads with the largest pivot it uses; semicompat's
+    # witness search relies on this to skip rows without forming products
+    rng = random.Random(1213)
+    for _ in range(40):
+        span = SpanBuilder(key_order=int)
+        for _ in range(rng.randint(1, 8)):
+            columns = rng.sample(range(12), rng.randint(1, 6))
+            span.insert({c: rng.randint(-9, 9) or 1 for c in columns})
+        rows = span.primitive_rows()
+        for _ in range(10):
+            member = {}
+            for row in rows:
+                k = rng.randint(-3, 3)
+                for c, x in row.items():
+                    member[c] = member.get(c, 0) + k * x
+            member = {c: x for c, x in member.items() if x}
+            if member:
+                assert max(member) in span.pivots
+                assert span.contains(member)
 
 
 def test_span_builder_takes_integer_vectors_without_modifying_them():
@@ -319,3 +343,5 @@ def test_span_builder_takes_integer_vectors_without_modifying_them():
             assert all(type(x) is int for x in primitive.values())
             assert primitive[pivot] > 0 and math.gcd(*primitive.values()) == 1
             assert {c: Fraction(x, primitive[pivot]) for c, x in primitive.items()} == row
+            with pytest.raises(TypeError):  # a read-only view of the stored row
+                primitive[pivot] = 1

@@ -254,9 +254,26 @@ def test_exactness_fields_equal_their_brackets(n):
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             nu_i, nu_j = s.fields[f"nu{i}"], s.fields[f"nu{j}"]
-            for xi, eta, f in ((nu_j, nu_i, f"z{j}"), (nu_i, nu_j, f"z{i}")):
+            for xi, eta, f, name in ((nu_j, nu_i, f"z{j}", f"nu{i}x{j}"),
+                                     (nu_i, nu_j, f"z{i}", f"nu{j}x{i}")):
                 f = s.chart.generator(f)
                 assert exactness_field(xi, eta, f) == lie_bracket(xi, f * eta)
+                assert s.fields[name] == lie_bracket(xi, f * eta)
+
+
+def test_torus_tests_each_commutation_once(monkeypatch):
+    from volform import scenarios
+
+    calls = []
+    bracket = scenarios.lie_bracket
+
+    def counted(a, b):
+        calls.append((a, b))
+        return bracket(a, b)
+
+    monkeypatch.setattr(scenarios, "lie_bracket", counted)
+    torus(5)
+    assert len(calls) == 10  # one per pair of coordinates; it was 20
 
 
 @pytest.mark.parametrize("p, q", [
