@@ -287,10 +287,10 @@ def semicompat_bounded(
             span.insert(_convolve((f.items(), g)))
 
     # codes add like exponents and integer leading terms cannot cancel, so
-    # w*nf(m) leads with lead(w) + lead(nf(m)) - base; a nonzero member of the
-    # span leads with a pivot, as each row leads with its own and is 0 at the
-    # others.  A w with a sum that is no pivot fails without a product
-    forms.sort(key=max, reverse=True)  # highest lead first; all() is order-free
+    # w*nf(m) leads with lead(w) + lead(nf(m)) - base; a nonzero span member
+    # leads with a pivot (rows lead with their own, 0 at the others), so a w
+    # with a sum that is no pivot fails.  Zero forms are in every span
+    forms = sorted((m for m in forms if m), key=max, reverse=True)  # all() is order-free
     leads, pivots = [max(m) for m in forms], span.pivots
 
     def multiplies_into_span(w: Mapping[int, int]) -> bool:

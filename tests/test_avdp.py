@@ -83,6 +83,15 @@ def rational_pair():
     return vector_field(on, {"y": x, "v": u / 2}), vector_field(on, {"u": 3 * x, "v": 3 * y / 2})
 
 
+def zero_coordinate_pair():
+    # the sl2-like chart x*v - y*u = 1 with a fifth coordinate s that x*s = 0
+    # solves to 0: every monomial containing s has normal form 0
+    names = ("x", "y", "u", "v", "s")
+    x, y, u, v, s = LaurentPoly.generators(names)
+    on = chart(names, invertible=("x",), relations=[(x * v - y * u - 1, "v"), (x * s, "s")])
+    return vector_field(on, {"y": x, "v": u}), vector_field(on, {"u": x, "v": y})
+
+
 # ----------------------------------------------------------- identity (1)
 
 
@@ -465,6 +474,8 @@ def test_semicompat_ideal_witness_on_sl2_like_chart():
 
 @pytest.mark.parametrize("bound, case", [
     *((bound, case) for bound in (1, 2) for case in ("sl2", "xm1:1", "self", "rational")),
+    # zero normal forms lie in every span and so pass for any witness
+    *((bound, "zero") for bound in (1, 2)),
     # most candidate rows fail the lead test here: xm1:1's witness is its
     # 45th row, and xm1:2 and the cubic surface have none
     (3, "xm1:1"),
@@ -474,6 +485,8 @@ def test_semicompat_ideal_witness_on_sl2_like_chart():
 def test_semicompat_matches_dense_oracle(case, bound):
     if case == "rational":
         a, b = rational_pair()
+    elif case == "zero":
+        a, b = zero_coordinate_pair()
     elif case.startswith("xm1:"):
         fields = scenario_by_name(case).fields
         a, b = fields["nu_y"], fields["nu_u"]
