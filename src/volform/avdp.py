@@ -131,29 +131,30 @@ def _compositions(total: int, parts: int) -> Iterable[Exponents]:
 
 
 class _Packing:
-    """Exponent vectors over n coordinates as integers.  The code of e has
-    the digits (sum(e), e_1, ..., e_n), most significant first, each plus
-    O = 2**(width-1) in a field of ``width`` bits.  While every digit lies
-    within +-(O-1), integer order of codes is ``algebra._grlex_key`` order,
-    and code(e1 + e2) = code(e1) + code(e2) - base, where ``base``, the code
-    of 0, holds O in every digit."""
+    """Exponent vectors over n coordinates as integers.  The code of e is the
+    signed-digit sum of (sum(e), e_1, ..., e_n), most significant first, each
+    digit shifted by a field of ``width`` bits, so code(0) = 0 and
+    code(e1 + e2) = code(e1) + code(e2).  While every digit lies within
+    +-(O-1), O = 2**(width-1), integer order of codes is
+    ``algebra._grlex_key`` order: the top differing digit outweighs every
+    digit below it."""
 
     def __init__(self, n: int, width: int):
-        self.width, self.offset = width, 1 << (width - 1)
+        self.width = width
         self.shifts = range(width * n, -1, -width)  # one per digit, most significant first
-        self.base = self.pack((0,) * n)
+        # O in every field: a biased code holds each digit as a field in [1, 2O-1]
+        self._bias = sum((1 << (width - 1)) << shift for shift in self.shifts)
 
     def pack(self, exps: Exponents) -> int:
-        return sum((digit + self.offset) << shift
-                   for digit, shift in zip((sum(exps), *exps), self.shifts))
+        return sum(digit << shift for digit, shift in zip((sum(exps), *exps), self.shifts))
 
     def unpack(self, code: int) -> Exponents:
-        mask = (1 << self.width) - 1
-        return tuple((code >> shift & mask) - self.offset for shift in self.shifts[1:])
+        mask, offset, code = (1 << self.width) - 1, 1 << (self.width - 1), code + self._bias
+        return tuple((code >> shift & mask) - offset for shift in self.shifts[1:])
 
 
 def _convolve(*products: tuple[Iterable[tuple], Iterable[tuple]]) -> IntTerms:
-    """Sum of the products of (code, int) term pairs, the second shifted by -base."""
+    """Sum of the products of (code, int) term pairs."""
     out: IntTerms = {}
     for a, b in products:
         for e1, n1 in a:
@@ -170,7 +171,8 @@ def _monomial_table(
     :func:`monomials_up_to`, and their images under each field, as integer
     term dicts s_j*nf(m_j) and s_j*xi(m_j) for one integer s_j > 0 per j;
     no nullspace or span read from the table depends on the s_j.  Terms are
-    keyed by the codes of the returned packing.
+    keyed by the codes of the returned packing, which add like exponents, so
+    a product of entries is the :func:`_convolve` of their terms.
 
     Generator x_i's normal form and images are scaled by t_i, the lcm of
     their denominators.  Each m*x_i comes from the earlier entry m:
@@ -189,16 +191,15 @@ def _monomial_table(
     n = len(generators)
     top = max([1] + [abs(e) for ps in generators for p in ps for exps, _ in p.terms for e in exps])
     packing = _Packing(n, (3 * n * max(degree_bound, 1) * top).bit_length() + 2)
-    base = packing.base
     scaled = []  # per generator: its normal form, then its image under each field
     for polys in generators:
         den = math.lcm(*(c.denominator for p in polys for _, c in p.terms))
-        scaled.append([[(packing.pack(e) - base, c.numerator * (den // c.denominator))
+        scaled.append([[(packing.pack(e), c.numerator * (den // c.denominator))
                         for e, c in p.terms] for p in polys])
     # extend along the coordinate whose normal form has the fewest terms
     order = sorted(range(len(scaled)), key=lambda i: len(scaled[i][0]))
     position: dict[Exponents, int] = {(0,) * n: 0}
-    forms: list[IntTerms] = [{base: 1}]  # the constant 1 comes first
+    forms: list[IntTerms] = [{0: 1}]  # the constant 1, code 0, comes first
     images: list[list[IntTerms]] = [[{}] for _ in fields]
     for j, m in enumerate(monomials[1:], 1):
         exps = m.terms[0][0]
@@ -217,9 +218,16 @@ def kernel_basis(xi: VectorField, degree_bound: int) -> list[LaurentPoly]:
     ambient monomials of total degree <= bound, all in normal form."""
     _require_tangent(xi)
     forms, (images,), packing = _monomial_table(xi.chart, degree_bound, (xi,))
-    return [LaurentPoly.from_dict(xi.chart.coordinates,
-                                  {packing.unpack(e): c for e, c in row.items()})
-            for row in _kernel_from_table(forms, images).basis()]
+    return [_row_poly(xi.chart, packing, row)
+            for row in _kernel_from_table(forms, images).primitive_rows()]
+
+
+def _row_poly(on: Chart, packing: _Packing, row: Mapping[int, int]) -> LaurentPoly:
+    """A primitive echelon row, keyed by codes, divided by its pivot entry (at
+    its largest code): the row of the reduced echelon form, as a polynomial."""
+    lead = row[max(row)]
+    return LaurentPoly._from_terms(
+        on.coordinates, {packing.unpack(e): Fraction(n, lead) for e, n in row.items()})
 
 
 def _kernel_from_table(forms: list[IntTerms], images: list[IntTerms]) -> SpanBuilder:
@@ -276,39 +284,32 @@ def semicompat_bounded(
     _require_tangent(b)
     # spans ignore row scale: kernels, products and witnesses are integer rows
     forms, images, packing = _monomial_table(on, degree_bound, (a, b))
-    base = packing.base
     kernel_a, kernel_b = (_kernel_from_table(forms, column).primitive_rows() for column in images)
-    kernel_b = [[(e - base, n) for e, n in g.items()] for g in kernel_b]
 
     # products of normal forms (free coordinates only) are normal forms
     span = SpanBuilder(key_order=int)
     for f in kernel_a:
         for g in kernel_b:
-            span.insert(_convolve((f.items(), g)))
+            span.insert(_convolve((f.items(), g.items())))
 
     # codes add like exponents and integer leading terms cannot cancel, so
-    # w*nf(m) leads with lead(w) + lead(nf(m)) - base; a nonzero span member
+    # w*nf(m) leads with lead(w) + lead(nf(m)); a nonzero span member
     # leads with a pivot (rows lead with their own, 0 at the others), so a w
     # with a sum that is no pivot fails.  Zero forms are in every span
     forms = sorted((m for m in forms if m), key=max, reverse=True)  # all() is order-free
     leads, pivots = [max(m) for m in forms], span.pivots
 
     def multiplies_into_span(w: Mapping[int, int]) -> bool:
-        shift = max(w) - base
-        if not all(m + shift in pivots for m in leads):
+        lead = max(w)
+        if not all(m + lead in pivots for m in leads):
             return False
-        shifted = [(e - base, n) for e, n in w.items()]
-        return all(span.contains(_convolve((m.items(), shifted))) for m in forms)
+        return all(span.contains(_convolve((m.items(), w.items()))) for m in forms)
 
-    if multiplies_into_span({base: 1}):  # the witness 1
+    if multiplies_into_span({0: 1}):  # the witness 1
         return SemicompatVerdict(FULL_RING, LaurentPoly.one(on.coordinates), degree_bound)
     for row in span.primitive_rows():
         if multiplies_into_span(row):
-            # the echelon row with pivot entry 1, as basis() reads it
-            lead = row[max(row)]
-            witness = LaurentPoly.from_dict(
-                on.coordinates, {packing.unpack(e): Fraction(n, lead) for e, n in row.items()})
-            return SemicompatVerdict(IDEAL_WITNESS, witness, degree_bound)
+            return SemicompatVerdict(IDEAL_WITNESS, _row_poly(on, packing, row), degree_bound)
 
     return SemicompatVerdict(UNKNOWN, None, degree_bound)
 

@@ -5,8 +5,8 @@ echelon form over sparse rational vectors with an arbitrary ordered column
 space (Laurent-monomial columns for kernels and spans, integer columns for
 dense matrices).  It is fraction-free: inputs are scaled to integers once
 (integer inputs are only copied), rows are stored as primitive integer
-vectors, a row is divided by its pivot entry only when
-:meth:`SpanBuilder.basis` reads it out, and :meth:`SpanBuilder.nullspace`
+vectors, :meth:`SpanBuilder.primitive_rows` reads them out as they are (a
+reader divides a row by its pivot entry), and :meth:`SpanBuilder.nullspace`
 gives integer vectors.
 :func:`row_echelon` is its dense front end, and :func:`solve_exact` and
 :func:`mat_inverse` read the reduced echelon form it builds.
@@ -109,9 +109,9 @@ class SpanBuilder:
     pivot, compared descending).  Elimination is fraction-free: each stored
     row is a primitive integer vector (content 1) with a positive entry at its
     own pivot and 0 at every other pivot, kept in a pivot -> row dict.  The
-    reduced echelon form is unique, so dividing a row by its pivot entry,
-    which happens only on output, gives exactly the rational row of
-    Gauss-Jordan elimination.
+    reduced echelon form is unique, so a stored row divided by its pivot
+    entry is exactly the rational row of Gauss-Jordan elimination; only
+    readers of the rows divide.
     """
 
     def __init__(self, key_order: Callable[[Hashable], object]):
@@ -156,20 +156,14 @@ class SpanBuilder:
     def _sorted_rows(self) -> list[tuple[Hashable, dict[Hashable, int]]]:
         return sorted(self._rows.items(), key=lambda t: self._key_order(t[0]), reverse=True)
 
-    def basis(self) -> list[dict]:
-        """Reduced echelon basis, pivot columns descending."""
-        return [
-            {k: Fraction(v, row[pivot]) for k, v in row.items()}
-            for pivot, row in self._sorted_rows()
-        ]
-
     @property
     def pivots(self) -> KeysView[Hashable]:  # a read-only view
         return self._rows.keys()
 
     def primitive_rows(self) -> list[Mapping[Hashable, int]]:
         """Read-only views of the stored primitive integer rows, pivot columns
-        descending: the rows of :meth:`basis` each times its pivot entry."""
+        descending: the rows of the reduced echelon basis, each times its
+        pivot entry."""
         return [MappingProxyType(row) for _, row in self._sorted_rows()]
 
     def nullspace(self, keys: Iterable[Hashable]) -> list[dict[Hashable, int]]:

@@ -225,20 +225,24 @@ def packed_cases(n: int, limit: int, rng: random.Random) -> list[tuple]:
 @pytest.mark.parametrize("n", range(1, 6))
 @pytest.mark.parametrize("width", [2, 5, 9])
 def test_packed_codes_round_trip_order_and_add_at_the_digit_limits(n, width):
-    # digits at +-(O-1), the most a width-bit field offset by O holds; a
-    # field one bit narrower carries into the next digit
+    # digits at +-(O-1), O = 2**(width-1), the most a signed width-bit field
+    # holds; a field one bit narrower carries into the next digit
     packing = _Packing(n, width)
     limit = 2 ** (width - 1) - 1
+    zero = (0,) * n
     cases = packed_cases(n, limit, random.Random(f"{n}/{width}"))
     codes = [packing.pack(e) for e in cases]
     assert [packing.unpack(c) for c in codes] == cases
-    assert packing.base == packing.pack((0,) * n)
+    assert packing.pack(zero) == 0
     assert sorted(cases, key=packing.pack) == sorted(cases, key=_grlex_key)
+    # the codes below 0 are exactly the vectors below 0 in grlex order
+    assert any(c < 0 for c in codes)
+    assert [c < 0 for c in codes] == [_grlex_key(e) < _grlex_key(zero) for e in cases]
     for e1, c1 in zip(cases, codes):
         for e2, c2 in zip(cases, codes):
             total = tuple(a + b for a, b in zip(e1, e2))
             if max(map(abs, total + (sum(total),))) <= limit:
-                assert c1 + c2 - packing.base == packing.pack(total)
+                assert c1 + c2 == packing.pack(total)
 
 
 @pytest.mark.parametrize("address", ["xm1:20", "surface:p=x**6-2*x,q=y**2+y", "torus:1"])
@@ -260,8 +264,8 @@ def test_table_packing_holds_the_proven_exponent_bound(address):
             assert packing.unpack(packing.pack(e)) == e
             half = tuple(x // 2 for x in e)
             rest = tuple(x - h for x, h in zip(e, half))
-            assert packing.pack(half) + packing.pack(rest) - packing.base == packing.pack(e)
-        assert packing.pack(extremes[1]) < packing.base < packing.pack(extremes[0])
+            assert packing.pack(half) + packing.pack(rest) == packing.pack(e)
+        assert packing.pack(extremes[1]) < 0 < packing.pack(extremes[0])
 
 
 @pytest.mark.parametrize("address, a, b", [

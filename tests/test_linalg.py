@@ -77,7 +77,7 @@ def test_span_builder_basis_is_reduced_echelon():
     span = SpanBuilder(key_order=lambda k: k)
     span.insert({0: Fraction(2), 1: Fraction(2)})
     span.insert({0: Fraction(1)})
-    basis = span.basis()
+    basis = _echelon_rows(span)
     # pivots normalized to 1 and cleared across rows
     assert {1: Fraction(1)} in basis
     assert {0: Fraction(1)} in basis
@@ -224,6 +224,16 @@ def _dense(vec, columns):
     return [vec.get(c, 0) for c in columns]
 
 
+def _echelon_rows(span):
+    """The reduced echelon basis, pivot columns descending: each primitive
+    row over its entry at its pivot, the one pivot it is nonzero at."""
+    out = []
+    for row in span.primitive_rows():
+        (pivot,) = [k for k in row if k in span.pivots]
+        out.append({k: Fraction(v, row[pivot]) for k, v in row.items()})
+    return out
+
+
 def _fractions_only(vectors):
     return all(type(v) is Fraction for vec in vectors for v in vec.values())
 
@@ -245,7 +255,7 @@ def test_span_builder_matches_dense_rref_in_any_insertion_order():
             span = SpanBuilder(key_order=lambda c: -c)
             for row in order:
                 span.insert(_sparse(row))
-            basis = span.basis()
+            basis = _echelon_rows(span)
             nullspace = _per_free_key(span.nullspace(range(ncols)), pivots)
             assert _fractions_only(basis)
             assert [_dense(vec, range(ncols)) for vec in basis] == expected
@@ -254,7 +264,7 @@ def test_span_builder_matches_dense_rref_in_any_insertion_order():
             span = SpanBuilder(key_order=lambda c: c)
             for row in order:
                 span.insert(_sparse(row))
-            basis = span.basis()
+            basis = _echelon_rows(span)
             assert _fractions_only(basis)
             assert [_dense(vec, reversed(range(ncols))) for vec in basis] == mirrored
         deficient += len(expected) < min(nrows, ncols)
@@ -336,12 +346,12 @@ def test_span_builder_takes_integer_vectors_without_modifying_them():
             assert whole.insert(row) == fractional.insert(
                 {c: Fraction(x, 3) for c, x in row.items()})
             assert row == copy
-        assert whole.basis() == fractional.basis()
-        # the primitive rows are the basis rows times their pivot entries
-        for row, primitive in zip(whole.basis(), whole.primitive_rows(), strict=True):
-            pivot = min(row)  # the leftmost column
+        assert _echelon_rows(whole) == _echelon_rows(fractional)
+        # the stored rows are primitive integer rows, positive at their pivot
+        for primitive in whole.primitive_rows():
+            pivot = min(primitive)  # the leftmost column
+            assert [c for c in primitive if c in whole.pivots] == [pivot]
             assert all(type(x) is int for x in primitive.values())
             assert primitive[pivot] > 0 and math.gcd(*primitive.values()) == 1
-            assert {c: Fraction(x, primitive[pivot]) for c, x in primitive.items()} == row
             with pytest.raises(TypeError):  # a read-only view of the stored row
                 primitive[pivot] = 1
