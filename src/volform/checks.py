@@ -269,15 +269,19 @@ def _check_kernel_spans(model: Model, flags, field, bound, generator,
     if len(basis) != expected_dim:
         return FAIL, f"kernel dimension {len(basis)}, expected {expected_dim}"
     chart = field.chart
+    # normal forms are closed under products, so nf(g**k) = nf(g)**k; in the
+    # Laurent ring of normal forms a nonconstant element is transcendental
+    # over Q, so its powers are independent, and a constant's are not
+    reduced = chart.normal_form(generator)
+    if expected_dim >= 2 and not reduced.support():
+        return FAIL, f"({generator}) has constant normal form {reduced}; its powers are dependent"
     span = SpanBuilder(key_order=_grlex_key)
     for member in basis:
         span.insert(member.as_dict())
-    # normal forms are closed under products, so nf(g**k) = nf(g)**k
-    base = chart.normal_form(generator)
     power = LaurentPoly.one(chart.coordinates)
     for k in range(expected_dim):
         if k:
-            power = power * base
+            power = power * reduced
         if not span.contains(power.as_dict()):
             return FAIL, f"({generator})**{k} is outside the computed kernel"
     return PASS, f"kernel is exactly the span of powers of {generator} (dim {expected_dim})"

@@ -343,10 +343,12 @@ def test_run_check_holds_library_directives_to_the_arity(args):
 @pytest.mark.parametrize("generator, status, detail", [
     ("px", "FAIL", "(x)**1 is outside the computed kernel"),
     ("pz", "PASS", "kernel is exactly the span of powers of z (dim 4)"),
+    ("one", "FAIL", "(1) has constant normal form 1; its powers are dependent"),
 ])
 def test_kernel_spans_reads_each_power_of_the_generator(generator, status, detail):
     # Ker dz at bound 3 on the cubic surface is spanned by 1, z, z^2, z^3:
-    # x^0 = 1 lies in it and x^1 does not
+    # x^0 = 1 lies in it and x^1 does not; every power of 1 lies in it, but
+    # they span only the constants
     s = scenario_by_name("surface:p=2*x+x**3,q=y**2+y")
     record = run_check(s, CheckDirective("kernel_spans", ("dz", 3, generator, 4)), RunFlags())
     assert (record.status, record.detail) == (status, detail)
