@@ -27,7 +27,6 @@ from .calculus import (
     scalar_form,
 )
 from .errors import (
-    ChartError,
     DimensionError,
     PointError,
     PreconditionError,
@@ -326,12 +325,13 @@ def spans_wedge_square(pairs: Sequence[WedgePair], point: Point) -> bool:
     as it is, so the rows are integer wedges of integer-scaled values."""
     if not pairs:
         raise PreconditionError("no field pairs supplied")
-    on = pairs[0][0].chart
+    first = pairs[0][0]
+    on = first.chart
     if point.chart != on:
         raise PointError("point does not belong to the fields' chart")
     for a, b, witness in pairs:
-        if a.chart != on or b.chart != on:
-            raise ChartError("pair fields live on different charts")
+        _same_chart(first, a)
+        _same_chart(first, b)
         on.validate_poly(witness)
     n = on.dimension
     target = n * (n - 1) // 2
