@@ -8,6 +8,7 @@ the given basis and its determinant is the sub-modular value at h.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -50,8 +51,14 @@ def group_presentation(
         raise GroupError("empty Lie algebra basis")
     for b in basis:
         _check_square(b, size, "basis matrix")
-    if len(row_echelon(_vectorize(b) for b in basis)) != len(basis):
+    span = row_echelon(_vectorize(b) for b in basis)
+    if len(span) != len(basis):
         raise GroupError("Lie algebra basis matrices are linearly dependent")
+    for (i, x), (j, y) in itertools.combinations(enumerate(basis, 1), 2):
+        bracket = zip(_vectorize(mat_mul(x, y)), _vectorize(mat_mul(y, x)))
+        if not span.contains({c: p - q for c, (p, q) in enumerate(bracket) if p != q}):
+            raise GroupError(f"basis spans no Lie algebra: the bracket of matrices {i} and {j} "
+                             "lies outside its span")
 
     elements = []
     for name, raw in test_elements:

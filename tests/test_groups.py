@@ -91,6 +91,9 @@ def test_group_presentation_validation():
     assert group.element("A0") == make_matrix(A0)
     with pytest.raises(GroupError):
         group_presentation(2, [H, H])  # dependent basis
+    # [E, F] = H lies outside the span of E and F
+    with pytest.raises(GroupError, match="the bracket of matrices 1 and 2 lies outside"):
+        group_presentation(2, [E, F])
     with pytest.raises(GroupError):
         group_presentation(2, [H], [("bad", [[1, 1], [0, 1]])])  # unstable span
     with pytest.raises(GroupError):
