@@ -148,7 +148,8 @@ class _Packing:
         return sum(digit << shift for digit, shift in zip((sum(exps), *exps), self.shifts))
 
     def unpack(self, code: int) -> Exponents:
-        mask, offset, code = (1 << self.width) - 1, 1 << (self.width - 1), code + self._bias
+        mask, offset = (1 << self.width) - 1, 1 << (self.width - 1)
+        code += self._bias
         return tuple((code >> shift & mask) - offset for shift in self.shifts[1:])
 
 
@@ -325,13 +326,12 @@ def spans_wedge_square(pairs: Sequence[WedgePair], point: Point) -> bool:
     as it is, so the rows are integer wedges of integer-scaled values."""
     if not pairs:
         raise PreconditionError("no field pairs supplied")
-    first = pairs[0][0]
-    on = first.chart
+    on = pairs[0][0].chart
     if point.chart != on:
         raise PointError("point does not belong to the fields' chart")
     for a, b, witness in pairs:
-        _same_chart(first, a)
-        _same_chart(first, b)
+        _same_chart(pairs[0][0], a)
+        _same_chart(a, b)
         on.validate_poly(witness)
     n = on.dimension
     target = n * (n - 1) // 2
