@@ -9,6 +9,7 @@ the given basis and its determinant is the sub-modular value at h.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -54,9 +55,15 @@ def group_presentation(
     span = row_echelon(_vectorize(b) for b in basis)
     if len(span) != len(basis):
         raise GroupError("Lie algebra basis matrices are linearly dependent")
-    for (i, x), (j, y) in itertools.combinations(enumerate(basis, 1), 2):
-        bracket = zip(_vectorize(mat_mul(x, y)), _vectorize(mat_mul(y, x)))
-        if not span.contains({c: p - q for c, (p, q) in enumerate(bracket) if p != q}):
+    # the bracket of integer multiples of two basis matrices is a multiple of theirs
+    whole = []
+    for b in basis:
+        den = math.lcm(*(x.denominator for x in _vectorize(b)))
+        whole.append([[x.numerator * (den // x.denominator) for x in row] for row in b])
+    for (i, x), (j, y) in itertools.combinations(enumerate(whole, 1), 2):
+        bracket = {r * size + c: v for r in range(size) for c in range(size)
+                   if (v := sum(x[r][k] * y[k][c] - y[r][k] * x[k][c] for k in range(size)))}
+        if not span.contains(bracket):
             raise GroupError(f"basis spans no Lie algebra: the bracket of matrices {i} and {j} "
                              "lies outside its span")
 
