@@ -7,7 +7,10 @@ dense matrices).  It is fraction-free: inputs are scaled to integers once
 (integer inputs are only copied), rows are stored as primitive integer
 vectors, :meth:`SpanBuilder.primitive_rows` reads them out as they are (a
 reader divides a row by its pivot entry), and :meth:`SpanBuilder.nullspace`
-gives integer vectors.
+gives integer vectors.  Back-substitution gives a stored row only keys of
+vectors stored after it, so the set of keys of every vector stored so far
+holds every key of every stored row; an insert whose new pivot lies outside
+that set back-substitutes nothing.
 :func:`row_echelon` is its dense front end, and :func:`solve_exact` and
 :func:`mat_inverse` read the reduced echelon form it builds.
 :func:`det_bareiss` is separate: a fraction-free determinant.
@@ -112,11 +115,17 @@ class SpanBuilder:
     reduced echelon form is unique, so a stored row divided by its pivot
     entry is exactly the rational row of Gauss-Jordan elimination; only
     readers of the rows divide.
+
+    ``_keys`` holds every key of every vector :meth:`insert` has stored, as
+    it stored it.  Back-substitution gives a row only keys of vectors stored
+    after it, so every key of every stored row is in ``_keys``, and a new
+    pivot outside it is in no stored row.
     """
 
     def __init__(self, key_order: Callable[[Hashable], object]):
         self._key_order = key_order
         self._rows: dict[Hashable, dict[Hashable, int]] = {}
+        self._keys: set[Hashable] = set()
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -144,9 +153,11 @@ class SpanBuilder:
         vec = _primitive(vec, pivot)
         # back-substitute to keep the basis fully reduced
         rows = self._rows
-        for key, row in rows.items():
-            if pivot in row:
-                rows[key] = _primitive(_eliminate(row, pivot, vec), key)
+        if pivot in self._keys:
+            for key, row in rows.items():
+                if pivot in row:
+                    rows[key] = _primitive(_eliminate(row, pivot, vec), key)
+        self._keys.update(vec)
         rows[pivot] = vec
         return (True, pivot)
 

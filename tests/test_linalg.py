@@ -271,13 +271,26 @@ def test_span_builder_matches_dense_rref_in_any_insertion_order():
     assert deficient > 10
 
 
+def _chains(rng, ncols):
+    """Rows at columns (i, i+1), for a leftmost-pivot span.  In order, row i
+    pivots at i, a key that rows 0..i-2 gained only by back-substitution of
+    row i-1; reversed, no stored row holds a new pivot."""
+    rows = [[_big(rng) if c in (i, i + 1) else Fraction(0) for c in range(ncols)]
+            for i in range(ncols - 1)]
+    return [rows, rows[::-1]]
+
+
 def test_span_builder_insert_and_contains_agree_with_dense_rank():
     rng = random.Random(22)
     outcomes = {"new": 0, "dependent": 0, "inside": 0, "outside": 0}
+    cases = []
     for _ in range(60):
         nrows, ncols = rng.randint(1, 7), rng.randint(1, 8)
         rows = _hard_sparse(rng, nrows, ncols)
         rng.shuffle(rows)
+        cases.append((rows, ncols))
+    cases += [(rows, ncols) for ncols in range(2, 9) for rows in _chains(rng, ncols)]
+    for rows, ncols in cases:
         span = SpanBuilder(key_order=lambda c: -c)
         seen: list[list[Fraction]] = []
         for row in rows:
@@ -293,11 +306,14 @@ def test_span_builder_insert_and_contains_agree_with_dense_rank():
             was_new, pivot = span.insert(_sparse(row))
             before = set(dense_pivots(dense_rref(seen)))
             seen.append(row)
-            after = set(dense_pivots(dense_rref(seen)))
+            expected = dense_rref(seen)
+            after = set(dense_pivots(expected))
             assert was_new == (len(after) > len(before))
             assert {pivot} == after - before if was_new else pivot is None
             assert len(span) == len(after)
             assert set(span.pivots) == after
+            # every stored row is back-substituted that holds the new pivot
+            assert [_dense(vec, range(ncols)) for vec in _echelon_rows(span)] == expected
             outcomes["new" if was_new else "dependent"] += 1
     assert min(outcomes.values()) > 20
 
