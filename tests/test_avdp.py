@@ -476,6 +476,33 @@ def test_semicompat_ideal_witness_on_sl2_like_chart():
     assert verdict.witness == x
 
 
+SL3 = """
+chart {
+  vars a11, a12, a13, a21, a22, a23, a31, a32, a33, m;
+  invert a33, m;
+  rel m - a22*a33 + a23*a32 solve a22;
+  rel a11*m - a12*(a21*a33 - a23*a31) + a13*(a21*a32 - a22*a31) - 1 solve a11;
+}
+field r12 = (a21) d/da11 + (a22) d/da12 + (a23) d/da13;
+field r23 = (a31) d/da21 + (a32) d/da22 + (a33) d/da23;
+field c32 = (a13) d/da12 + (a23) d/da22 + (a33) d/da32;
+"""
+
+
+def test_semicompat_on_sl3_with_two_relations():
+    # SL3 on the chart a33 != 0, m != 0, where m is the trailing 2x2 minor:
+    # a row shear pair spans the whole ring at bound 3, and a row/column
+    # pair needs the witness a33**3
+    model = parse(SL3)
+    fields = model.fields
+    verdict = semicompat_bounded(fields["r12"], fields["r23"], 3)
+    assert verdict.status == FULL_RING
+    assert verdict.witness == LaurentPoly.one(model.chart.coordinates)
+    verdict = semicompat_bounded(fields["r23"], fields["c32"], 3)
+    assert verdict.status == IDEAL_WITNESS
+    assert verdict.witness == model.chart.generator("a33") ** 3
+
+
 @pytest.mark.parametrize("bound, case", [
     *((bound, case) for bound in (1, 2) for case in ("sl2", "xm1:1", "self", "rational")),
     # zero normal forms lie in every span and so pass for any witness
@@ -512,7 +539,7 @@ def test_semicompat_matches_dense_oracle(case, bound):
     ("xm1:2", 4, 1),  # and 579 here
 ])
 def test_semicompat_screens_witness_rows_by_leading_codes(monkeypatch, address, bound, most):
-    # a row w is tested only if lead(w) + lead(nf(m)) - base is a pivot of
+    # a row w is tested only if lead(w) + lead(nf(m)) is a pivot of
     # the product span for every monomial m: no other row can pass
     calls = []
     contains = SpanBuilder.contains
