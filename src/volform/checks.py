@@ -317,7 +317,8 @@ def _check_wedge_span(model: Model, flags, pairs) -> tuple[str, str]:
         return ERROR, f"could only sample {len(points)} distinct points"
     for point in points:
         if not spans_wedge_square(pairs, point):
-            return FAIL, f"wedges do not span at {dict(point.values)}"
+            at = ", ".join(f"{name} = {scalar_text(v)}" for name, v in point.as_dict().items())
+            return FAIL, f"wedges do not span at {at}"
     return PASS, f"wedges span the wedge square at {len(points)} sampled points"
 
 

@@ -354,6 +354,19 @@ def test_kernel_spans_reads_each_power_of_the_generator(generator, status, detai
     assert (record.status, record.detail) == (status, detail)
 
 
+@pytest.mark.parametrize("witness, detail", [
+    # dz ^ dy vanishes at the fifth sampled point
+    ("one", "wedges do not span at x = -2, y = 1, z = -1"),
+    # a zero witness gates its pair out at the first point
+    ("zero", "wedges do not span at x = 4, y = 5, z = -2/5"),
+])
+def test_wedge_span_names_the_failing_point_by_coordinates(witness, detail):
+    doc = parse((DATA / "surface_xy.vf").read_text()
+                + f"poly zero = 0; check wedge_span(((dz, dy, {witness})));")
+    record = run_check(doc, doc.checks[-1], RunFlags())
+    assert (record.status, record.detail) == ("FAIL", detail)
+
+
 def test_a_document_computes_each_fields_residuals_once(monkeypatch):
     # every check reads a field's cached residuals, and the brackets of the
     # identity and potential checks are contracted without a tangency test
