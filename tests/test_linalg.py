@@ -312,7 +312,8 @@ def test_span_builder_insert_and_contains_agree_with_dense_rank():
             assert {pivot} == after - before if was_new else pivot is None
             assert len(span) == len(after)
             assert set(span.pivots) == after
-            # every stored row is back-substituted that holds the new pivot
+            # the stored rows are the reduced echelon form: every row that
+            # held the new pivot was back-substituted
             assert [_dense(vec, range(ncols)) for vec in _echelon_rows(span)] == expected
             outcomes["new" if was_new else "dependent"] += 1
     assert min(outcomes.values()) > 20
