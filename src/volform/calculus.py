@@ -59,6 +59,14 @@ class VectorField:
         """xi(r) in normal form for each defining relation r, computed once."""
         return tuple(self.apply(rel.poly) for rel in self.chart.relations)
 
+    @cached_property
+    def _divergences(self) -> dict[int, tuple["VolumeForm", LaurentPoly]]:
+        """:func:`divergence` of this field by ``id`` of the volume form, as
+        (volume, divergence) pairs.  Identity keys spare hashing the
+        volume's whole chart; an entry serves only the volume it holds, so
+        a copied field cannot serve a later object that reuses an ``id``."""
+        return {}
+
     def apply(self, f: LaurentPoly) -> LaurentPoly:
         """xi(f) = sum coeff_i * df/dx_i, in normal form."""
         self.chart.validate_poly(f)
@@ -302,14 +310,20 @@ def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
 
 
 def divergence(field: VectorField, volume: VolumeForm) -> LaurentPoly:
-    """The unique scalar g with L_xi(omega) = g * omega."""
-    _same_chart(field, volume)
-    _require_tangent(field)
-    derived = lie_derivative(field, volume)
-    if derived.is_zero:
-        return LaurentPoly.zero(field.chart.coordinates)
-    coeff = derived.coefficients[0][1]
-    return field.chart.normal_form(coeff * volume.unit_coefficient().unit_inverse())
+    """The unique scalar g with L_xi(omega) = g * omega, computed once per
+    field and volume object and kept on the field."""
+    known = field._divergences.get(id(volume))
+    if known is None or known[0] is not volume:
+        _same_chart(field, volume)
+        _require_tangent(field)
+        derived = lie_derivative(field, volume)
+        if derived.is_zero:
+            value = LaurentPoly.zero(field.chart.coordinates)
+        else:
+            coeff = derived.coefficients[0][1]
+            value = field.chart.normal_form(coeff * volume.unit_coefficient().unit_inverse())
+        known = field._divergences[id(volume)] = (volume, value)
+    return known[1]
 
 
 def contract_volume(field: VectorField, volume: VolumeForm) -> DiffForm:

@@ -34,7 +34,7 @@ from .calculus import (
     lnd_flow,
 )
 from .errors import SemanticError, VolformError
-from .groups import GroupPresentation, submodular
+from .groups import GroupPresentation
 from .linalg import SpanBuilder
 from .model import CheckDirective, Model
 from .variety import sample_point
@@ -371,7 +371,7 @@ def _check_flow_jacobian(model: Model, flags, field, poly, values, bound) -> tup
 
 @register("submodular", "group name determinant")
 def _check_submodular(model: Model, flags, group, element, expected) -> tuple[str, str]:
-    value = submodular(group.element(element), group.lie_basis)
+    value = group.submodular_values[group.element(element)]
     if value == expected:
         return PASS, f"determinant of the adjoint action is {scalar_text(value)}"
     return FAIL, f"determinant is {scalar_text(value)}, expected {expected}"

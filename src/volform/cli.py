@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -21,7 +22,10 @@ from .scenarios import SCENARIO_SUMMARY, scenario_by_name
 SCHEMA_PATH = Path(__file__).with_name("report.schema.json")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing arguments
+    leaves it unchanged, so every call of :func:`main` shares it."""
     parser = argparse.ArgumentParser(
         prog="volform",
         description="Exact checks for divergence-free vector field calculus "

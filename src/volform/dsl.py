@@ -18,9 +18,8 @@ literal denotes the differential of the coordinate ``x``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .algebra import LaurentPoly
 from .calculus import (
@@ -47,8 +46,7 @@ KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT, INT, DERIV, OP, EOF
     text: str
     line: int
@@ -117,6 +115,8 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.model = Model(name=source)
+        # d<c> per coordinate c of the document's one chart, built once
+        self.differentials: dict[str, DiffForm] = {}
 
     # ------------------------------------------------------------ plumbing
 
@@ -401,7 +401,10 @@ class _Parser:
             raise ParseError("expected a differential d<coordinate> in the form literal",
                              tok.line, tok.col)
         self.advance()
-        return exterior_derivative(scalar_form(on, on.generator(tok.text[1:])))
+        name = tok.text[1:]
+        if name not in self.differentials:
+            self.differentials[name] = exterior_derivative(scalar_form(on, on.generator(name)))
+        return self.differentials[name]
 
     # -------------------------------------------------------- poly/action
 

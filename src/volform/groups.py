@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import GroupError
 from .linalg import (
@@ -34,6 +34,9 @@ class GroupPresentation:
     size: int
     lie_basis: tuple[Matrix, ...]
     test_elements: tuple[tuple[str, Matrix], ...]
+    # submodular(h, lie_basis) of each test element h, kept from the Ad_h
+    # stability test; the basis and elements fix it, so equality ignores it
+    submodular_values: Mapping[Matrix, Fraction] = field(compare=False)
 
     def element(self, name: str) -> Matrix:
         for key, value in self.test_elements:
@@ -74,10 +77,9 @@ def group_presentation(
         if det_bareiss(h) == 0:
             raise GroupError(f"element {name!r} is singular")
         elements.append((name, h))
-    group = GroupPresentation(size, basis, tuple(elements))
-    for name, h in elements:
-        adjoint_matrix(h, basis)  # raises when the span is not Ad-stable
-    return group
+    # adjoint_matrix raises when the span is not Ad_h-stable
+    values = {h: submodular(h, basis) for _, h in elements}
+    return GroupPresentation(size, basis, tuple(elements), values)
 
 
 def adjoint_matrix(h: Matrix | Sequence[Sequence], basis: Sequence[Matrix]) -> Matrix:

@@ -261,6 +261,22 @@ def test_divergence_examples_and_product_rule():
         assert lhs == rhs
 
 
+def test_divergence_is_kept_per_volume():
+    # the field keeps each divergence it computes, apart for each volume
+    on = torus_chart(1)
+    (z,) = on.generators()
+    nu = vector_field(on, {"z1": z})
+    invariant, flat = torus_volume(on), volume_form(on, 1)
+    for _ in range(2):
+        assert divergence(nu, invariant).is_zero
+        assert divergence(nu, flat) == on.poly(1)  # L_nu(dz) = d(z) = dz
+    assert divergence(nu, volume_form(on, z**-1)).is_zero  # equal to invariant
+    # an entry serves only the volume it holds, as after a copy whose entries
+    # keep the ids of the original volumes
+    nu._divergences[id(flat)] = (invariant, on.poly(0))
+    assert divergence(nu, flat) == on.poly(1)
+
+
 def test_divergence_requires_tangency():
     s = surface_chart()
     ws = surface_volume(s)

@@ -261,6 +261,26 @@ def test_group_document_runs(capsys):
     assert "pass: 3" in out
 
 
+def test_reused_parser_answers_as_a_fresh_process(capsys, monkeypatch):
+    # main builds its parser once per process; no call may leave state in it
+    # that changes a later call
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+    doc = str(Path(__file__).parent.parent / "docs" / "examples" / "xm1_2.vf")
+    assert build_parser() is build_parser()
+    codes = []
+    for argv in (["check", doc, "--format", "json", "--seed", "3"],
+                 ["check", doc, "--points", "0"],
+                 ["check", doc],
+                 ["parse", doc]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        fresh = run_cli(*argv)
+        assert (captured.out, captured.err, code) == (
+            fresh.stdout, fresh.stderr, fresh.returncode), argv
+        codes.append(code)
+    assert codes == [0, 2, 0, 0]
+
+
 def test_flag_defaults_are_the_run_flag_defaults():
     args = build_parser().parse_args(["check", "x"])
     for field in dataclasses.fields(RunFlags):

@@ -14,6 +14,9 @@ from volform import (
     parse_polynomial,
     surface,
 )
+from volform import calculus, dsl
+from volform.calculus import exterior_derivative, scalar_form, wedge
+from volform.checks import RunFlags, run_check
 from volform.dsl import tokenize
 from volform.errors import ParseError, SemanticError, VolformError
 
@@ -365,3 +368,82 @@ def test_poly_references_inside_field_coefficients():
     x, y, z = on.generators()
     assert doc.fields["dzq"].coefficient("x") == on.normal_form(1 + x * z)
     assert doc.fields["dzq"].coefficient("y") == on.normal_form(-(1 + y * z))
+
+
+# ------------------------------------------------------ per-document work
+
+# p(x) + q(y) + x*y*z = 1 with p = 2*x + x**3, q = y**2 + y: three shear
+# fields, one volume, and every check of the surface class
+CUBIC_SURFACE = """
+chart {
+  vars x, y, z;
+  invert x, y;
+  rel 2*x + x**3 + y**2 + y + x*y*z - 1 solve z;
+}
+volume w = (1/(x*y)) dx^dy;
+poly pz = z;
+poly px = x;
+poly py = y;
+poly pprime_plus_yz = 2 + 3*x**2 + y*z;
+field dz = (2*y + 1 + x*z) d/dx - (2 + 3*x**2 + y*z) d/dy;
+field dy = -(x*y) d/dx + (2 + 3*x**2 + y*z) d/dz;
+field dx = -(x*y) d/dy + (2*y + 1 + x*z) d/dz;
+check tangent(dz);
+check tangent(dy);
+check tangent(dx);
+check divergence_zero(dz, w);
+check divergence_zero(dy, w);
+check divergence_zero(dx, w);
+check identity1(dz, dy, w);
+check identity1(dz, dx, w);
+check identity1(dy, dx, w);
+check potential(pz, dz, w);
+check potential(py, dy, w);
+check potential(px, dx, w);
+check bracket_potential(dz, dy, w, pprime_plus_yz);
+check kernel_spans(dz, 2, pz, 3);
+check kernel_spans(dy, 2, py, 3);
+check kernel_spans(dx, 2, px, 3);
+"""
+
+
+def test_document_computes_each_divergence_once(monkeypatch):
+    # divergence_zero, identity1 (for both fields) and bracket_potential
+    # share one divergence per field and volume
+    calls = []
+    original = calculus.lie_derivative
+
+    def counted(field, form):
+        calls.append(field)
+        return original(field, form)
+
+    monkeypatch.setattr(calculus, "lie_derivative", counted)
+    doc = parse(CUBIC_SURFACE)
+    records = execute(doc)
+    assert len(calls) == 3
+    assert all(r.status == "PASS" for r in records)
+    # the same records as when every check runs on a document of its own
+    alone = [run_check(parse(CUBIC_SURFACE), d, RunFlags()) for d in doc.checks]
+    assert [(r.name, r.status, r.detail) for r in records] == [
+        (r.name, r.status, r.detail) for r in alone]
+
+
+def test_form_literals_compute_each_differential_once(monkeypatch):
+    calls = []
+    original = dsl.exterior_derivative
+
+    def counted(form):
+        calls.append(form)
+        return original(form)
+
+    monkeypatch.setattr(dsl, "exterior_derivative", counted)
+    # dz is the solved coordinate's differential, rewritten through the relation
+    doc = parse(CUBIC_SURFACE + "form t = (x) dz^dx + (y) dz^dy - dz^dx;")
+    assert len(calls) == 3  # dx and dy for the volume, then dz
+    on = doc.chart
+    x, y, z = on.generators()
+    d = {c: exterior_derivative(scalar_form(on, on.generator(c))) for c in on.coordinates}
+    expected = (x * wedge(d["z"], d["x"]) + y * wedge(d["z"], d["y"])
+                - wedge(d["z"], d["x"]))
+    assert doc.forms["t"] == expected
+    assert doc.volume.coefficients == ((("x", "y"), on.normal_form(x**-1 * y**-1)),)

@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from volform import adjoint_matrix, group_presentation, submodular
+from volform import adjoint_matrix, group_presentation, groups, submodular
+from volform.cli import main
 from volform.errors import GroupError
 from volform.linalg import identity_matrix, make_matrix, mat_inverse, mat_mul
 
@@ -14,6 +16,7 @@ E = [[0, 1], [0, 0]]
 F = [[0, 0], [1, 0]]
 SL2_BASIS = [H, E, F]
 A0 = [[0, -1], [1, 0]]
+DATA = Path(__file__).parent / "data"
 
 
 def random_sl2_element(rng: random.Random):
@@ -98,3 +101,19 @@ def test_group_presentation_validation():
         group_presentation(2, [H], [("bad", [[1, 1], [0, 1]])])  # unstable span
     with pytest.raises(GroupError):
         group_presentation(2, [H], [("sing", [[1, 0], [0, 0]])])
+
+
+def test_each_test_element_adjoint_is_computed_once(monkeypatch, capsys):
+    # group_presentation keeps submodular(h, basis) from its Ad_h-stability
+    # test, and the submodular check reads the kept value
+    calls = []
+    original = groups.adjoint_matrix
+
+    def counted(h, basis):
+        calls.append(h)
+        return original(h, basis)
+
+    monkeypatch.setattr(groups, "adjoint_matrix", counted)
+    assert main(["check", str(DATA / "sl2_group.vf")]) == 0
+    assert "pass: 3" in capsys.readouterr().out
+    assert len(calls) == 3  # one per test element
