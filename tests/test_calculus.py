@@ -262,7 +262,7 @@ def test_divergence_examples_and_product_rule():
 
 
 def test_divergence_is_kept_per_volume():
-    # the field keeps each divergence it computes, apart for each volume
+    # the field keeps each divergence it computes, one per volume object
     on = torus_chart(1)
     (z,) = on.generators()
     nu = vector_field(on, {"z1": z})

@@ -441,7 +441,7 @@ def test_form_literals_compute_each_differential_once(monkeypatch):
     doc = parse(CUBIC_SURFACE + "form t = (x) dz^dx + (y) dz^dy - dz^dx;")
     assert len(calls) == 3  # dx and dy for the volume, then dz
     on = doc.chart
-    x, y, z = on.generators()
+    x, y, _ = on.generators()
     d = {c: exterior_derivative(scalar_form(on, on.generator(c))) for c in on.coordinates}
     expected = (x * wedge(d["z"], d["x"]) + y * wedge(d["z"], d["y"])
                 - wedge(d["z"], d["x"]))
