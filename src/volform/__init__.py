@@ -33,7 +33,6 @@ from .calculus import (
     is_invariant,
     is_tangent,
     lie_bracket,
-    lie_derivative,
     lnd_flow,
     pullback_form,
     scalar_form,
@@ -101,7 +100,6 @@ __all__ = [
     "is_tangent",
     "kernel_basis",
     "lie_bracket",
-    "lie_derivative",
     "lnd_flow",
     "monomials_up_to",
     "parse",

@@ -121,12 +121,19 @@ def monomials_up_to(on: Chart, degree_bound: int) -> list[LaurentPoly]:
 
 
 def _compositions(total: int, parts: int) -> Iterable[Exponents]:
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    """Exponent vectors of ``parts`` entries summing to ``total``, in lex order:
+    a step moves a unit from the last nonzero entry after the first to the
+    entry before it, and the rest of that entry to the end."""
+    exps = [0] * (parts - 1) + [total]
+    while True:
+        yield tuple(exps)
+        last = parts - 1
+        while last and not exps[last]:
+            last -= 1
+        if not last:
+            return
+        exps[last - 1] += 1
+        exps[last], exps[-1] = 0, exps[last] - 1
 
 
 class _Packing:

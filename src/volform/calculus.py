@@ -59,14 +59,6 @@ class VectorField:
         """xi(r) in normal form for each defining relation r, computed once."""
         return tuple(self.apply(rel.poly) for rel in self.chart.relations)
 
-    @cached_property
-    def _divergences(self) -> dict[int, tuple["VolumeForm", LaurentPoly]]:
-        """:func:`divergence` of this field by ``id`` of the volume form, as
-        (volume, divergence) pairs.  Identity keys spare hashing the
-        volume's whole chart; an entry serves only the volume it holds, so
-        a copied field cannot serve a later object that reuses an ``id``."""
-        return {}
-
     def apply(self, f: LaurentPoly) -> LaurentPoly:
         """xi(f) = sum coeff_i * df/dx_i, in normal form."""
         self.chart.validate_poly(f)
@@ -291,13 +283,6 @@ def interior_product(field: VectorField, form: DiffForm) -> DiffForm:
     ))
 
 
-def lie_derivative(field: VectorField, form: DiffForm) -> DiffForm:
-    """L_xi = d i_xi + i_xi d."""
-    return exterior_derivative(interior_product(field, form)) + interior_product(
-        field, exterior_derivative(form)
-    )
-
-
 def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
     _same_chart(a, b)
     _require_tangent(a)
@@ -310,20 +295,16 @@ def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
 
 
 def divergence(field: VectorField, volume: VolumeForm) -> LaurentPoly:
-    """The unique scalar g with L_xi(omega) = g * omega, computed once per
-    field and volume object and kept on the field."""
-    known = field._divergences.get(id(volume))
-    if known is None or known[0] is not volume:
-        _same_chart(field, volume)
-        _require_tangent(field)
-        derived = lie_derivative(field, volume)
-        if derived.is_zero:
-            value = LaurentPoly.zero(field.chart.coordinates)
-        else:
-            coeff = derived.coefficients[0][1]
-            value = field.chart.normal_form(coeff * volume.unit_coefficient().unit_inverse())
-        known = field._divergences[id(volume)] = (volume, value)
-    return known[1]
+    """The unique scalar g with L_xi(omega) = g * omega.  A top form is closed,
+    so for omega = u dx_1^...^dx_n over the free coordinates Cartan's formula
+    leaves L_xi(omega) = d(i_xi omega): g = u^-1 * sum_i d(u*xi_i)/dx_i."""
+    _same_chart(field, volume)
+    _require_tangent(field)
+    u = volume.unit_coefficient()
+    total = LaurentPoly.zero(field.chart.coordinates)
+    for name, coeff in field.free_components().items():
+        total = total + (u * coeff).partial_derivative(name)
+    return field.chart.normal_form(u.unit_inverse() * total)
 
 
 def contract_volume(field: VectorField, volume: VolumeForm) -> DiffForm:

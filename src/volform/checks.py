@@ -37,7 +37,7 @@ from .errors import SemanticError, VolformError
 from .groups import GroupPresentation
 from .linalg import SpanBuilder
 from .model import CheckDirective, Model
-from .variety import sample_point
+from .variety import SAMPLE_RANGE, sample_point
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -303,19 +303,18 @@ def _check_semicompat(model: Model, flags, a, b, bound, expected) -> tuple[str, 
 @register("wedge_span", "triples")
 def _check_wedge_span(model: Model, flags, pairs) -> tuple[str, str]:
     chart = pairs[0][0].chart
-    points = []
-    seen = set()
+    distinct = len(SAMPLE_RANGE) ** chart.dimension  # the points sample_point can draw
+    if flags.points > distinct:
+        return ERROR, f"could only sample {distinct} distinct points"
+    points = {}  # distinct sample points by their values, in draw order
     attempt = 0
     while len(points) < flags.points and attempt < 50 * flags.points:
         candidate = sample_point(chart, flags.seed + attempt)
+        points.setdefault(candidate.values, candidate)
         attempt += 1
-        if candidate.values in seen:
-            continue
-        seen.add(candidate.values)
-        points.append(candidate)
     if len(points) < flags.points:
         return ERROR, f"could only sample {len(points)} distinct points"
-    for point in points:
+    for point in points.values():
         if not spans_wedge_square(pairs, point):
             at = ", ".join(f"{name} = {scalar_text(v)}" for name, v in point.as_dict().items())
             return FAIL, f"wedges do not span at {at}"

@@ -39,6 +39,8 @@ from .variety import Chart, action, chart
 
 T = TypeVar("T")
 
+MAX_NESTING = 100  # parentheses open at once; the parser spends stack frames on each
+
 KEYWORDS = {
     "chart", "vars", "invert", "rel", "solve", "volume", "field", "form",
     "poly", "action", "order", "group", "ambient", "basis", "element",
@@ -114,6 +116,7 @@ class _Parser:
     def __init__(self, tokens: list[Token], source: str):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # parentheses open before the next token
         self.model = Model(name=source)
         # d<c> per coordinate c of the document's one chart, built once
         self.differentials: dict[str, DiffForm] = {}
@@ -124,9 +127,17 @@ class _Parser:
         return self.tokens[self.pos]
 
     def advance(self) -> Token:
+        """The next token, consumed; a ParseError at a "(" past MAX_NESTING open ones."""
         tok = self.tokens[self.pos]
         if tok.kind != "EOF":
             self.pos += 1
+        if tok.text == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested more than {MAX_NESTING} deep",
+                                 tok.line, tok.col)
+        elif tok.text == ")":
+            self.depth -= 1
         return tok
 
     def at(self, want: str) -> bool:
@@ -285,9 +296,10 @@ class _Parser:
                 return value
 
     def _factor(self, variables) -> LaurentPoly:
-        if self.accept("-"):
-            return -self._factor(variables)
-        return self._power(variables)
+        negated = False
+        while self.accept("-"):
+            negated = not negated
+        return -self._power(variables) if negated else self._power(variables)
 
     def _power(self, variables) -> LaurentPoly:
         base = self._atom(variables)

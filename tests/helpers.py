@@ -18,6 +18,8 @@ from volform import (
     VectorField,
     chart,
     diff_form,
+    exterior_derivative,
+    interior_product,
     vector_field,
     volume_form,
 )
@@ -80,6 +82,13 @@ def surface_fields(on: Chart) -> dict[str, VectorField]:
         "dy": vector_field(on, {"x": -rz, "z": rx}),
         "dx": vector_field(on, {"y": -rz, "z": ry}),
     }
+
+
+def lie_derivative(field: VectorField, form: DiffForm) -> DiffForm:
+    """L_xi = d i_xi + i_xi d (Cartan's formula), from the package's d and i."""
+    return exterior_derivative(interior_product(field, form)) + interior_product(
+        field, exterior_derivative(form)
+    )
 
 
 def random_coeff(rng: random.Random) -> Fraction:

@@ -1,6 +1,7 @@
 """Bracket identities, kernels, semi-compatibility, wedge spans, flows,
 and the surface decomposition, cross-checked against brute-force oracles."""
 
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -22,7 +23,6 @@ from volform import (
     interior_product,
     kernel_basis,
     lie_bracket,
-    lie_derivative,
     monomials_up_to,
     parse,
     sample_point,
@@ -36,12 +36,13 @@ from volform import (
     verify_potential,
 )
 from volform import avdp, linalg
-from volform.avdp import _Packing, _monomial_table
+from volform.avdp import _compositions, _Packing, _monomial_table
 from volform.errors import DimensionError, PreconditionError, VariableMismatchError
 from volform.linalg import SpanBuilder
 from volform.algebra import _grlex_key
 
 from helpers import (
+    lie_derivative,
     random_poly,
     sl2_chart,
     surface_chart,
@@ -788,6 +789,20 @@ def test_verify_potential_examples():
     assert verify_potential(x, fields["dx"], w)
     zero = vector_field(on, {})
     assert verify_potential(LaurentPoly.zero(on.coordinates), zero, w)
+
+
+def test_compositions_run_in_lex_order_without_recursion():
+    assert list(_compositions(2, 3)) == [
+        (0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)]
+    for total in range(5):
+        for parts in range(1, 5):
+            every = itertools.product(range(total + 1), repeat=parts)
+            expected = sorted(e for e in every if sum(e) == total)
+            assert list(_compositions(total, parts)) == expected
+    # one frame per coordinate once overflowed Python's stack here
+    wide = chart([f"x{i}" for i in range(1500)])
+    (one,) = monomials_up_to(wide, 0)
+    assert one == wide.poly(1)
 
 
 def test_accepted_potentials_lie_in_the_kernel():

@@ -205,6 +205,11 @@ ERROR_DETAILS = {
     # message that prints a coefficient 2**20000
     pytest.param("poly p = " + "1" * 5000 + ";", 2, None, id="5000-digit-literal-2-None"),
     ("chart { vars x*; } action s: x -> 2*x order 20000;", 2, None),
+    # nested past the parser's limit: once a RecursionError, exit 1
+    pytest.param("poly p = " + "(" * 200 + "x" + ")" * 200 + ";", 2, None,
+                 id="200-parentheses-2-None"),
+    pytest.param("check tangent(" + "(" * 5000 + "dz" + ")" * 5000 + ");", 2, None,
+                 id="5000-tuples-2-None"),
 ])
 def test_bad_document_input_never_ends_in_a_traceback(statement, code, status, tmp_path, capsys):
     doc = tmp_path / "case.vf"
@@ -224,6 +229,12 @@ def test_bad_document_input_never_ends_in_a_traceback(statement, code, status, t
         assert [(r["status"], r["detail"]) for r in records] == [
             ("ERROR", ERROR_DETAILS[statement])
         ]
+
+
+def test_deeply_nested_scenario_address_is_a_positioned_error(capsys):
+    address = "surface:p=" + "(" * 101 + "x" + ")" * 101 + ",q=y"
+    assert main(["check", address]) == 2
+    assert capsys.readouterr().err == f"{address}:1:101: parentheses nested more than 100 deep\n"
 
 
 # a coordinate may carry any name, including the formal time variable the

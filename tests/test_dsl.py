@@ -1,5 +1,6 @@
 """Document language: golden productions, errors with positions, round trips."""
 
+import traceback
 from pathlib import Path
 
 import pytest
@@ -14,13 +15,14 @@ from volform import (
     parse_polynomial,
     surface,
 )
-from volform import calculus, dsl
+from volform import avdp, calculus, checks, dsl
 from volform.calculus import exterior_derivative, scalar_form, wedge
 from volform.checks import RunFlags, run_check
-from volform.dsl import tokenize
+from volform.dsl import MAX_NESTING, tokenize
 from volform.errors import ParseError, SemanticError, VolformError
 
 DATA = Path(__file__).parent / "data"
+XYZ = ("x", "y", "z")
 
 CHART_ONLY = """
 chart {
@@ -305,6 +307,70 @@ def test_nontriangular_or_invalid_actions_rejected():
         parse(CHART_ONLY + "action bad: x -> y, y -> x order 3;")  # wrong order
 
 
+# ------------------------------------------------------------------ nesting
+
+NEXT_LINE = CHART_ONLY.count("\n") + 1  # the line of a statement after CHART_ONLY
+
+
+def nested_poly(openers: str) -> str:
+    """``poly p = <openers>x<closers>;``, each "(" in ``openers`` closed."""
+    return f"poly p = {openers}x{')' * openers.count('(')};"
+
+
+def nested_tuple(depth: int) -> str:
+    """A check whose one argument is ``dz`` inside ``depth`` tuples."""
+    return f"check tangent({'(' * depth}dz{')' * depth});"
+
+
+def test_nesting_up_to_the_limit_parses():
+    x = LaurentPoly.variable(XYZ, "x")
+    assert parse(CHART_ONLY + nested_poly("(" * MAX_NESTING)).polys["p"] == x
+    assert parse_polynomial("(" * MAX_NESTING + "x" + ")" * MAX_NESTING, XYZ) == x
+    # the check's own parentheses are the first level
+    (arg,) = parse(CHART_ONLY + nested_tuple(MAX_NESTING - 1)).checks[0].args
+    for _ in range(MAX_NESTING - 1):
+        (arg,) = arg
+    assert arg == "dz"
+    # unary minuses do not nest: their count only sets the sign
+    assert parse(CHART_ONLY + nested_poly("-" * 5000)).polys["p"] == x
+    assert parse(CHART_ONLY + nested_poly("-" * 5001)).polys["p"] == -x
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 200, 5000])
+def test_nesting_past_the_limit_is_a_positioned_parse_error(depth):
+    message = f"parentheses nested more than {MAX_NESTING} deep"
+    # the error points at the first parenthesis past the limit
+    col = len("poly p = ") + MAX_NESTING + 1
+    with pytest.raises(ParseError, match=f"^{NEXT_LINE}:{col}: {message}$"):
+        parse(CHART_ONLY + nested_poly("(" * depth))
+    col = len("check tangent(") + MAX_NESTING
+    with pytest.raises(ParseError, match=f"^{NEXT_LINE}:{col}: {message}$"):
+        parse(CHART_ONLY + nested_tuple(depth))
+    with pytest.raises(ParseError, match=f"^1:{MAX_NESTING + 1}: {message}$"):
+        parse_polynomial("(" * depth + "x" + ")" * depth, XYZ)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 * MAX_NESTING), st.integers(0, 2 * MAX_NESTING),
+       st.randoms(use_true_random=False), st.integers(0, 2 * MAX_NESTING))
+def test_nested_input_parses_or_fails_with_a_volform_error(parens, minuses, rng, depth):
+    openers = ["("] * parens + ["-"] * minuses
+    rng.shuffle(openers)
+    x = LaurentPoly.variable(XYZ, "x")
+    try:
+        value = parse(CHART_ONLY + nested_poly("".join(openers))).polys["p"]
+    except VolformError:
+        assert parens > MAX_NESTING
+    else:
+        assert parens <= MAX_NESTING and value == (-x if minuses % 2 else x)
+    try:
+        parse(CHART_ONLY + nested_tuple(depth))
+    except VolformError:
+        assert depth >= MAX_NESTING
+    else:
+        assert depth < MAX_NESTING
+
+
 # ------------------------------------------------------------- round trips
 
 
@@ -408,19 +474,26 @@ check kernel_spans(dx, 2, px, 3);
 
 
 def test_document_computes_each_divergence_once(monkeypatch):
-    # divergence_zero, identity1 (for both fields) and bracket_potential
-    # share one divergence per field and volume
-    calls = []
-    original = calculus.lie_derivative
+    # divergence_zero, identity1 (for both fields) and bracket_potential each
+    # read the divergence from its formula, which builds no form
+    calls, forms_built = [], []
+    original, original_form = calculus.divergence, calculus.diff_form
 
-    def counted(field, form):
+    def counted(field, volume):
         calls.append(field)
-        return original(field, form)
+        return original(field, volume)
 
-    monkeypatch.setattr(calculus, "lie_derivative", counted)
+    def counted_form(*args):
+        if any(frame.f_code is original.__code__ for frame, _ in traceback.walk_stack(None)):
+            forms_built.append(args)
+        return original_form(*args)
+
+    for module in (checks, avdp):
+        monkeypatch.setattr(module, "divergence", counted)
+    monkeypatch.setattr(calculus, "diff_form", counted_form)
     doc = parse(CUBIC_SURFACE)
     records = execute(doc)
-    assert len(calls) == 3
+    assert len(calls) == 11 and forms_built == []
     assert all(r.status == "PASS" for r in records)
     # the same records as when every check runs on a document of its own
     alone = [run_check(parse(CUBIC_SURFACE), d, RunFlags()) for d in doc.checks]

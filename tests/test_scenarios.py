@@ -1,5 +1,6 @@
 """Built-in scenarios: every expected record executes, products behave."""
 
+import time
 from functools import cached_property
 from pathlib import Path
 
@@ -365,6 +366,22 @@ def test_wedge_span_names_the_failing_point_by_coordinates(witness, detail):
                 + f"poly zero = 0; check wedge_span(((dz, dy, {witness})));")
     record = run_check(doc, doc.checks[-1], RunFlags())
     assert (record.status, record.detail) == ("FAIL", detail)
+
+
+@pytest.mark.parametrize("points, status, detail", [
+    (324, "PASS", "wedges span the wedge square at 324 sampled points"),
+    (325, "ERROR", "could only sample 324 distinct points"),
+    (20000, "ERROR", "could only sample 324 distinct points"),
+])
+def test_wedge_span_knows_how_many_distinct_points_a_chart_has(points, status, detail):
+    # torus:2 has 18**2 = 324 sample points; asking for more is an ERROR at
+    # once, not after 50 * points draws
+    doc = scenario_by_name("torus:2")
+    (directive,) = [d for d in doc.checks if d.kind == "wedge_span"]
+    started = time.perf_counter()
+    record = run_check(doc, directive, RunFlags(points=points))
+    assert (record.status, record.detail) == (status, detail)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_a_document_computes_each_fields_residuals_once(monkeypatch):
