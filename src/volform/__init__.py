@@ -46,7 +46,6 @@ from .errors import VolformError
 from .groups import GroupPresentation, adjoint_matrix, group_presentation, submodular
 from .model import CheckDirective, Model
 from .scenarios import (
-    exactness_field,
     product,
     scenario_by_name,
     sl2,
@@ -89,7 +88,6 @@ __all__ = [
     "contract_volume",
     "diff_form",
     "divergence",
-    "exactness_field",
     "execute",
     "exterior_derivative",
     "format_document",

@@ -183,7 +183,7 @@ class LaurentPoly:
             if exps[idx] == power:
                 reduced = exps[:idx] + (0,) + exps[idx + 1:]
                 out[reduced] = out.get(reduced, Fraction(0)) + coeff
-        return LaurentPoly.from_dict(self.variables, out)
+        return LaurentPoly._from_terms(self.variables, out)
 
     def _index(self, name: str) -> int:
         try:
@@ -311,11 +311,10 @@ class LaurentPoly:
             images[idx] = self._coerce(value)
         result: dict[Exponents, Fraction] = {}
         for exps, coeff in self.terms:
-            factor = LaurentPoly.constant(self.variables, coeff)
-            residual = list(exps)
+            residual = tuple(0 if idx in images else e for idx, e in enumerate(exps))
+            factor = LaurentPoly(self.variables, ((residual, coeff),))
             for idx, image in images.items():
                 e = exps[idx]
-                residual[idx] = 0
                 if e == 0:
                     continue
                 if e < 0 and len(image.terms) != 1:
@@ -324,7 +323,6 @@ class LaurentPoly:
                         f"(single-term monomial) to support exponent {e}"
                     )
                 factor = factor * image ** e
-            factor = factor * LaurentPoly.monomial(self.variables, tuple(residual))
             for e2, c2 in factor.terms:
                 prior = result.get(e2)
                 result[e2] = c2 if prior is None else prior + c2
@@ -398,7 +396,7 @@ class LaurentPoly:
             for pos, exp in zip(positions, exps):
                 e[pos] = exp
             out[tuple(e)] = coeff
-        return LaurentPoly.from_dict(vs, out)
+        return LaurentPoly._from_terms(vs, out)
 
     # -------------------------------------------------------------- rendering
 

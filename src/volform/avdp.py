@@ -194,8 +194,10 @@ def _monomial_table(
     n*3*d*top; (3*n*max(d, 1)*top).bit_length() + 2 bits hold all of them.
     """
     monomials = monomials_up_to(on, degree_bound)
-    generators = [[on.normal_form(g), *(xi.apply(g) for xi in fields)] for g in on.generators()]
-    n = len(generators)
+    n = len(on.coordinates)
+    # at bound 0 the table is the constant 1 alone, which needs no generator
+    generators = [[on.normal_form(g), *(xi.apply(g) for xi in fields)]
+                  for g in on.generators()] if degree_bound > 0 else []
     top = max([1] + [abs(e) for ps in generators for p in ps for exps, _ in p.terms for e in exps])
     packing = _Packing(n, (3 * n * max(degree_bound, 1) * top).bit_length() + 2)
     scaled = []  # per generator: its normal form, then its image under each field

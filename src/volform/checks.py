@@ -216,6 +216,13 @@ def _tuples(value, width: int, what: str) -> tuple:
     return value
 
 
+def _sign(value, expected) -> int | None:
+    """The c in (1, -1) with value = c * expected, or None: forms compare by
+    forms_equal, polynomials by ==."""
+    same = forms_equal if isinstance(value, DiffForm) else LaurentPoly.__eq__
+    return next((c for c in (1, -1) if same(value, c * expected)), None)
+
+
 # ------------------------------------------------------------------ checks
 
 
@@ -245,9 +252,8 @@ def _check_identity1(model: Model, flags, a, b, volume) -> tuple[str, str]:
 @register("potential", "poly field volume")
 def _check_potential(model: Model, flags, poly, field, volume) -> tuple[str, str]:
     df, theta = potential_sides(poly, field, volume)
-    for c in (1, -1):
-        if (c * df - theta).is_zero:
-            return PASS, f"matched constant c = {c:+d}"
+    if (c := _sign(theta, df)) is not None:
+        return PASS, f"matched constant c = {c:+d}"
     return FAIL, f"no sign matches; residual for c=+1: {render_form(df - theta)}"
 
 
@@ -255,10 +261,8 @@ def _check_potential(model: Model, flags, poly, field, volume) -> tuple[str, str
 def _check_bracket_potential(model: Model, flags, a, b, volume, expected) -> tuple[str, str]:
     # d(value) is the bracket contraction by Cartan's formula (see identity1)
     value = bracket_potential(a, b, volume)
-    target = a.chart.normal_form(expected)
-    for c in (1, -1):
-        if (value - c * target).is_zero:
-            return PASS, f"potential equals {c:+d} * ({expected})"
+    if (c := _sign(value, a.chart.normal_form(expected))) is not None:
+        return PASS, f"potential equals {c:+d} * ({expected})"
     return FAIL, f"potential is {value}, expected +/- ({expected})"
 
 
@@ -354,9 +358,8 @@ def _check_commute(model: Model, flags, a, b) -> tuple[str, str]:
 def _check_theta_equals(model: Model, flags, field, volume, name) -> tuple[str, str]:
     expected = _resolve(model, "form", name)  # by name, for the detail
     value = contract_volume(field, volume)
-    for c in (1, -1):
-        if forms_equal(value, c * expected):
-            return PASS, f"contraction matches {c:+d} * {name}"
+    if (c := _sign(value, expected)) is not None:
+        return PASS, f"contraction matches {c:+d} * {name}"
     return FAIL, f"contraction is {render_form(value)}"
 
 

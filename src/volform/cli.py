@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -57,10 +58,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args: argparse.Namespace) -> Model:
     """The document at path ``args.target``; for ``check``, the scenario with
-    that address when no such file exists."""
-    path = Path(args.target)
-    if args.command == "check" and not path.exists():
+    that address when no such file exists.  ``os.path.exists`` reads a name
+    the file system rejects (one over 255 bytes, say) as no file."""
+    if args.command == "check" and not os.path.exists(args.target):
         return scenario_by_name(args.target)
+    path = Path(args.target)
     return parse(path.read_text(encoding="utf-8"), source=str(path))
 
 

@@ -14,27 +14,12 @@ from .calculus import (
     diff_form,
     divergence,
     is_invariant,
-    lie_bracket,
     vector_field,
     volume_form,
 )
-from .errors import ChartError, PreconditionError
+from .errors import ChartError
 from .model import CheckDirective, Model
 from .variety import SubstitutionAction, action, chart
-
-
-def exactness_field(xi: VectorField, eta: VectorField, f: LaurentPoly) -> VectorField:
-    """The field xi(f)*eta for commuting xi, eta and f in the kernel of eta.
-
-    By Leibniz, [xi, f*eta] = xi(f)*eta + f*[xi, eta], which is this field once
-    [xi, eta] = 0, so its contraction with any volume form that kills both xi
-    and f*eta is exact, with the double contraction of (xi, f*eta) as a
-    primitive."""
-    if not lie_bracket(xi, eta).is_zero:
-        raise PreconditionError("fields do not commute")
-    if not eta.apply(f).is_zero:
-        raise PreconditionError("f is not in the kernel of the second field")
-    return xi.apply(f) * eta
 
 
 def torus(n: int) -> Model:
@@ -51,17 +36,16 @@ def torus(n: int) -> Model:
     fields: dict[str, VectorField] = {}
     for i, name in enumerate(names, start=1):
         fields[f"nu{i}"] = vector_field(t, {name: gens[name]})
-    # nu_i rescaled by nu_j(z_j) = z_j: exactness fields whose contractions
-    # with omega are exact; they feed the wedge-span test.  The second of a
-    # pair is exactness_field(nu_i, nu_j, z_i): nu_j(z_i) = 0, and the first
-    # has tested the commutation
+    # z_j*nu_i = [nu_j, z_j*nu_i] by Leibniz (nu_j(z_j) = z_j, [nu_j, nu_i] = 0)
+    # of two fields of divergence zero (nu_i(z_j) = 0), so its contraction
+    # with omega is exact; the pairs feed the wedge-span test
     pair_triples: list[tuple[str, str, str]] = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             left = f"nu{i}x{j}"
             right = f"nu{j}x{i}"
-            fields[left] = exactness_field(fields[f"nu{j}"], fields[f"nu{i}"], gens[f"z{j}"])
-            fields[right] = fields[f"nu{i}"].apply(gens[f"z{i}"]) * fields[f"nu{j}"]
+            fields[left] = gens[f"z{j}"] * fields[f"nu{i}"]
+            fields[right] = gens[f"z{i}"] * fields[f"nu{j}"]
             pair_triples.append((left, right, "one"))
 
     forms: dict[str, DiffForm] = {}

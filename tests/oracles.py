@@ -1,7 +1,7 @@
 """Independent oracles: dense Gaussian elimination over Fraction, sympy
-conversions, dense kernels and semi-compatibility, field invariance through
-a sympy inverse Jacobian, wedge spans evaluated in sympy, and brute-force
-form coefficients summed over permutations.
+conversions and substitution, dense kernels and semi-compatibility, field
+invariance through a sympy inverse Jacobian, wedge spans evaluated in sympy,
+and brute-force form coefficients summed over permutations.
 Nothing here reuses the package's echelon, kernel or form-key machinery.
 """
 
@@ -26,6 +26,13 @@ def poly_to_sympy(p: LaurentPoly):
         terms.append(term)
     # one Add of all terms: adding them one by one is quadratic in sympy
     return sympy.expand(sympy.Add(*terms))
+
+
+def substitute_by_sympy(p: LaurentPoly, bindings: dict[str, LaurentPoly]):
+    """p with each bound variable replaced by its image at once, expanded."""
+    symbols = dict(zip(p.variables, sympy.symbols(p.variables)))
+    images = {symbols[name]: poly_to_sympy(image) for name, image in bindings.items()}
+    return sympy.expand(poly_to_sympy(p).xreplace(images))
 
 
 def sympy_equal(p: LaurentPoly, expr) -> bool:

@@ -17,7 +17,7 @@ from volform.errors import (
 )
 
 from helpers import random_poly, surface_chart, torus_chart
-from oracles import poly_to_sympy, sympy_equal
+from oracles import poly_to_sympy, substitute_by_sympy, sympy_equal
 
 XY = ("x", "y")
 
@@ -304,6 +304,48 @@ def test_products_of_wide_operands_match_sympy_in_canonical_form():
     assert_canonical(a * 7)
     assert zero * a == a * zero == zero
     assert five * z * a == a * (z * five)
+
+
+def test_substitute_matches_sympy_on_random_laurent_polynomials():
+    # a variable that occurs with a negative exponent gets a unit image
+    on = torus_chart(3)
+    rng = random.Random(106)
+    units = 0
+    for _ in range(30):
+        p = random_poly(rng, on, max_terms=5)
+        bindings = {}
+        for name in rng.sample(on.coordinates, rng.randint(1, 3)):
+            unit = p.min_degree_in(name) < 0
+            units += unit
+            bindings[name] = random_poly(rng, on, max_terms=1 if unit else 3)
+        got = p.substitute(bindings)
+        assert_canonical(got)
+        assert poly_to_sympy(got) == substitute_by_sympy(p, bindings), (p, bindings)
+    assert units
+
+
+def test_term_surgery_builds_nothing_through_the_validating_constructors(monkeypatch):
+    # substitute, coefficient_in and extend_variables build arithmetic results,
+    # so none of from_dict, constant and monomial (the entry points that check
+    # outside input) runs
+    x, y = gens(*XY)
+    p = x ** 2 * y ** -1 + 3 * x - Fraction(1, 2) * y ** -2 + 5
+    bindings = {"x": x + y, "y": 2 * y}
+    calls = []
+    for name in ("from_dict", "constant", "monomial"):
+        def counted(*args, _name=name, _build=getattr(LaurentPoly, name), **kwargs):
+            calls.append(_name)
+            return _build(*args, **kwargs)
+        monkeypatch.setattr(LaurentPoly, name, staticmethod(counted))
+    substituted = p.substitute(bindings)
+    coefficient = p.coefficient_in("x", 1)
+    extended = p.extend_variables(("t", "x", "y"))
+    assert calls == []
+    monkeypatch.undo()
+    assert substituted == ((x + y) ** 2 * (2 * y) ** -1 + 3 * (x + y)
+                           - Fraction(1, 2) * (2 * y) ** -2 + 5)
+    assert coefficient == LaurentPoly.constant(XY, 3)
+    assert extended.variables == ("t", "x", "y") and str(extended) == str(p)
 
 
 POINT_VALUES = [0, 1, -1, 3, -7, Fraction(5), Fraction(-3, 4), Fraction(22, 7),

@@ -14,6 +14,8 @@ from volform import (
     UNKNOWN,
     Chart,
     LaurentPoly,
+    SemicompatVerdict,
+    VectorField,
     bracket_potential,
     chart,
     contract_volume,
@@ -257,9 +259,13 @@ def test_table_packing_holds_the_proven_exponent_bound(address):
     polys = [on.normal_form(g) for g in on.generators()]
     polys += [field.apply(g) for field in fields for g in on.generators()]
     top = max([1] + [abs(e) for p in polys for exps, _ in p.terms for e in exps])
-    for bound in (0, 1, 3):
+    # at bound 0 the table is the constant 1 alone, and code 0 its only code
+    forms, images, packing = _monomial_table(on, 0, fields)
+    assert forms == [{0: 1}] and images == [[{}] for _ in fields]
+    assert packing.unpack(0) == (0,) * n
+    for bound in (1, 3):
         _, _, packing = _monomial_table(on, bound, fields)
-        limit = 3 * max(bound, 1) * top
+        limit = 3 * bound * top
         extremes = [(limit,) * n, (-limit,) * n, (limit,) + (0,) * (n - 1)]
         for e in extremes:
             assert packing.unpack(packing.pack(e)) == e
@@ -267,6 +273,21 @@ def test_table_packing_holds_the_proven_exponent_bound(address):
             rest = tuple(x - h for x, h in zip(e, half))
             assert packing.pack(half) + packing.pack(rest) == packing.pack(e)
         assert packing.pack(extremes[1]) < 0 < packing.pack(extremes[0])
+
+
+def test_bound_zero_applies_no_field(monkeypatch):
+    # the bound-0 table is the constant 1, so no generator image is needed
+    fields = scenario_by_name("surface:p=x**2+x,q=y").fields
+    dz, dy = fields["dz"], fields["dy"]
+    one = LaurentPoly.one(dz.chart.coordinates)
+    # the tangency residuals are memoised per field; compute them before counting
+    assert all(r.is_zero for f in (dz, dy) for r in f.residuals)
+    calls = []
+    apply = VectorField.apply
+    monkeypatch.setattr(VectorField, "apply", lambda xi, f: calls.append(f) or apply(xi, f))
+    assert kernel_basis(dz, 0) == [one]
+    assert semicompat_bounded(dz, dy, 0) == SemicompatVerdict(FULL_RING, one, 0)
+    assert calls == []
 
 
 @pytest.mark.parametrize("address, a, b", [

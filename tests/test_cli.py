@@ -254,6 +254,16 @@ def test_flow_checks_accept_any_coordinate_name(document, detail, tmp_path, caps
     assert [(r["status"], r["detail"]) for r in records] == [("PASS", detail)]
 
 
+def test_scenario_address_longer_than_a_file_name_resolves(capsys):
+    # a name over the file system's 255-byte limit is no file, so it is an address
+    address = "surface:p=x" + "+0*x" * 70 + ",q=y"
+    assert len(address.encode()) > 255
+    assert main(["check", address, "--format", "json"]) == 0
+    report = capsys.readouterr().out
+    assert main(["check", "surface:p=x,q=y", "--format", "json"]) == 0
+    assert report == capsys.readouterr().out
+
+
 def test_unknown_scenario_address(capsys):
     assert main(["check", "torus:none"]) == 2
     assert main(["check", "does-not-exist"]) == 2

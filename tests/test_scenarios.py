@@ -1,5 +1,6 @@
 """Built-in scenarios: every expected record executes, products behave."""
 
+import itertools
 import time
 from functools import cached_property
 from pathlib import Path
@@ -227,54 +228,44 @@ def test_scenario_addresses():
 
 
 def test_exactness_field_contraction_is_exact():
-    from volform import (contract_volume, exactness_field, exterior_derivative,
-                         forms_equal, interior_product)
-    from volform.errors import PreconditionError
+    # torus stores z_j*nu_i, which is [nu_j, z_j*nu_i], so its contraction
+    # with omega is d of the double contraction of (nu_j, z_j*nu_i)
+    from volform import contract_volume, exterior_derivative, forms_equal, interior_product
 
     for n in (2, 3):
         s = torus(n)
-        nu1, nu2 = s.fields["nu1"], s.fields["nu2"]
-        # nu = nu2(f) * nu1 needs f in Ker nu1; a function of z2 alone works
-        f = s.chart.generator("z2") ** 3
-        scaled = exactness_field(nu2, nu1, f)
-        assert scaled.coefficients == (3 * f * nu1).coefficients
-        primitive = interior_product(nu2, interior_product(f * nu1, s.volume))
-        assert forms_equal(
-            contract_volume(scaled, s.volume), exterior_derivative(primitive)
-        )
-        with pytest.raises(PreconditionError):
-            exactness_field(nu2, nu1, s.chart.generator("z1"))  # not in Ker nu1
+        for i, j in itertools.permutations(range(1, n + 1), 2):
+            nu_i, nu_j = s.fields[f"nu{i}"], s.fields[f"nu{j}"]
+            scaled = s.chart.generator(f"z{j}") * nu_i
+            primitive = interior_product(nu_j, interior_product(scaled, s.volume))
+            assert forms_equal(contract_volume(s.fields[f"nu{i}x{j}"], s.volume),
+                               exterior_derivative(primitive))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_exactness_fields_equal_their_brackets(n):
-    # exactness_field does not recompute [xi, f*eta]; this is the oracle
-    from volform import exactness_field
-
+    # torus builds z_j*nu_i without computing [nu_j, z_j*nu_i]; this is the oracle
     s = torus(n)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            nu_i, nu_j = s.fields[f"nu{i}"], s.fields[f"nu{j}"]
-            for xi, eta, f, name in ((nu_j, nu_i, f"z{j}", f"nu{i}x{j}"),
-                                     (nu_i, nu_j, f"z{i}", f"nu{j}x{i}")):
-                f = s.chart.generator(f)
-                assert exactness_field(xi, eta, f) == lie_bracket(xi, f * eta)
-                assert s.fields[name] == lie_bracket(xi, f * eta)
+    for i, j in itertools.permutations(range(1, n + 1), 2):
+        nu_i, nu_j = s.fields[f"nu{i}"], s.fields[f"nu{j}"]
+        z_j = s.chart.generator(f"z{j}")
+        assert s.fields[f"nu{i}x{j}"] == lie_bracket(nu_j, z_j * nu_i)
 
 
-def test_torus_tests_each_commutation_once(monkeypatch):
-    from volform import scenarios
+def test_torus_makes_no_bracket_call(monkeypatch):
+    from volform import calculus, scenarios
 
     calls = []
-    bracket = scenarios.lie_bracket
+    bracket = calculus.lie_bracket
 
     def counted(a, b):
         calls.append((a, b))
         return bracket(a, b)
 
-    monkeypatch.setattr(scenarios, "lie_bracket", counted)
+    for module in (calculus, scenarios):
+        monkeypatch.setattr(module, "lie_bracket", counted, raising=False)
     torus(5)
-    assert len(calls) == 10  # one per pair of coordinates; it was 20
+    assert calls == []
 
 
 @pytest.mark.parametrize("p, q", [
