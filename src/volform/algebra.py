@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Collection, Iterable, Mapping, Union
+from typing import Collection, Iterable, Mapping, Sequence, Union
 
 from .errors import (
     EvaluationError,
@@ -329,13 +329,11 @@ class LaurentPoly:
         return LaurentPoly._from_terms(self.variables, result)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
-        """Exact value at a rational point, in integers.
+        """Exact value at a rational point.
 
-        Each value's numerator and denominator are read once.  A term is an
-        integer numerator over an integer denominator (a negative exponent
-        swaps the value's two parts); the terms are summed over the lcm of
-        their denominators and one ``Fraction`` is built at the end.  A value
-        that is not an int or a Fraction is a ScalarError, zero assigned to a
+        The validating front of :meth:`_evaluate_parts`: it reads each value's
+        numerator and denominator once, by variable position.  A value that
+        is not an int or a Fraction is a ScalarError, zero assigned to a
         negatively occurring variable an EvaluationError, and a name that is
         not a variable, or a used variable with no value, an
         UnknownVariableError.
@@ -345,18 +343,30 @@ class LaurentPoly:
             idx = self._index(name)
             value = exact_scalar(value, "value of variable", name)
             parts[idx] = (value.numerator, value.denominator)
+        for idx, part in enumerate(parts):
+            if part is None and any(exps[idx] for exps, _ in self.terms):
+                raise UnknownVariableError(
+                    f"no value assigned to variable {self.variables[idx]!r}"
+                )
+        return Fraction(*self._evaluate_parts(parts))
+
+    def _evaluate_parts(self, parts: Sequence[tuple[int, int] | None]) -> tuple[int, int]:
+        """The value as (numerator, positive denominator), not reduced.
+
+        Trusted kernel: ``parts[i]`` is the (numerator, denominator) of the
+        value of variable i, and may be None only where no term has a
+        nonzero exponent.  A term is an integer numerator over an integer
+        denominator (a negative exponent swaps the value's two parts); the
+        terms are summed over a common denominator.  Zero under a negative
+        exponent is an EvaluationError.
+        """
         total, den = 0, 1
         for exps, coeff in self.terms:
             n, d = coeff.numerator, coeff.denominator
             for idx, e in enumerate(exps):
-                if e == 0:
+                if not e:
                     continue
-                part = parts[idx]
-                if part is None:
-                    raise UnknownVariableError(
-                        f"no value assigned to variable {self.variables[idx]!r}"
-                    )
-                vn, vd = part
+                vn, vd = parts[idx]  # type: ignore[misc]
                 if e > 0:
                     n *= vn ** e
                     d *= vd ** e
@@ -368,10 +378,13 @@ class LaurentPoly:
                         f"zero assigned to {self.variables[idx]!r}, which occurs "
                         f"with negative exponent {e}"
                     )
-            g = math.gcd(den, d)
-            total = total * (d // g) + n * (den // g)
-            den = den // g * d
-        return Fraction(total, den)
+            if d == 1:
+                total += n * den
+            else:
+                g = math.gcd(den, d)
+                total = total * (d // g) + n * (den // g)
+                den = den // g * d
+        return (-total, -den) if den < 0 else (total, den)
 
     # ------------------------------------------------------- variable surgery
 

@@ -5,7 +5,6 @@ checks.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -332,7 +331,8 @@ def spans_wedge_square(pairs: Sequence[WedgePair], point: Point) -> bool:
     """Strong pointwise test: do the wedges a(p) ^ b(p) of the pairs span the
     full wedge square of the tangent space at the point?  The witness gates
     the pair; a nonzero value only rescales its row, which leaves the span
-    as it is, so the rows are integer wedges of integer-scaled values."""
+    as it is, so the rows are integer wedges of integer-scaled values.  The
+    point is read once, and each distinct field evaluated once."""
     if not pairs:
         raise PreconditionError("no field pairs supplied")
     on = pairs[0][0].chart
@@ -346,18 +346,26 @@ def spans_wedge_square(pairs: Sequence[WedgePair], point: Point) -> bool:
     target = n * (n - 1) // 2
     if target == 0:
         return True
-    values = point.as_dict()
+    parts = point.parts()
+    scaled: dict[int, dict[int, int]] = {}  # by id: the pairs hold every field
     span = SpanBuilder(key_order=lambda k: k)
     for a, b, witness in pairs:
         # a point of the chart satisfies every relation, so w(p) = nf(w)(p)
-        if not witness.evaluate(values):
+        if not witness._evaluate_parts(parts)[0]:
             continue
-        va, vb = _integer_values(a, values), _integer_values(b, values)
-        vec = {}
-        for i, j in itertools.combinations(range(n), 2):
-            entry = va[i] * vb[j] - va[j] * vb[i]
-            if entry:
-                vec[(i, j)] = entry
+        for f in (a, b):
+            if id(f) not in scaled:
+                scaled[id(f)] = _integer_values(f, parts)
+        va, vb = scaled[id(a)], scaled[id(b)]
+        vec: dict[tuple[int, int], int] = {}
+        for i, x in va.items():
+            for j, y in vb.items():
+                # a_i b_j is +-1 times the entry at (min, max); i = j adds nothing
+                if i < j:
+                    vec[(i, j)] = vec.get((i, j), 0) + x * y
+                elif i > j:
+                    vec[(j, i)] = vec.get((j, i), 0) - x * y
+        vec = {k: v for k, v in vec.items() if v}
         if vec:
             span.insert(vec)
             if len(span) == target:
@@ -365,12 +373,13 @@ def spans_wedge_square(pairs: Sequence[WedgePair], point: Point) -> bool:
     return False
 
 
-def _integer_values(field: VectorField, values: dict[str, Fraction]) -> list[int]:
-    """The field's free components at the point, all times the lcm of their
-    denominators; a zero component is not evaluated."""
-    vals = [0 if p.is_zero else p.evaluate(values) for p in field.free_components().values()]
-    den = math.lcm(*(v.denominator for v in vals))
-    return [v.numerator * (den // v.denominator) for v in vals]
+def _integer_values(field: VectorField, parts: list[tuple[int, int]]) -> dict[int, int]:
+    """The field's nonzero free components at the point, by free index, all
+    times the lcm of their denominators; a zero polynomial is not evaluated."""
+    vals = [(i, p._evaluate_parts(parts))
+            for i, p in enumerate(field.free_components().values()) if p.terms]
+    den = math.lcm(*(d for _, (_, d) in vals))
+    return {i: num * (den // d) for i, (num, d) in vals if num}
 
 
 # -------------------------------------------------------- flow Jacobians
@@ -392,9 +401,13 @@ def verify_flow_jacobian(
         raise PointError("point does not belong to the field's chart")
     if not nu.apply(f).is_zero:
         raise PreconditionError("f is not in the kernel of the field")
-    values = point.as_dict()
+    parts = point.parts()
+
+    def at(p: LaurentPoly) -> Fraction:
+        return Fraction(*p._evaluate_parts(parts))
+
     reduced_f = on.normal_form(f)
-    if reduced_f.evaluate(values) != 0:
+    if reduced_f._evaluate_parts(parts)[0]:
         raise PreconditionError("f does not vanish at the point")
 
     flow = lnd_flow(f * nu, bound)
@@ -407,10 +420,10 @@ def verify_flow_jacobian(
         for k, iterate in enumerate(flow[name], 1):
             factorial *= k
             at_one = at_one + iterate * Fraction(1, factorial)
-        jac.append([at_one.partial_derivative(c).evaluate(values) for c in free])
+        jac.append([at(at_one.partial_derivative(c)) for c in free])
 
-    v = [nu.coefficient(c).evaluate(values) for c in free]
-    grad = [reduced_f.partial_derivative(c).evaluate(values) for c in free]
+    v = [at(nu.coefficient(c)) for c in free]
+    grad = [at(reduced_f.partial_derivative(c)) for c in free]
     for i in range(len(free)):
         for j in range(len(free)):
             expected = (Fraction(1) if i == j else Fraction(0)) + v[i] * grad[j]

@@ -98,12 +98,14 @@ class Chart:
         for name in self.invertible:
             if vals[name] == 0:
                 raise PointError(f"invertible coordinate {name!r} is zero")
+        point = Point(self, tuple((c, vals[c]) for c in self.coordinates))
+        parts = point.parts()
         for rel in self.relations:
-            if rel.poly.evaluate(vals) != 0:
+            if rel.poly._evaluate_parts(parts)[0]:
                 raise PointError(
                     f"point does not satisfy relation {rel.poly} = 0"
                 )
-        return Point(self, tuple((c, vals[c]) for c in self.coordinates))
+        return point
 
 
 def chart(
@@ -191,6 +193,19 @@ class Point:
     def as_dict(self) -> dict[str, Fraction]:
         return dict(self.values)
 
+    def parts(self) -> list[tuple[int, int]]:
+        """(numerator, denominator) of each value, in chart-coordinate order:
+        the input of ``LaurentPoly._evaluate_parts`` for chart polynomials.
+        A point built by hand must list every coordinate in that order, with
+        an int or a Fraction for each."""
+        if tuple(name for name, _ in self.values) != self.chart.coordinates:
+            raise PointError("point values do not list the chart's coordinates in order")
+        parts = []
+        for name, value in self.values:
+            value = exact_scalar(value, "value of coordinate", name)
+            parts.append((value.numerator, value.denominator))
+        return parts
+
 
 def sample_point(on: Chart, seed: int) -> Point:
     """Deterministic rational point: random nonzero integer draws for the free
@@ -198,11 +213,12 @@ def sample_point(on: Chart, seed: int) -> Point:
     draw is always a point: invertible coordinates are free and drawn nonzero,
     and the solved coordinates satisfy every relation identically."""
     rng = random.Random(seed)
-    values: dict[str, Fraction] = {
-        name: Fraction(rng.choice(SAMPLE_RANGE)) for name in on.free_coordinates
-    }
+    draws = {name: rng.choice(SAMPLE_RANGE) for name in on.free_coordinates}
+    # the solutions are in the free coordinates alone
+    parts = [(draws[c], 1) if c in draws else None for c in on.coordinates]
+    values = {name: Fraction(n) for name, n in draws.items()}
     for name, expr in on.solutions:
-        values[name] = expr.evaluate(values)
+        values[name] = Fraction(*expr._evaluate_parts(parts))
     return Point(on, tuple((c, values[c]) for c in on.coordinates))
 
 

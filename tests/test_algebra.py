@@ -352,13 +352,11 @@ POINT_VALUES = [0, 1, -1, 3, -7, Fraction(5), Fraction(-3, 4), Fraction(22, 7),
                 Fraction(-1, 10 ** 9), Fraction(999999937, 12)]
 
 
-def test_evaluate_matches_sympy_substitution():
+def _evaluation_cases():
     # mixed denominators; zero values only where no exponent is negative, which
     # multiplying by z**3 guarantees for z
     rng = random.Random(2025)
-    symbols = sympy.symbols(XYZ)
     z = LaurentPoly.variable(XYZ, "z")
-    zeros = 0
     for k in range(80):
         p = wide_poly(rng, rng.randint(0, 8))
         if k % 2:
@@ -369,6 +367,18 @@ def test_evaluate_matches_sympy_substitution():
             while value == 0 and p.min_degree_in(name) < 0:
                 value = rng.choice(POINT_VALUES)
             point[name] = value
+        yield p, point
+    # a negative value under an odd negative exponent makes a term's
+    # denominator negative: -1/8 for x**-3 at x = -2
+    x, y, _ = LaurentPoly.generators(XYZ)
+    for p in (x ** -3, 5 * x ** -3 - Fraction(2, 3) * y ** -1, x ** -3 * y ** -1 + 1):
+        yield p, {"x": -2, "y": Fraction(-3, 4), "z": 1}
+
+
+def test_evaluate_matches_sympy_substitution():
+    symbols = sympy.symbols(XYZ)
+    zeros = negative_parts = 0
+    for p, point in _evaluation_cases():
         zeros += 0 in point.values()
         got = p.evaluate(point)
         expected = poly_to_sympy(p).xreplace(
@@ -376,7 +386,14 @@ def test_evaluate_matches_sympy_substitution():
         )
         assert type(got) is Fraction
         assert sympy.Rational(got.numerator, got.denominator) == expected, (p, point)
-    assert zeros
+        # the kernel under evaluate: a positive denominator and the same ratio
+        values = [Fraction(point[name]) for name in XYZ]
+        num, den = p._evaluate_parts([(v.numerator, v.denominator) for v in values])
+        assert den > 0 and Fraction(num, den) == got, (p, point)
+        negative_parts += any(
+            v < 0 and e % 2 and e < 0 for exps, _ in p.terms for v, e in zip(values, exps)
+        )
+    assert zeros and negative_parts
 
 
 def test_rename_and_extend_variables():

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from volform import LaurentPoly, action, chart, sample_point, scenario_by_name, vector_field
+from volform import (
+    LaurentPoly, Point, action, chart, sample_point, scenario_by_name, vector_field,
+)
 from volform.calculus import is_invariant, is_tangent
 from volform.errors import (
     ActionError,
@@ -169,6 +171,13 @@ def test_point_validation():
         on.point({"x": 2.0, "y": 3, "z": Fraction(-2, 3)})
     good = on.point({"x": 2, "y": 3, "z": Fraction(-2, 3)})
     assert good.as_dict()["z"] == Fraction(-2, 3)
+    assert good.parts() == [(2, 1), (3, 1), (-2, 3)]
+    # a point built by hand is read by position, so its order is checked
+    for values in (good.values[::-1], good.values[:2]):
+        with pytest.raises(PointError, match="do not list the chart's coordinates in order"):
+            Point(on, values).parts()
+    with pytest.raises(ScalarError, match=r"^value of coordinate 'y' is 3\.0, "):
+        Point(on, (("x", 2), ("y", 3.0), ("z", Fraction(-2, 3)))).parts()
 
 
 def test_action_order_validation():
