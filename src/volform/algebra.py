@@ -378,12 +378,9 @@ class LaurentPoly:
                         f"zero assigned to {self.variables[idx]!r}, which occurs "
                         f"with negative exponent {e}"
                     )
-            if d == 1:
-                total += n * den
-            else:
-                g = math.gcd(den, d)
-                total = total * (d // g) + n * (den // g)
-                den = den // g * d
+            g = math.gcd(den, d)
+            total = total * (d // g) + n * (den // g)
+            den = den // g * d
         return (-total, -den) if den < 0 else (total, den)
 
     # ------------------------------------------------------- variable surgery

@@ -332,7 +332,7 @@ def spans_wedge_square(pairs: Sequence[WedgePair], point: Point) -> bool:
     full wedge square of the tangent space at the point?  The witness gates
     the pair; a nonzero value only rescales its row, which leaves the span
     as it is, so the rows are integer wedges of integer-scaled values.  The
-    point is read once, and each distinct field evaluated once."""
+    point is read once."""
     if not pairs:
         raise PreconditionError("no field pairs supplied")
     on = pairs[0][0].chart
@@ -347,16 +347,12 @@ def spans_wedge_square(pairs: Sequence[WedgePair], point: Point) -> bool:
     if target == 0:
         return True
     parts = point.parts()
-    scaled: dict[int, dict[int, int]] = {}  # by id: the pairs hold every field
     span = SpanBuilder(key_order=lambda k: k)
     for a, b, witness in pairs:
         # a point of the chart satisfies every relation, so w(p) = nf(w)(p)
         if not witness._evaluate_parts(parts)[0]:
             continue
-        for f in (a, b):
-            if id(f) not in scaled:
-                scaled[id(f)] = _integer_values(f, parts)
-        va, vb = scaled[id(a)], scaled[id(b)]
+        va, vb = _integer_values(a, parts), _integer_values(b, parts)
         vec: dict[tuple[int, int], int] = {}
         for i, x in va.items():
             for j, y in vb.items():

@@ -702,41 +702,19 @@ def test_wedge_span_agrees_with_substitution_oracle():
         assert witness_zero[(f"torus:{n}, z1 + z2 gates the first pair", 0)] == {True, False}
 
 
-def _count_kernel_calls(monkeypatch) -> list:
+def test_wedge_span_evaluates_only_gates_and_nonzero_components(monkeypatch):
+    # torus:5: 10 pairs, each a witness and one nonzero free component per field
+    on, triples = _torus_wedge_triples(5)
     calls = []
     kernel = LaurentPoly._evaluate_parts
     monkeypatch.setattr(LaurentPoly, "_evaluate_parts",
                         lambda p, parts: calls.append(p) or kernel(p, parts))
-    return calls
-
-
-def test_wedge_span_evaluates_only_gates_and_nonzero_components(monkeypatch):
-    # torus:5: 10 pairs, each a witness and one nonzero free component per field
-    on, triples = _torus_wedge_triples(5)
-    calls = _count_kernel_calls(monkeypatch)
     for seed in range(3):
         point = sample_point(on, seed)
         calls.clear()
         assert spans_wedge_square(triples, point)
         assert 0 < len(calls) <= 30
         assert not any(p.is_zero for p in calls)
-
-
-def test_wedge_span_evaluates_a_shared_field_once_per_point(monkeypatch):
-    # each of nu1, nu2, nu3 sits in two of the three pairs
-    model = scenario_by_name("torus:3")
-    nu1, nu2, nu3 = (model.fields[f"nu{i}"] for i in (1, 2, 3))
-    one = model.polys["one"]
-    triples = [(nu1, nu2, one), (nu1, nu3, one), (nu2, nu3, one)]
-    components = [nu.coefficient(f"z{i}") for i, nu in enumerate((nu1, nu2, nu3), 1)]
-    calls = _count_kernel_calls(monkeypatch)
-    for seed in range(3):
-        point = sample_point(model.chart, seed)
-        calls.clear()
-        assert spans_wedge_square(triples, point)
-        assert [sum(p is c for p in calls) for c in components] == [1, 1, 1]
-        assert sum(p is one for p in calls) == 3
-        assert len(calls) == 6
 
 
 # ---------------------------------------------------------- flow Jacobian
