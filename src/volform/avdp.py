@@ -38,12 +38,10 @@ FULL_RING = "FULL_RING"
 IDEAL_WITNESS = "IDEAL_WITNESS"
 UNKNOWN = "UNKNOWN"
 # Largest monomial basis a kernel or semicompat search may enumerate: it
-# admits bound 10 on a surface (286 monomials).  The slowest admitted cases
-# measured, semicompat(dz, dx, 10) and semicompat(dx, dz, 10) on
-# p = x + x^3, q = 2y + y^3, take 0.13-0.14 s each (best of 7, CPython
-# 3.11.7, shared 2-core host); under cProfile over two fifths is the product
-# span, a third the two kernels and a sixth the monomial table, while the
-# witness search, whose lead test rejects every row, is under 1%.
+# admits bound 10 on a surface (286 monomials).  The slowest admitted cases,
+# semicompat(dz, dx, 10) and (dx, dz, 10) on p = x + x^3, q = 2y + y^3, take
+# 0.09-0.10 s each (best of 7, CPython 3.11.7, shared 2-core host): half in
+# the product span, a quarter in the two kernels, a fifth in the table.
 MAX_MONOMIALS = 300
 IntTerms = dict[int, int]  # an integer multiple of a polynomial's terms, by exponent code
 
@@ -180,11 +178,12 @@ def _monomial_table(
     keyed by the codes of the returned packing, which add like exponents, so
     a product of entries is the :func:`_convolve` of their terms.
 
-    Generator x_i's normal form and images are scaled by t_i, the lcm of
-    their denominators.  Each m*x_i comes from the earlier entry m:
-    nf(m*x_i) = nf(m)*nf(x_i) and, by Leibniz, xi(m*x_i) = xi(m)*nf(x_i) +
-    nf(m)*xi(x_i), so s_{m*x_i} = s_m*t_i.  Products of normal forms (free
-    coordinates only) are normal forms.
+    Generator data are read, not computed: nf(x_i) is x_i or its chart
+    solution, xi(x_i) is xi's stored (normal-form) coefficient at x_i, and
+    both are scaled by t_i, the lcm of their denominators.  Each m*x_i comes
+    from the earlier entry m: nf(m*x_i) = nf(m)*nf(x_i) and, by Leibniz,
+    xi(m*x_i) = xi(m)*nf(x_i) + nf(m)*xi(x_i), so s_{m*x_i} = s_m*t_i.
+    Products of normal forms (free coordinates only) are normal forms.
 
     Width: let top >= 1 bound every |exponent| of the generators' normal
     forms and images.  An entry sums products of at most d = bound of those,
@@ -192,11 +191,14 @@ def _monomial_table(
     (a semicompat witness test) within 3*d*top, and its degree digit within
     n*3*d*top; (3*n*max(d, 1)*top).bit_length() + 2 bits hold all of them.
     """
+    if degree_bound < 0:  # no monomial, not even the constant 1
+        raise PreconditionError(f"degree bound {degree_bound} is negative")
     monomials = monomials_up_to(on, degree_bound)
     n = len(on.coordinates)
     # at bound 0 the table is the constant 1 alone, which needs no generator
-    generators = [[on.normal_form(g), *(xi.apply(g) for xi in fields)]
-                  for g in on.generators()] if degree_bound > 0 else []
+    solved = dict(on.solutions)
+    generators = [[solved.get(c, g), *(xi.coefficient(c) for xi in fields)]
+                  for c, g in zip(on.coordinates, on.generators())] if degree_bound > 0 else []
     top = max([1] + [abs(e) for ps in generators for p in ps for exps, _ in p.terms for e in exps])
     packing = _Packing(n, (3 * n * max(degree_bound, 1) * top).bit_length() + 2)
     scaled = []  # per generator: its normal form, then its image under each field

@@ -319,6 +319,7 @@ def lnd_flow(field: VectorField, bound: int) -> dict[str, list[LaurentPoly]]:
     Returns, for each coordinate c, the nonzero iterates xi^k(c), k >= 1, in
     normal form; the time-t flow is c + sum_k t^k/k! * xi^k(c).  Fails with
     NilpotencyError when some xi^k(c) is still nonzero for k = bound + 1.
+    xi(c) is read, not applied: it is the field's stored normal-form coefficient.
 
     That the flow respects the chart needs no separate check:
     exp(t*xi): A -> A[[t]] is a ring homomorphism for every derivation, so
@@ -330,9 +331,8 @@ def lnd_flow(field: VectorField, bound: int) -> dict[str, list[LaurentPoly]]:
     """
     _require_tangent(field)
     flow: dict[str, list[LaurentPoly]] = {}
-    for name in field.chart.coordinates:
+    for name, current in field.coefficients:
         iterates = flow[name] = []
-        current = field.apply(field.chart.generator(name))
         while not current.is_zero:
             if len(iterates) >= bound:
                 raise NilpotencyError(

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .algebra import LaurentPoly, _grlex_key, scalar_text
+from .algebra import LaurentPoly, _grlex_key, _integral, scalar_text
 from .avdp import (
     FULL_RING,
     IDEAL_WITNESS,
@@ -281,12 +281,12 @@ def _check_kernel_spans(model: Model, flags, field, bound, generator,
         return FAIL, f"({generator}) has constant normal form {reduced}; its powers are dependent"
     span = SpanBuilder(key_order=_grlex_key)
     for member in basis:
-        span.insert(member.as_dict())
+        span.insert(dict(_integral(member.terms)[1]))
     power = LaurentPoly.one(chart.coordinates)
     for k in range(expected_dim):
         if k:
             power = power * reduced
-        if not span.contains(power.as_dict()):
+        if not span.contains(dict(_integral(power.terms)[1])):
             return FAIL, f"({generator})**{k} is outside the computed kernel"
     return PASS, f"kernel is exactly the span of powers of {generator} (dim {expected_dim})"
 

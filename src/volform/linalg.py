@@ -1,19 +1,16 @@
 """Exact linear algebra over the rationals.
 
 :class:`SpanBuilder` is the one elimination engine: incremental reduced
-echelon form over sparse rational vectors with an arbitrary ordered column
+echelon form over sparse integer vectors with an arbitrary ordered column
 space (Laurent-monomial columns for kernels and spans, integer columns for
-dense matrices).  It is fraction-free: inputs are scaled to integers once
-(integer inputs are only copied), rows are stored as primitive integer
-vectors, :meth:`SpanBuilder.primitive_rows` reads them out as they are (a
-reader divides a row by its pivot entry), and :meth:`SpanBuilder.nullspace`
-gives integer vectors.  Back-substitution gives a stored row only keys of
-vectors stored after it, so the set of keys of every vector stored so far
-holds every key of every stored row; an insert whose new pivot lies outside
-that set back-substitutes nothing.
-:func:`row_echelon` is its dense front end, and :func:`solve_exact` and
-:func:`mat_inverse` read the reduced echelon form it builds.
-:func:`det_bareiss` is separate: a fraction-free determinant.
+dense matrices).  It is fraction-free and takes integer vectors only, since
+a positive multiple spans the same line: callers with rational data scale
+each vector first.  It stores rows as primitive integer vectors, reads them
+out as they are (a reader divides a row by its pivot entry), and gives an
+integer nullspace.  :func:`row_echelon` is its dense front end for rational
+rows, and :func:`solve_exact` and :func:`mat_inverse` read the reduced
+echelon form it builds.  :func:`det_bareiss` is separate: a fraction-free
+determinant.
 """
 
 from __future__ import annotations
@@ -105,16 +102,16 @@ def _primitive(vec: dict, pivot: Hashable) -> dict:
 
 
 class SpanBuilder:
-    """Incremental reduced echelon form over sparse rational vectors.
+    """Incremental reduced echelon form over sparse integer vectors.
 
-    Vectors are dicts mapping hashable column keys to nonzero ints or
-    Fractions; the column order is fixed by ``key_order`` (largest column =
-    pivot, compared descending).  Elimination is fraction-free: each stored
-    row is a primitive integer vector (content 1) with a positive entry at its
-    own pivot and 0 at every other pivot, kept in a pivot -> row dict.  The
-    reduced echelon form is unique, so a stored row divided by its pivot
-    entry is exactly the rational row of Gauss-Jordan elimination; only
-    readers of the rows divide.
+    Vectors are dicts mapping hashable column keys to nonzero ints; inserting
+    a Fraction is a TypeError (in the gcd of :func:`_primitive`).  The column
+    order is fixed by ``key_order`` (largest column = pivot, compared
+    descending).  Elimination is fraction-free: each stored row is a
+    primitive integer vector with a positive entry at its own pivot and 0 at
+    every other pivot, kept in a pivot -> row dict.  The reduced echelon form
+    is unique, so a stored row divided by its pivot entry is exactly the
+    rational row of Gauss-Jordan elimination; only readers of the rows divide.
 
     ``_keys`` holds every key of every vector :meth:`insert` has stored, as
     it stored it.  Back-substitution gives a row only keys of vectors stored
@@ -135,10 +132,8 @@ class SpanBuilder:
 
         Rows are 0 at every pivot but their own, so eliminating one pivot only
         rescales the entries at the others: the pivots to clear are those
-        present in the input.  An integer input is copied, not rescaled:
-        elimination consumes the vector it starts from."""
-        integral = all(type(v) is int for v in vec.values())
-        vec = dict(vec if integral else _integral(vec.items())[1])
+        present in the input, which is copied, as elimination consumes it."""
+        vec = dict(vec)
         rows = self._rows
         for pivot in [k for k in vec if k in rows]:
             vec = _eliminate(vec, pivot, rows[pivot])
@@ -199,11 +194,11 @@ class SpanBuilder:
 
 
 def row_echelon(rows: Iterable[Sequence[Fraction]]) -> SpanBuilder:
-    """Reduced echelon form of dense rows.  Column c is keyed by c and the
-    leftmost nonzero column pivots first, as in textbook Gauss-Jordan."""
+    """Reduced echelon form of dense rational rows, each scaled to integers;
+    column c is keyed by c, and the leftmost column pivots first (Gauss-Jordan)."""
     span = SpanBuilder(key_order=lambda c: -c)
     for row in rows:
-        span.insert({c: x for c, x in enumerate(row) if x})
+        span.insert(dict(_integral([(c, x) for c, x in enumerate(row) if x])[1]))
     return span
 
 

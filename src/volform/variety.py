@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .algebra import LaurentPoly, Scalar, exact_scalar
@@ -46,17 +47,24 @@ class Chart:
     def dimension(self) -> int:
         return len(self.free_coordinates)
 
+    @cached_property
+    def _guarded(self) -> tuple[tuple[int, str], ...]:
+        """(i, name) of each non-invertible coordinate: only its exponent can be illegal."""
+        return tuple((i, c) for i, c in enumerate(self.coordinates) if c not in self.invertible)
+
+    @cached_property
+    def _solved(self) -> tuple[tuple[int, str, LaurentPoly], ...]:
+        """(i, name, solution) of each solved coordinate, computed once."""
+        return tuple((self.coordinates.index(c), c, expr) for c, expr in self.solutions)
+
     def validate_poly(self, p: LaurentPoly) -> LaurentPoly:
         if p.variables != self.coordinates:
             raise VariableMismatchError(
                 f"polynomial over {p.variables} does not match chart coordinates "
                 f"{self.coordinates}"
             )
-        # only the exponents of non-invertible coordinates can be illegal
-        guarded = [(i, name) for i, name in enumerate(self.coordinates)
-                   if name not in self.invertible]
         for exps, _ in p.terms:
-            for i, name in guarded:
+            for i, name in self._guarded:
                 if exps[i] < 0:
                     raise ChartError(
                         f"negative exponent on non-invertible coordinate {name!r}"
@@ -78,13 +86,8 @@ class Chart:
     def normal_form(self, p: LaurentPoly) -> LaurentPoly:
         """Canonical representative of p modulo the defining ideal."""
         self.validate_poly(p)
-        if not self.solutions:
-            return p
-        used = p.support()
-        bindings = {name: expr for name, expr in self.solutions if name in used}
-        if not bindings:
-            return p
-        return p.substitute(bindings)
+        bindings = {c: expr for i, c, expr in self._solved if any(e[i] for e, _ in p.terms)}
+        return p.substitute(bindings) if bindings else p
 
     def point(self, values: Mapping[str, Scalar]) -> "Point":
         vals = {}

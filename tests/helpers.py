@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import subprocess
@@ -40,6 +41,15 @@ def run_snippet(code: str, timeout: float = 10.0) -> subprocess.CompletedProcess
                               timeout=timeout, env={**os.environ, "PYTHONPATH": path})
     except subprocess.TimeoutExpired:
         pytest.fail(f"still running after {timeout} s:\n{code}")
+
+
+def integral_vector(vec: dict) -> dict:
+    """A sparse vector of ints or Fractions times the lcm of its denominators.
+
+    ``SpanBuilder`` takes integer vectors only; a positive multiple spans the
+    same line, so spans, echelon forms and nullspaces are unchanged."""
+    den = math.lcm(*(Fraction(v).denominator for v in vec.values()))
+    return {k: int(v * den) for k, v in vec.items()}
 
 
 def surface_chart(p: LaurentPoly | None = None, q: LaurentPoly | None = None) -> Chart:

@@ -2,6 +2,7 @@
 and the surface decomposition, cross-checked against brute-force oracles."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -44,6 +45,7 @@ from volform.linalg import SpanBuilder
 from volform.algebra import _grlex_key
 
 from helpers import (
+    integral_vector,
     lie_derivative,
     random_poly,
     sl2_chart,
@@ -146,10 +148,10 @@ def test_kernel_of_surface_fields_are_coordinate_polynomials():
         assert len(basis) == 5
         builder = SpanBuilder(key_order=_grlex_key)
         for member in basis:
-            builder.insert(member.as_dict())
+            builder.insert(integral_vector(member.as_dict()))
         g = on.generator(coordinate)
         for k in range(5):
-            assert builder.contains(on.normal_form(g ** k).as_dict())
+            assert builder.contains(integral_vector(on.normal_form(g ** k).as_dict()))
 
 
 CUBIC = "surface:p=2*x+x**3,q=y**2+y"
@@ -290,6 +292,98 @@ def test_bound_zero_applies_no_field(monkeypatch):
     assert calls == []
 
 
+def test_table_reads_no_generator_through_the_fields_above_bound_0(monkeypatch):
+    # generator images are the fields' stored coefficients and generator
+    # normal forms the chart's solutions, so a search past the tangency test
+    # neither applies a field nor reduces a polynomial
+    fields = scenario_by_name("xm1:2").fields
+    a, b = fields["nu_y"], fields["nu_u"]
+    # the tangency residuals are memoised per field; compute them before counting
+    assert all(r.is_zero for f in (a, b) for r in f.residuals)
+    calls = []
+    apply, reduce = VectorField.apply, Chart.normal_form
+    monkeypatch.setattr(VectorField, "apply", lambda xi, f: calls.append(f) or apply(xi, f))
+    monkeypatch.setattr(Chart, "normal_form", lambda on, p: calls.append(p) or reduce(on, p))
+    assert semicompat_bounded(a, b, 3).status == UNKNOWN
+    assert len(kernel_basis(a, 3)) > 1
+    assert calls == []
+
+
+def test_negative_degree_bound_is_a_precondition_error():
+    # no monomial has a negative degree, so there is no constant 1 to seed
+    on, xi, eta = sl2_pair()
+    assert monomials_up_to(on, -1) == []
+    with pytest.raises(PreconditionError, match="degree bound -1 is negative"):
+        kernel_basis(xi, -1)
+    with pytest.raises(PreconditionError, match="degree bound -2 is negative"):
+        semicompat_bounded(xi, eta, -2)
+
+
+GENERATOR_TARGETS = (
+    "torus:2", "torus:3", "torus:4", "torus:5", "sl2",
+    "xm1:1", "xm1:2", "xm1:3", "xm1:4", "xm1:5",
+    "surface:p=x,q=y", "surface:p=x**2,q=y**3", "surface:p=2*x-x**3,q=y**2+y", CUBIC,
+    "product:torus:1|torus:1", "product:sl2|torus:1", "product:surface:p=x,q=y|torus:1",
+) + tuple(sorted(p.relative_to(ROOT).as_posix()
+                 for pattern in ("docs/examples/*.vf", "tests/data/*.vf")
+                 for p in ROOT.glob(pattern)))
+
+
+@pytest.mark.parametrize("target", GENERATOR_TARGETS)
+def test_generator_data_live_in_the_field_and_the_chart(target):
+    # what the monomial table and lnd_flow read in place of computing it:
+    # xi(x_c) is xi's stored coefficient at c, and nf(x_c) is x_c or its solution
+    model = parse((ROOT / target).read_text()) if target.endswith(".vf") else (
+        scenario_by_name(target))
+    for xi in model.fields.values():
+        on = xi.chart
+        solutions = dict(on.solutions)
+        for name, g in zip(on.coordinates, on.generators()):
+            assert on.normal_form(g) == solutions.get(name, g)
+            assert xi.apply(g) == xi.coefficient(name)
+
+
+def _table_by_apply(on, degree_bound, fields):
+    """The monomial table as it was built from Chart.normal_form and
+    VectorField.apply of each generator: the reference for reading those
+    data where they live."""
+    monomials = monomials_up_to(on, degree_bound)
+    n = len(on.coordinates)
+    generators = [[on.normal_form(g), *(xi.apply(g) for xi in fields)] for g in on.generators()]
+    top = max([1] + [abs(e) for ps in generators for p in ps for exps, _ in p.terms for e in exps])
+    packing = _Packing(n, (3 * n * max(degree_bound, 1) * top).bit_length() + 2)
+    scaled = []
+    for polys in generators:
+        den = math.lcm(*(c.denominator for p in polys for _, c in p.terms))
+        scaled.append([[(packing.pack(e), c.numerator * (den // c.denominator))
+                        for e, c in p.terms] for p in polys])
+    order = sorted(range(n), key=lambda i: len(scaled[i][0]))
+    position = {(0,) * n: 0}
+    forms, images = [{0: 1}], [[{}] for _ in fields]
+    for j, m in enumerate(monomials[1:], 1):
+        exps = m.terms[0][0]
+        position[exps] = j
+        i = next(i for i in order if exps[i])
+        k = position[exps[:i] + (exps[i] - 1,) + exps[i + 1:]]
+        form, gen_form, gen_images = forms[k].items(), scaled[i][0], scaled[i][1:]
+        for column, gen_image in zip(images, gen_images):
+            column.append(avdp._convolve((column[k].items(), gen_form), (form, gen_image)))
+        forms.append(avdp._convolve((form, gen_form)))
+    return forms, images, packing.width
+
+
+@pytest.mark.parametrize("address", ["sl2", "xm1:1", "xm1:3", "torus:3", CUBIC, "rational"])
+def test_monomial_table_matches_its_construction_by_apply(address):
+    if address == "rational":
+        fields = list(rational_pair())
+    else:
+        fields = list(scenario_by_name(address).fields.values())
+    on = fields[0].chart
+    for bound in range(1, 5):
+        forms, images, packing = _monomial_table(on, bound, fields)
+        assert (forms, images, packing.width) == _table_by_apply(on, bound, fields)
+
+
 @pytest.mark.parametrize("address, a, b", [
     ("xm1:20", "nu_y", "nu_u"),
     ("surface:p=x**6-2*x,q=y**2+y", "dz", "dx"),
@@ -428,9 +522,9 @@ def test_kernel_of_sl2_shear_contains_its_kernel_coordinates():
     basis = kernel_basis(xi, 1)
     builder = SpanBuilder(key_order=_grlex_key)
     for member in basis:
-        builder.insert(member.as_dict())
-    assert builder.contains(on.generator("b1").as_dict())
-    assert builder.contains(on.normal_form(on.generator("b2")).as_dict())
+        builder.insert(integral_vector(member.as_dict()))
+    assert builder.contains(integral_vector(on.generator("b1").as_dict()))
+    assert builder.contains(integral_vector(on.normal_form(on.generator("b2")).as_dict()))
 
 
 def test_kernel_dimension_tracks_the_bound():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import integral_vector
 from oracles import dense_nullspace, dense_pivots, dense_rank, dense_rref
 from volform.errors import GroupError
 from volform.linalg import (
@@ -62,21 +63,39 @@ def test_inverse_and_solve():
 
 def test_span_builder_rank_membership_and_combos():
     span = SpanBuilder(key_order=lambda k: k)
-    new, _ = span.insert({0: Fraction(1), 1: Fraction(2)})
+    new, _ = span.insert(integral_vector({0: Fraction(1), 1: Fraction(2)}))
     assert new
-    new, _ = span.insert({1: Fraction(1)})
+    new, _ = span.insert(integral_vector({1: Fraction(1)}))
     assert new
     assert len(span) == 2
-    assert span.contains({0: Fraction(3), 1: Fraction(-1)})
-    assert not span.contains({2: Fraction(1)})
+    assert span.contains(integral_vector({0: Fraction(3), 1: Fraction(-1)}))
+    assert not span.contains(integral_vector({2: Fraction(1)}))
     # a dependent vector is not stored and has no pivot
-    assert span.insert({0: Fraction(2), 1: Fraction(4)}) == (False, None)
+    assert span.insert(integral_vector({0: Fraction(2), 1: Fraction(4)})) == (False, None)
+
+
+def test_span_builder_takes_integer_vectors_only():
+    # a Fraction meets a gcd on every insert; the rational front ends scale
+    # each row to integers first
+    span = SpanBuilder(key_order=lambda k: k)
+    with pytest.raises(TypeError):
+        span.insert({0: Fraction(1, 2)})
+    span.insert({1: 2})
+    with pytest.raises(TypeError):
+        span.insert({0: 1, 1: Fraction(3)})
+    with pytest.raises(TypeError):
+        span.contains({1: Fraction(1, 3)})
+    half = Fraction(1, 2)
+    assert [dict(row) for row in row_echelon([[half, Fraction(1, 3)], [1, 0]]).primitive_rows()] \
+        == [{0: 1}, {1: 1}]
+    assert solve_exact([[half, 0], [0, Fraction(2, 3)]], [1, Fraction(1, 3)]) == [2, half]
+    assert mat_inverse(make_matrix([[half, 0], [0, 3]])) == make_matrix([[2, 0], [0, Fraction(1, 3)]])
 
 
 def test_span_builder_basis_is_reduced_echelon():
     span = SpanBuilder(key_order=lambda k: k)
-    span.insert({0: Fraction(2), 1: Fraction(2)})
-    span.insert({0: Fraction(1)})
+    span.insert(integral_vector({0: Fraction(2), 1: Fraction(2)}))
+    span.insert(integral_vector({0: Fraction(1)}))
     basis = _echelon_rows(span)
     # pivots normalized to 1 and cleared across rows
     assert {1: Fraction(1)} in basis
@@ -254,7 +273,7 @@ def test_span_builder_matches_dense_rref_in_any_insertion_order():
             # leftmost column pivots first, as in the oracle
             span = SpanBuilder(key_order=lambda c: -c)
             for row in order:
-                span.insert(_sparse(row))
+                span.insert(integral_vector(_sparse(row)))
             basis = _echelon_rows(span)
             nullspace = _per_free_key(span.nullspace(range(ncols)), pivots)
             assert _fractions_only(basis)
@@ -263,7 +282,7 @@ def test_span_builder_matches_dense_rref_in_any_insertion_order():
             # rightmost column pivots first: the oracle on mirrored columns
             span = SpanBuilder(key_order=lambda c: c)
             for row in order:
-                span.insert(_sparse(row))
+                span.insert(integral_vector(_sparse(row)))
             basis = _echelon_rows(span)
             assert _fractions_only(basis)
             assert [_dense(vec, reversed(range(ncols))) for vec in basis] == mirrored
@@ -300,10 +319,10 @@ def test_span_builder_insert_and_contains_agree_with_dense_rank():
             else:
                 probe = _hard_sparse(rng, 1, ncols)[0]
             inside = dense_rank(seen + [probe]) == dense_rank(seen)
-            assert span.contains(_sparse(probe)) == inside
+            assert span.contains(integral_vector(_sparse(probe))) == inside
             outcomes["inside" if inside else "outside"] += 1
 
-            was_new, pivot = span.insert(_sparse(row))
+            was_new, pivot = span.insert(integral_vector(_sparse(row)))
             before = set(dense_pivots(dense_rref(seen)))
             seen.append(row)
             expected = dense_rref(seen)
@@ -358,10 +377,10 @@ def test_span_builder_takes_integer_vectors_without_modifying_them():
         for row in rows:
             copy = dict(row)
             assert whole.contains(row) == fractional.contains(
-                {c: Fraction(x) for c, x in row.items()})
+                integral_vector({c: Fraction(x) for c, x in row.items()}))
             assert row == copy
             assert whole.insert(row) == fractional.insert(
-                {c: Fraction(x, 3) for c, x in row.items()})
+                integral_vector({c: Fraction(x, 3) for c, x in row.items()}))
             assert row == copy
         assert _echelon_rows(whole) == _echelon_rows(fractional)
         # the stored rows are primitive integer rows, positive at their pivot

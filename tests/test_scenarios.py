@@ -346,6 +346,16 @@ def test_kernel_spans_reads_each_power_of_the_generator(generator, status, detai
     assert (record.status, record.detail) == (status, detail)
 
 
+def test_kernel_spans_scales_rational_powers_of_the_generator():
+    # the kernel's span takes integer vectors; the powers of (z + 2/3)/2
+    # have Fraction coefficients and span what the powers of z span
+    doc = parse((DATA / "surface_xy.vf").read_text()
+                + "poly half = (1/2)*z + 1/3; check kernel_spans(dz, 4, half, 5);")
+    record = run_check(doc, doc.checks[-1], RunFlags())
+    assert (record.status, record.detail) == (
+        "PASS", "kernel is exactly the span of powers of 1/2*z + 1/3 (dim 5)")
+
+
 @pytest.mark.parametrize("witness, detail", [
     # dz ^ dy vanishes at the fifth sampled point
     ("one", "wedges do not span at x = -2, y = 1, z = -1"),
