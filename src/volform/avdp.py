@@ -40,7 +40,7 @@ UNKNOWN = "UNKNOWN"
 # Largest monomial basis a kernel or semicompat search may enumerate: it
 # admits bound 10 on a surface (286 monomials).  The slowest admitted cases,
 # semicompat(dz, dx, 10) and (dx, dz, 10) on p = x + x^3, q = 2y + y^3, take
-# 0.09-0.10 s each (best of 7, CPython 3.11.7, shared 2-core host): half in
+# 0.12-0.14 s each (best of 7, CPython 3.11.7, shared 2-core host): half in
 # the product span, a quarter in the two kernels, a fifth in the table.
 MAX_MONOMIALS = 300
 IntTerms = dict[int, int]  # an integer multiple of a polynomial's terms, by exponent code
@@ -104,7 +104,10 @@ def verify_potential(f: LaurentPoly, xi: VectorField, volume: VolumeForm) -> boo
 
 
 def monomials_up_to(on: Chart, degree_bound: int) -> list[LaurentPoly]:
-    """All ambient monomials of total degree <= bound, degree-then-lex order."""
+    """All ambient monomials of total degree <= bound, degree-then-lex order;
+    none for a negative bound."""
+    if degree_bound < 0:
+        return []
     n = len(on.coordinates)
     count = math.comb(n + degree_bound, n)
     if count > MAX_MONOMIALS:
@@ -183,7 +186,9 @@ def _monomial_table(
     both are scaled by t_i, the lcm of their denominators.  Each m*x_i comes
     from the earlier entry m: nf(m*x_i) = nf(m)*nf(x_i) and, by Leibniz,
     xi(m*x_i) = xi(m)*nf(x_i) + nf(m)*xi(x_i), so s_{m*x_i} = s_m*t_i.
-    Products of normal forms (free coordinates only) are normal forms.
+    Products of normal forms (free coordinates only) are normal forms.  Along
+    a single-term generator (every free coordinate, t_i*x_i) nf(m*x_i) is
+    nf(m) with its codes shifted by code(x_i) and its terms times t_i.
 
     Width: let top >= 1 bound every |exponent| of the generators' normal
     forms and images.  An entry sums products of at most d = bound of those,
@@ -216,28 +221,51 @@ def _monomial_table(
         position[exps] = j
         i = next(i for i in order if exps[i])
         k = position[exps[:i] + (exps[i] - 1,) + exps[i + 1:]]
-        form, gen_form, gen_images = forms[k].items(), scaled[i][0], scaled[i][1:]
+        form, (gen_form, *gen_images) = forms[k].items(), scaled[i]
+        if len(gen_form) == 1:  # a free coordinate: a shift of codes and a scale
+            ((shift, t),) = gen_form
+            forms.append({e + shift: n * t for e, n in form})
+        else:
+            forms.append(_convolve((form, gen_form)))
         for column, gen_image in zip(images, gen_images):
             column.append(_convolve((column[k].items(), gen_form), (form, gen_image)))
-        forms.append(_convolve((form, gen_form)))
     return forms, images, packing
+
+
+class _Kernel(list):
+    """The members of a kernel's echelon basis, with the integer span they
+    were read from (``span``) and the packing of its codes (``packing``)."""
+
+    def __init__(self, members: Iterable[LaurentPoly], span: SpanBuilder, packing: _Packing):
+        super().__init__(members)
+        self.span, self.packing = span, packing
 
 
 def kernel_basis(xi: VectorField, degree_bound: int) -> list[LaurentPoly]:
     """Echelonized basis of {f : xi(f) = 0 on the chart} within the span of
-    ambient monomials of total degree <= bound, all in normal form."""
+    ambient monomials of total degree <= bound, all in normal form.
+
+    The list also carries the kernel's integer span, keyed by the codes of
+    :func:`_monomial_table`'s packing, as ``.span`` and ``.packing``: every
+    member has its exponents in the table's box (every exponent within
+    d*top), so a product of two members is within the packing's digits."""
     _require_tangent(xi)
     forms, (images,), packing = _monomial_table(xi.chart, degree_bound, (xi,))
-    return [_row_poly(xi.chart, packing, row)
-            for row in _kernel_from_table(forms, images).primitive_rows()]
+    span = _kernel_from_table(forms, images)
+    return _Kernel((_row_poly(xi.chart, packing, row) for row in span.primitive_rows()),
+                   span, packing)
 
 
 def _row_poly(on: Chart, packing: _Packing, row: Mapping[int, int]) -> LaurentPoly:
     """A primitive echelon row, keyed by codes, divided by its pivot entry (at
-    its largest code): the row of the reduced echelon form, as a polynomial."""
-    lead = row[max(row)]
-    return LaurentPoly._from_terms(
-        on.coordinates, {packing.unpack(e): Fraction(n, lead) for e, n in row.items()})
+    its largest code): the row of the reduced echelon form, as a polynomial.
+    Within the packing's digits, code order is grlex order, so the codes in
+    descending order give the polynomial's term order, with no sort of
+    exponent tuples."""
+    codes = sorted(row, reverse=True)
+    lead = row[codes[0]]
+    return LaurentPoly(on.coordinates,
+                       tuple((packing.unpack(e), Fraction(row[e], lead)) for e in codes))
 
 
 def _kernel_from_table(forms: list[IntTerms], images: list[IntTerms]) -> SpanBuilder:
@@ -246,13 +274,17 @@ def _kernel_from_table(forms: list[IntTerms], images: list[IntTerms]) -> SpanBui
     # keyed by monomial index.  Only that nullspace is read, and its span is
     # the kernel of the image map in any elimination order, so eliminate
     # sparsest first to limit fill-in (Markowitz): shortest rows first, and
-    # the index with the fewest image entries pivots, lowest index on ties
+    # the index with the fewest image entries pivots, lowest index on ties:
+    # the highest rank in a list sorted once
     image_rows: dict[int, dict[int, int]] = {}
     for j, w in enumerate(images):
         for code, n in w.items():
             image_rows.setdefault(code, {})[j] = n
-    column_count = [len(w) for w in images]
-    image_span = SpanBuilder(key_order=lambda j: (-column_count[j], -j))
+    rank = [0] * len(images)
+    for r, j in enumerate(sorted(range(len(images)), key=lambda j: (len(images[j]), j),
+                                 reverse=True)):
+        rank[j] = r
+    image_span = SpanBuilder(key_order=rank.__getitem__)
     for row in sorted(image_rows.values(), key=len):
         image_span.insert(row)
 

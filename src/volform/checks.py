@@ -7,11 +7,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .algebra import LaurentPoly, _grlex_key, _integral, scalar_text
+from .algebra import LaurentPoly, _integral, scalar_text
 from .avdp import (
     FULL_RING,
     IDEAL_WITNESS,
     UNKNOWN,
+    _convolve,
     bracket_identity_residual,
     bracket_potential,
     kernel_basis,
@@ -35,7 +36,6 @@ from .calculus import (
 )
 from .errors import SemanticError, VolformError
 from .groups import GroupPresentation
-from .linalg import SpanBuilder
 from .model import CheckDirective, Model
 from .variety import SAMPLE_RANGE, sample_point
 
@@ -272,21 +272,26 @@ def _check_kernel_spans(model: Model, flags, field, bound, generator,
     basis = kernel_basis(field, bound)
     if len(basis) != expected_dim:
         return FAIL, f"kernel dimension {len(basis)}, expected {expected_dim}"
-    chart = field.chart
     # normal forms are closed under products, so nf(g**k) = nf(g)**k; in the
     # Laurent ring of normal forms a nonconstant element is transcendental
     # over Q, so its powers are independent, and a constant's are not
-    reduced = chart.normal_form(generator)
+    reduced = field.chart.normal_form(generator)
     if expected_dim >= 2 and not reduced.support():
         return FAIL, f"({generator}) has constant normal form {reduced}; its powers are dependent"
-    span = SpanBuilder(key_order=_grlex_key)
-    for member in basis:
-        span.insert(dict(_integral(member.terms)[1]))
-    power = LaurentPoly.one(chart.coordinates)
+    # each power is an integer multiple tested in the kernel's own span, by
+    # packed codes.  Every member has its exponents in the table's box, so a
+    # generator with a term at an exponent no member has is outside the span;
+    # otherwise it is in the box, like every contained power, and their
+    # product is within the packing's digits (avdp.kernel_basis)
+    span, packing = basis.span, basis.packing
+    exponents = {e for member in basis for e, _ in member.terms}
+    terms = ([(packing.pack(e), n) for e, n in _integral(reduced.terms)[1]]
+             if all(e in exponents for e, _ in reduced.terms) else None)
+    power = {0: 1}
     for k in range(expected_dim):
         if k:
-            power = power * reduced
-        if not span.contains(dict(_integral(power.terms)[1])):
+            power = None if terms is None else _convolve((power.items(), terms))
+        if power is None or not span.contains(power):
             return FAIL, f"({generator})**{k} is outside the computed kernel"
     return PASS, f"kernel is exactly the span of powers of {generator} (dim {expected_dim})"
 

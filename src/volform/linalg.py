@@ -105,11 +105,12 @@ class SpanBuilder:
     """Incremental reduced echelon form over sparse integer vectors.
 
     Vectors are dicts mapping hashable column keys to nonzero ints; inserting
-    a Fraction is a TypeError (in the gcd of :func:`_primitive`).  The column
-    order is fixed by ``key_order`` (largest column = pivot, compared
-    descending).  Elimination is fraction-free: each stored row is a
-    primitive integer vector with a positive entry at its own pivot and 0 at
-    every other pivot, kept in a pivot -> row dict.  The reduced echelon form
+    a Fraction is a TypeError (in the gcd of :func:`_primitive`), and so is
+    testing one that is not contained.  The column order is fixed by
+    ``key_order`` (largest column = pivot, compared descending).
+    Elimination is fraction-free: each stored row is a primitive integer
+    vector with a positive entry at its own pivot and 0 at every other
+    pivot, kept in a pivot -> row dict.  The reduced echelon form
     is unique, so a stored row divided by its pivot entry is exactly the
     rational row of Gauss-Jordan elimination; only readers of the rows divide.
 
@@ -157,7 +158,11 @@ class SpanBuilder:
         return (True, pivot)
 
     def contains(self, vec: dict) -> bool:
-        return not self._reduce(vec)
+        rest = self._reduce(vec)
+        # elimination meets the values at pivots only; a hit leaves no rest
+        if rest and not all(type(v) is int for v in rest.values()):
+            raise TypeError("SpanBuilder takes integer vectors only")
+        return not rest
 
     def _sorted_rows(self) -> list[tuple[Hashable, dict[Hashable, int]]]:
         return sorted(self._rows.items(), key=lambda t: self._key_order(t[0]), reverse=True)

@@ -312,7 +312,7 @@ def test_table_reads_no_generator_through_the_fields_above_bound_0(monkeypatch):
 def test_negative_degree_bound_is_a_precondition_error():
     # no monomial has a negative degree, so there is no constant 1 to seed
     on, xi, eta = sl2_pair()
-    assert monomials_up_to(on, -1) == []
+    assert monomials_up_to(on, -1) == monomials_up_to(on, -5) == []
     with pytest.raises(PreconditionError, match="degree bound -1 is negative"):
         kernel_basis(xi, -1)
     with pytest.raises(PreconditionError, match="degree bound -2 is negative"):
@@ -372,10 +372,18 @@ def _table_by_apply(on, degree_bound, fields):
     return forms, images, packing.width
 
 
-@pytest.mark.parametrize("address", ["sl2", "xm1:1", "xm1:3", "torus:3", CUBIC, "rational"])
+@pytest.mark.parametrize("address", [
+    "sl2", "xm1:1", "xm1:3", "torus:3", CUBIC, "rational", "scaled",
+])
 def test_monomial_table_matches_its_construction_by_apply(address):
     if address == "rational":
         fields = list(rational_pair())
+    elif address == "scaled":
+        # (1/2*x) d/dy scales the free coordinate y by t = 2: the table
+        # shifts the codes of nf(m) and doubles them
+        fields = list(rational_pair())
+        on = fields[0].chart
+        fields.append(vector_field(on, {"y": on.generator("x") / 2}))
     else:
         fields = list(scenario_by_name(address).fields.values())
     on = fields[0].chart

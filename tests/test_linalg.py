@@ -75,8 +75,9 @@ def test_span_builder_rank_membership_and_combos():
 
 
 def test_span_builder_takes_integer_vectors_only():
-    # a Fraction meets a gcd on every insert; the rational front ends scale
-    # each row to integers first
+    # a Fraction meets a gcd on every insert, and a contains that does not
+    # cancel it is checked; the rational front ends scale each row to
+    # integers first
     span = SpanBuilder(key_order=lambda k: k)
     with pytest.raises(TypeError):
         span.insert({0: Fraction(1, 2)})
@@ -85,6 +86,11 @@ def test_span_builder_takes_integer_vectors_only():
         span.insert({0: 1, 1: Fraction(3)})
     with pytest.raises(TypeError):
         span.contains({1: Fraction(1, 3)})
+    # key 2 is no pivot, so no elimination meets its value
+    with pytest.raises(TypeError):
+        span.contains({2: Fraction(1, 2)})
+    with pytest.raises(TypeError):
+        span.contains({1: 4, 2: Fraction(1, 2)})
     half = Fraction(1, 2)
     assert [dict(row) for row in row_echelon([[half, Fraction(1, 3)], [1, 0]]).primitive_rows()] \
         == [{0: 1}, {1: 1}]

@@ -2,6 +2,7 @@
 
 import itertools
 import time
+from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from volform import (
     execute,
     forms_equal,
     is_invariant,
+    kernel_basis,
     lie_bracket,
     parse,
     product,
@@ -29,7 +31,9 @@ from volform import (
     volume_form,
     xm1,
 )
+from volform.algebra import _grlex_key, _integral
 from volform.errors import ChartError, SemanticError
+from volform.linalg import SpanBuilder
 
 from helpers import run_snippet
 
@@ -354,6 +358,90 @@ def test_kernel_spans_scales_rational_powers_of_the_generator():
     record = run_check(doc, doc.checks[-1], RunFlags())
     assert (record.status, record.detail) == (
         "PASS", "kernel is exactly the span of powers of 1/2*z + 1/3 (dim 5)")
+
+
+def kernel_spans_by_polynomial_powers(field, bound, generator, text, expected_dim):
+    """The kernel_spans check as it was before it read the kernel's own
+    packed span: the members re-spanned by exponent tuples, and each power a
+    LaurentPoly product.  The reference for the differential test."""
+    basis = kernel_basis(field, bound)
+    if len(basis) != expected_dim:
+        return "FAIL", f"kernel dimension {len(basis)}, expected {expected_dim}"
+    reduced = field.chart.normal_form(generator)
+    if expected_dim >= 2 and not reduced.support():
+        return "FAIL", f"({text}) has constant normal form {reduced}; its powers are dependent"
+    span = SpanBuilder(key_order=_grlex_key)
+    for member in basis:
+        span.insert(dict(_integral(member.terms)[1]))
+    power = LaurentPoly.one(field.chart.coordinates)
+    for k in range(expected_dim):
+        if k:
+            power = power * reduced
+        if not span.contains(dict(_integral(power.terms)[1])):
+            return "FAIL", f"({text})**{k} is outside the computed kernel"
+    return "PASS", f"kernel is exactly the span of powers of {text} (dim {expected_dim})"
+
+
+@pytest.mark.parametrize("address", ["sl2", "xm1:2", "torus:2"])
+def test_kernel_spans_matches_polynomial_powers(address):
+    # the check multiplies integer codes in the kernel's own span; the
+    # reference multiplies LaurentPolys in a re-span of the members.  last**10
+    # leaves the table's box at every bound here, and first*second, the
+    # inverse and the rational generator are outside most kernels
+    model = scenario_by_name(address)
+    on = next(iter(model.fields.values())).chart
+    first, second, last = (on.generator(c) for c in (on.coordinates[0], on.coordinates[1],
+                                                     on.coordinates[-1]))
+    inverse = on.generator(next(c for c in on.coordinates if c in on.invertible)) ** -1
+    generators = {"g_last": last, "g_first": first, "g_last10": last ** 10,
+                  "g_rational": last / 2 + Fraction(1, 3), "g_product": first * second,
+                  "g_inverse": inverse}
+    model.polys.update(generators)
+    seen = set()
+    for name, field in model.fields.items():
+        for bound in range(5):
+            for g, poly in generators.items():
+                for dim in sorted({1, 2, 3, bound + 1, bound + 2}):
+                    record = run_check(model, CheckDirective("kernel_spans", (name, bound, g, dim)),
+                                       RunFlags())
+                    expected = kernel_spans_by_polynomial_powers(field, bound, poly, str(poly), dim)
+                    assert (record.status, record.detail) == expected, (name, bound, g, dim)
+                    seen.add("dimension" if record.detail.startswith("kernel dimension")
+                             else "outside" if "outside" in record.detail else record.status)
+    # passes, power failures and dimension failures all occur
+    assert {"PASS", "outside", "dimension"} <= seen
+
+
+def test_kernel_spans_keeps_a_generator_outside_the_box_outside():
+    # Ker nu1 at bound 1 on torus:2 is spanned by 1 and z2.  A generator far
+    # outside the table's box overflows the packing's digits: with
+    # a = 2**(2w) + 1, c = 1 - 2**w and b = -a*2**w - c*2**(2w), the
+    # exponents (a, b) pack to code 0, the code of the constant 1
+    model = scenario_by_name("torus:2")
+    field = model.fields["nu1"]
+    packing = kernel_basis(field, 1).packing
+    w = packing.width
+    a, c = 2 ** (2 * w) + 1, 1 - 2 ** w
+    exps = (a, -a * 2 ** w - c * 2 ** (2 * w))
+    assert packing.pack(exps) == 0
+    model.polys["g"] = alias = LaurentPoly.monomial(model.chart.coordinates, exps)
+    record = run_check(model, CheckDirective("kernel_spans", ("nu1", 1, "g", 2)), RunFlags())
+    assert (record.status, record.detail) == kernel_spans_by_polynomial_powers(
+        field, 1, alias, str(alias), 2) == ("FAIL", f"({alias})**1 is outside the computed kernel")
+
+
+def test_kernel_spans_inserts_only_what_its_kernel_basis_does(monkeypatch):
+    # the check tests powers in the span kernel_basis built, so it stores no
+    # vector of its own
+    model = scenario_by_name("surface:p=2*x+x**3,q=y**2+y")
+    calls = []
+    insert = SpanBuilder.insert
+    monkeypatch.setattr(SpanBuilder, "insert", lambda span, vec: calls.append(1) or insert(span, vec))
+    kernel_basis(model.fields["dz"], 4)
+    basis_inserts, calls[:] = len(calls), []
+    record = run_check(model, CheckDirective("kernel_spans", ("dz", 4, "pz", 5)), RunFlags())
+    assert record.status == "PASS"
+    assert basis_inserts > 0 and len(calls) == basis_inserts
 
 
 @pytest.mark.parametrize("witness, detail", [
