@@ -3,17 +3,18 @@
 Groups are handled purely through explicit rational matrices: a basis of the
 subgroup's Lie algebra and a finite list of test elements.  No Lie-group
 structure is modelled; the adjoint action B -> h B h^-1 is solved exactly in
-the given basis and its determinant is the sub-modular value at h.
+the given basis, every basis matrix in one solve, and its determinant is the
+sub-modular value at h.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .algebra import _integral
 from .errors import GroupError
 from .linalg import (
     Matrix, det_bareiss, make_matrix, mat_inverse, mat_mul, row_echelon, solve_exact,
@@ -59,13 +60,11 @@ def group_presentation(
     if len(span) != len(basis):
         raise GroupError("Lie algebra basis matrices are linearly dependent")
     # the bracket of integer multiples of two basis matrices is a multiple of theirs
-    whole = []
-    for b in basis:
-        den = math.lcm(*(x.denominator for x in _vectorize(b)))
-        whole.append([[x.numerator * (den // x.denominator) for x in row] for row in b])
+    whole = [dict(_integral([((r, c), x) for r, row in enumerate(b) for c, x in enumerate(row)])[1])
+             for b in basis]
     for (i, x), (j, y) in itertools.combinations(enumerate(whole, 1), 2):
         bracket = {r * size + c: v for r in range(size) for c in range(size)
-                   if (v := sum(x[r][k] * y[k][c] - y[r][k] * x[k][c] for k in range(size)))}
+                   if (v := sum(x[r, k] * y[k, c] - y[r, k] * x[k, c] for k in range(size)))}
         if not span.contains(bracket):
             raise GroupError(f"basis spans no Lie algebra: the bracket of matrices {i} and {j} "
                              "lies outside its span")
@@ -85,7 +84,11 @@ def group_presentation(
 def adjoint_matrix(h: Matrix | Sequence[Sequence], basis: Sequence[Matrix]) -> Matrix:
     """Matrix of B -> h B h^-1 in the given basis; exact rational entries.
 
-    Raises GroupError when h is singular or the span is not Ad_h-stable.
+    Ad_h is the solution X of one solve A X = C, with the flattened B_j and
+    h B_j h^-1 as the columns of A and C.  Raises GroupError when h is
+    singular, the span is not Ad_h-stable, or the basis is dependent: a free
+    variable leaves a zero row in X, and Ad_h of an independent basis is
+    invertible.
     """
     hm = make_matrix(h)
     size = len(hm)
@@ -94,21 +97,14 @@ def adjoint_matrix(h: Matrix | Sequence[Sequence], basis: Sequence[Matrix]) -> M
     for b in basis_mats:
         _check_square(b, size, "basis matrix")
     h_inv = mat_inverse(hm)
-    columns_matrix = [[Fraction(0)] * len(basis_mats) for _ in range(size * size)]
-    for j, b in enumerate(basis_mats):
-        for i, value in enumerate(_vectorize(b)):
-            columns_matrix[i][j] = value
-    result_columns = []
-    for b in basis_mats:
-        conjugated = mat_mul(mat_mul(hm, b), h_inv)
-        coords = solve_exact(columns_matrix, _vectorize(conjugated))
-        if coords is None:
-            raise GroupError(
-                "adjoint action leaves the span of the Lie algebra basis"
-            )
-        result_columns.append(coords)
-    k = len(basis_mats)
-    return tuple(tuple(result_columns[j][i] for j in range(k)) for i in range(k))
+    conjugated = [mat_mul(mat_mul(hm, b), h_inv) for b in basis_mats]
+    ad = solve_exact(list(zip(*map(_vectorize, basis_mats))),
+                     list(zip(*map(_vectorize, conjugated))))
+    if ad is None:
+        raise GroupError("adjoint action leaves the span of the Lie algebra basis")
+    if not all(any(row) for row in ad):
+        raise GroupError("Lie algebra basis matrices are linearly dependent")
+    return ad
 
 
 def submodular(h: Matrix | Sequence[Sequence], basis: Sequence[Matrix]) -> Fraction:

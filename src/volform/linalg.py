@@ -8,9 +8,9 @@ a positive multiple spans the same line: callers with rational data scale
 each vector first.  It stores rows as primitive integer vectors, reads them
 out as they are (a reader divides a row by its pivot entry), and gives an
 integer nullspace.  :func:`row_echelon` is its dense front end for rational
-rows, and :func:`solve_exact` and :func:`mat_inverse` read the reduced
-echelon form it builds.  :func:`det_bareiss` is separate: a fraction-free
-determinant.
+rows, and :func:`solve_exact` reads every column of ``A X = B`` from the
+reduced echelon form of ``[A | B]`` it builds, ``B = I`` for :func:`mat_inverse`.
+:func:`det_bareiss` is separate: a fraction-free determinant.
 """
 
 from __future__ import annotations
@@ -54,12 +54,12 @@ def det_bareiss(a: Matrix) -> Fraction:
     n = len(a)
     if n == 0:
         return Fraction(1)
-    scale = Fraction(1)
+    scale = 1
     m: list[list[int]] = []
     for row in a:
-        lcm = math.lcm(*(Fraction(x).denominator for x in row))
-        scale *= lcm
-        m.append([int(Fraction(x) * lcm) for x in row])
+        den, scaled = _integral(list(enumerate(row)))
+        scale *= den
+        m.append([x for _, x in scaled])
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -74,7 +74,7 @@ def det_bareiss(a: Matrix) -> Fraction:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1], 1) / scale
+    return Fraction(sign * m[n - 1][n - 1], scale)
 
 
 def _eliminate(vec: dict, key: Hashable, row: dict) -> dict:
@@ -207,28 +207,25 @@ def row_echelon(rows: Iterable[Sequence[Fraction]]) -> SpanBuilder:
     return span
 
 
-def solve_exact(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> list[Fraction] | None:
-    """One solution of A x = b over the rationals, or None when inconsistent.
-
-    Free variables are set to zero, which makes the result deterministic.
+def solve_exact(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Matrix | None:
+    """One solution X of A X = B, a column per column of B, all read from one
+    reduced echelon form of [A | B]; None when any column is inconsistent (a
+    row pivots in B).  Free variables are zero, so the result is deterministic.
     """
     ncols = len(a[0]) if a else 0
-    x = [Fraction(0)] * ncols
-    for pivot, row in row_echelon((*row, rhs) for row, rhs in zip(a, b))._rows.items():
-        if pivot == ncols:  # a row 0 = 1
+    width = len(b[0]) if b else 0
+    x = [(Fraction(0),) * width] * ncols
+    for pivot, row in row_echelon((*ra, *rb) for ra, rb in zip(a, b))._rows.items():
+        if pivot >= ncols:
             return None
-        x[pivot] = Fraction(row.get(ncols, 0), row[pivot])
-    return x
+        x[pivot] = tuple(Fraction(row.get(c, 0), row[pivot]) for c in range(ncols, ncols + width))
+    return tuple(x)
 
 
 def mat_inverse(a: Matrix) -> Matrix:
-    """Gauss-Jordan inverse read from the reduced form of [A | I];
-    GroupError when singular."""
-    n = len(a)
-    span = row_echelon((*row, *eye) for row, eye in zip(a, identity_matrix(n)))
-    if any(pivot >= n for pivot in span._rows):
+    """The solution X of A X = I; GroupError when A is singular (a row of the
+    echelon form of [A | I] pivots in I)."""
+    inverse = solve_exact(a, identity_matrix(len(a)))
+    if inverse is None:
         raise GroupError("matrix is singular")
-    rows = span._rows
-    return tuple(
-        tuple(Fraction(rows[i].get(n + j, 0), rows[i][i]) for j in range(n)) for i in range(n)
-    )
+    return inverse

@@ -10,7 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from volform.checks import RunFlags
+from volform.checks import REGISTRY, RunFlags
 from volform.cli import SCHEMA_PATH, build_parser, main
 
 DATA = Path(__file__).parent / "data"
@@ -229,6 +229,77 @@ def test_bad_document_input_never_ends_in_a_traceback(statement, code, status, t
         assert [(r["status"], r["detail"]) for r in records] == [
             ("ERROR", ERROR_DETAILS[statement])
         ]
+
+
+SL2_CHART = ("chart { vars a1, a2, b1, b2; invert a1; rel a1*b2 - a2*b1 - 1 solve b2; } "
+             "field xi = (b1) d/da1 + (a1**-1*a2*b1 + a1**-1) d/da2; "
+             "field eta = (a1) d/db1 + (a2) d/db2; ")
+Z_CHART = "chart { vars z*; } volume w = (z**-1) dz; "
+
+# statement -> the full detail of its one FAIL record (exit 1), one statement
+# per check kind, under CASE_PREAMBLE as in ERROR_DETAILS
+FAIL_DETAILS = {
+    SL2_CHART + "field da2 = (1) d/da2; check tangent(da2);": "relation residuals: ['-b1']",
+    Z_CHART + "field d = (1) d/dz; check divergence_zero(d, w);": "divergence is -z**-1",
+    "chart { vars x*, y*; } volume w = (x**-1*y**-1) dx^dy; field nu = (x) d/dx; poly p = x; "
+    "check potential(p, nu, w);": "no sign matches; residual for c=+1: (1) dx + (-y**-1) dy",
+    "volume w = (x**-1*y**-1) dx^dy; check bracket_potential(dz, dy, w, pz);":
+        "potential is -x**-1*y + x**-1, expected +/- (z)",
+    "poly px = x; check kernel_spans(dz, 3, px, 4);": "(x)**1 is outside the computed kernel",
+    SL2_CHART + "check semicompat(xi, eta, 2, IDEAL_WITNESS);":
+        "status FULL_RING at bound 2, witness 1, expected IDEAL_WITNESS",
+    "poly one = 1; check wedge_span(((dz, dy, one)));":
+        "wedges do not span at x = -2, y = 1, z = -1",
+    Z_CHART + "form r = (z) dz; check exact_volume(r, w);": "residual form: (-z**-1) dz",
+    Z_CHART + "field d = (1) d/dz; action s: z -> -z order 2; check invariant(d, s);":
+        "d is not invariant under s",
+    SL2_CHART + "check commute(xi, eta);":
+        "bracket is ['-a1', '-a2', 'b1', 'a1**-1*a2*b1 + a1**-1']",
+    Z_CHART + "field nu = (z) d/dz; form t = (2); check theta_equals(nu, w, t);":
+        "contraction is (1)",
+    "check submodular(N, A0, 1);": "determinant is -1, expected 1",
+}
+
+# check kinds with no FAIL record, and why
+FAIL_FREE = {
+    "lnd": "it only PASSes, or is an ERROR when the field is not nilpotent within the bound",
+    "identity1": "Cartan's formula holds for tangent, divergence-free fields, and the check "
+                 "is an ERROR for any other",
+    "flow_jacobian": "the Jacobian identity holds at a zero of a kernel element, and the check "
+                     "is an ERROR anywhere else",
+}
+
+
+def _kind(statement):
+    return statement.rsplit("check ", 1)[1].split("(", 1)[0]
+
+
+@pytest.mark.parametrize("statement", FAIL_DETAILS, ids=_kind)
+def test_each_check_kind_fails_with_its_detail(statement, tmp_path, capsys):
+    doc = tmp_path / "fail.vf"
+    doc.write_text(("" if statement.startswith("chart") else CASE_PREAMBLE) + statement + "\n")
+    assert main(["check", str(doc), "--format", "json"]) == 1
+    records = json.loads(capsys.readouterr().out)["checks"]
+    assert [(r["name"].split("(")[0], r["status"], r["detail"]) for r in records] == [
+        (_kind(statement), "FAIL", FAIL_DETAILS[statement])]
+
+
+def test_every_check_kind_has_a_fail_example_or_a_reason():
+    # a new check kind lands with a FAIL example, or with the reason it has none
+    examples = [_kind(statement) for statement in FAIL_DETAILS]
+    assert len(set(examples)) == len(examples)
+    assert not set(examples) & set(FAIL_FREE)
+    assert sorted(examples + list(FAIL_FREE)) == sorted(REGISTRY)
+
+
+def test_cyclic_relations_are_a_positioned_error(tmp_path, capsys):
+    doc = tmp_path / "cyclic.vf"
+    doc.write_text("chart { vars x, y; rel x - y solve x; rel y - x solve y; }\n")
+    for command in ("check", "parse"):
+        assert main([command, str(doc)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"{doc}:1:1: relation for 'x' is self-referential\n")
 
 
 def test_deeply_nested_scenario_address_is_a_positioned_error(capsys):

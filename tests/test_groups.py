@@ -76,6 +76,46 @@ def test_submodular_is_a_character():
     assert submodular(identity_matrix(2), [H]) == 1
 
 
+def _combination(coefficients, basis):
+    size = len(basis[0])
+    return make_matrix([[sum(c * b[r][k] for c, b in zip(coefficients, basis))
+                         for k in range(size)] for r in range(size)])
+
+
+def test_adjoint_matrix_against_conjugation():
+    # column j of Ad_h holds the coordinates of h B_j h^-1: h B_j is
+    # (sum_i Ad[i][j] B_i) h, which needs no inverse
+    rng = random.Random(1201)
+    gl2_basis = [H, E, F, [[1, 0], [0, 1]]]
+    for _ in range(30):
+        h = make_matrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(2)]
+                         for _ in range(2)])
+        if h[0][0] * h[1][1] == h[0][1] * h[1][0]:
+            continue
+        for basis in (SL2_BASIS, gl2_basis):
+            ad = adjoint_matrix(h, basis)
+            for j, b in enumerate(basis):
+                image = _combination([ad[i][j] for i in range(len(basis))], basis)
+                assert mat_mul(h, make_matrix(b)) == mat_mul(image, h)
+
+
+@pytest.mark.parametrize("basis", [
+    [H, H],
+    [[[0, 0], [0, 0]]],
+    [H, E, F, [[1, 2], [3, -1]]],  # H + 2E + 3F
+], ids=["repeated", "zero", "sl2_and_a_combination"])
+def test_dependent_basis_is_a_group_error(basis):
+    # each span is Ad_h-stable, so the solve is consistent; a dependent basis
+    # leaves a zero row in its solution
+    text = "^Lie algebra basis matrices are linearly dependent$"
+    for h in ([[2, 0], [0, 1]], A0):
+        for fn in (adjoint_matrix, submodular):
+            with pytest.raises(GroupError, match=text):
+                fn(h, basis)
+    with pytest.raises(GroupError, match=text):
+        group_presentation(2, basis)
+
+
 def test_adjoint_rejects_unstable_span():
     shear = [[1, 1], [0, 1]]
     with pytest.raises(GroupError):

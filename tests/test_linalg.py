@@ -56,9 +56,9 @@ def test_inverse_and_solve():
     with pytest.raises(GroupError):
         mat_inverse(make_matrix([[1, 2], [2, 4]]))
     solution = solve_exact([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]],
-                           [Fraction(3), Fraction(1)])
-    assert solution == [Fraction(2), Fraction(1)]
-    assert solve_exact([[Fraction(1)], [Fraction(1)]], [Fraction(1), Fraction(2)]) is None
+                           [[Fraction(3)], [Fraction(1)]])
+    assert solution == ((Fraction(2),), (Fraction(1),))
+    assert solve_exact([[Fraction(1)], [Fraction(1)]], [[Fraction(1)], [Fraction(2)]]) is None
 
 
 def test_span_builder_rank_membership_and_combos():
@@ -94,7 +94,7 @@ def test_span_builder_takes_integer_vectors_only():
     half = Fraction(1, 2)
     assert [dict(row) for row in row_echelon([[half, Fraction(1, 3)], [1, 0]]).primitive_rows()] \
         == [{0: 1}, {1: 1}]
-    assert solve_exact([[half, 0], [0, Fraction(2, 3)]], [1, Fraction(1, 3)]) == [2, half]
+    assert solve_exact([[half, 0], [0, Fraction(2, 3)]], [[1], [Fraction(1, 3)]]) == ((2,), (half,))
     assert mat_inverse(make_matrix([[half, 0], [0, 3]])) == make_matrix([[2, 0], [0, Fraction(1, 3)]])
 
 
@@ -166,26 +166,39 @@ def test_nullspace_matches_dense_oracle():
 
 
 def test_solve_exact_against_matrix_product():
+    # 0 to 3 right-hand sides: each column of the one solve is its own
+    # one-column solve, and the solve is None when any column is inconsistent
     rng = random.Random(1201)
-    seen = {"solved": 0, "inconsistent": 0}
-    for _ in range(150):
-        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+    seen = {"solved": 0, "inconsistent": 0, **{f"width {w}": 0 for w in range(4)}}
+    for _ in range(200):
+        nrows, ncols, width = rng.randint(1, 6), rng.randint(1, 6), rng.randint(0, 3)
         a = _random_sparse(rng, nrows, ncols)
-        if rng.random() < 0.5:  # consistent by construction
-            b = _apply(a, [Fraction(rng.randint(-4, 4)) for _ in range(ncols)])
-        else:
-            b = [Fraction(rng.randint(-4, 4)) for _ in range(nrows)]
-        x = solve_exact(a, b)
-        consistent = dense_rank([row + [rhs] for row, rhs in zip(a, b)]) == dense_rank(a)
-        if not consistent:
-            assert x is None
+        columns = [
+            _apply(a, [Fraction(rng.randint(-4, 4)) for _ in range(ncols)])
+            if rng.random() < 0.75  # consistent by construction
+            else [Fraction(rng.randint(-4, 4)) for _ in range(nrows)]
+            for _ in range(width)
+        ]
+        singles, consistent = [], []
+        for b in columns:
+            x = solve_exact(a, [[rhs] for rhs in b])
+            singles.append(x)
+            consistent.append(dense_rank([row + [rhs] for row, rhs in zip(a, b)]) == dense_rank(a))
+            if not consistent[-1]:
+                assert x is None
+                continue
+            assert x is not None and _apply(a, [v for v, in x]) == b
+            # free variables are zero; each kernel vector's last entry is its free column
+            for vec in dense_nullspace(a):
+                free = max(c for c, v in enumerate(vec) if v)
+                assert x[free] == (0,)
+        solution = solve_exact(a, [list(row) for row in zip(*columns)] or [[]] * nrows)
+        seen[f"width {width}"] += 1
+        if not all(consistent):
+            assert solution is None
             seen["inconsistent"] += 1
             continue
-        assert x is not None and _apply(a, x) == b
-        # free variables are zero; each kernel vector's last entry is its free column
-        for vec in dense_nullspace(a):
-            free = max(c for c, v in enumerate(vec) if v)
-            assert x[free] == 0
+        assert solution == tuple(tuple(x[r][0] for x in singles) for r in range(ncols))
         seen["solved"] += 1
     assert min(seen.values()) > 20
 
