@@ -151,9 +151,6 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def as_dict(self) -> dict[Exponents, Fraction]:
-        return dict(self.terms)
-
     def support(self) -> frozenset[str]:
         """Variables appearing with a nonzero exponent."""
         used = set()

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import Exponents, LaurentPoly
+from .algebra import Exponents, LaurentPoly, _integral
 from .calculus import (
     DiffForm,
     VectorField,
@@ -124,6 +124,7 @@ def _compositions(total: int, parts: int) -> Iterable[Exponents]:
     """Exponent vectors of ``parts`` entries summing to ``total``, in lex order:
     a step moves a unit from the last nonzero entry after the first to the
     entry before it, and the rest of that entry to the end."""
+    # stars and bars over itertools.combinations gives this order ~5x slower
     exps = [0] * (parts - 1) + [total]
     while True:
         yield tuple(exps)
@@ -143,10 +144,13 @@ class _Packing:
     code(e1 + e2) = code(e1) + code(e2).  While every digit lies within
     +-(O-1), O = 2**(width-1), integer order of codes is
     ``algebra._grlex_key`` order: the top differing digit outweighs every
-    digit below it."""
+    digit below it.  A sum of at most three vectors of the box, every |e_i|
+    <= box = (O-1) // (3n), as in a product of three packed polynomials, has
+    every digit, its degree n*3*box included, within +-(O-1)."""
 
     def __init__(self, n: int, width: int):
         self.width = width
+        self.box = ((1 << (width - 1)) - 1) // (3 * n)
         self.shifts = range(width * n, -1, -width)  # one per digit, most significant first
         # O in every field: a biased code holds each digit as a field in [1, 2O-1]
         self._bias = sum((1 << (width - 1)) << shift for shift in self.shifts)
@@ -158,6 +162,12 @@ class _Packing:
         mask, offset = (1 << self.width) - 1, 1 << (self.width - 1)
         code += self._bias
         return tuple((code >> shift & mask) - offset for shift in self.shifts[1:])
+
+    def terms(self, f: LaurentPoly) -> list[tuple[int, int]] | None:
+        """An integer multiple of f as (code, int) terms; None outside the box."""
+        if any(abs(e) > self.box for exps, _ in f.terms for e in exps):
+            return None
+        return [(self.pack(e), c) for e, c in _integral(f.terms)[1]]
 
 
 def _convolve(*products: tuple[Iterable[tuple], Iterable[tuple]]) -> IntTerms:
@@ -190,11 +200,8 @@ def _monomial_table(
     a single-term generator (every free coordinate, t_i*x_i) nf(m*x_i) is
     nf(m) with its codes shifted by code(x_i) and its terms times t_i.
 
-    Width: let top >= 1 bound every |exponent| of the generators' normal
-    forms and images.  An entry sums products of at most d = bound of those,
-    so its exponents are within d*top, those of a product of three entries
-    (a semicompat witness test) within 3*d*top, and its degree digit within
-    n*3*d*top; (3*n*max(d, 1)*top).bit_length() + 2 bits hold all of them.
+    An entry sums products of at most d = bound generator data, each with
+    every |exponent| <= top, so it lies in the packing's box (d*top).
     """
     if degree_bound < 0:  # no monomial, not even the constant 1
         raise PreconditionError(f"degree bound {degree_bound} is negative")
@@ -205,6 +212,7 @@ def _monomial_table(
     generators = [[solved.get(c, g), *(xi.coefficient(c) for xi in fields)]
                   for c, g in zip(on.coordinates, on.generators())] if degree_bound > 0 else []
     top = max([1] + [abs(e) for ps in generators for p in ps for exps, _ in p.terms for e in exps])
+    # O - 1 >= 2*(3n*d*top), so the box holds d*top
     packing = _Packing(n, (3 * n * max(degree_bound, 1) * top).bit_length() + 2)
     scaled = []  # per generator: its normal form, then its image under each field
     for polys in generators:
@@ -240,15 +248,25 @@ class _Kernel(list):
         super().__init__(members)
         self.span, self.packing = span, packing
 
+    def power_outside(self, f: LaurentPoly, count: int) -> int | None:
+        """The least k < count with f**k outside the kernel, or None, for f in
+        normal form.  Every member lies in the box, so an f outside it is
+        outside the kernel; inside it, each power tested is f times a power
+        in the kernel, a product of two packed polynomials."""
+        terms, power = self.packing.terms(f), {0: 1}
+        for k in range(count):
+            if k:
+                power = None if terms is None else _convolve((power.items(), terms))
+            if power is None or not self.span.contains(power):
+                return k
+        return None
+
 
 def kernel_basis(xi: VectorField, degree_bound: int) -> list[LaurentPoly]:
     """Echelonized basis of {f : xi(f) = 0 on the chart} within the span of
     ambient monomials of total degree <= bound, all in normal form.
 
-    The list also carries the kernel's integer span, keyed by the codes of
-    :func:`_monomial_table`'s packing, as ``.span`` and ``.packing``: every
-    member has its exponents in the table's box (every exponent within
-    d*top), so a product of two members is within the packing's digits."""
+    The list is a :class:`_Kernel`, which also tests powers in its span."""
     _require_tangent(xi)
     forms, (images,), packing = _monomial_table(xi.chart, degree_bound, (xi,))
     span = _kernel_from_table(forms, images)

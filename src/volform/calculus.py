@@ -138,9 +138,6 @@ class DiffForm:
                 return v
         return LaurentPoly.zero(self.chart.coordinates)
 
-    def as_dict(self) -> dict[FormKey, LaurentPoly]:
-        return dict(self.coefficients)
-
     def __add__(self, other: "DiffForm") -> "DiffForm":
         _same_chart(self, other)
         if self.degree != other.degree and not (self.is_zero or other.is_zero):

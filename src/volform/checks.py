@@ -7,12 +7,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .algebra import LaurentPoly, _integral, scalar_text
+from .algebra import LaurentPoly, scalar_text
 from .avdp import (
     FULL_RING,
     IDEAL_WITNESS,
     UNKNOWN,
-    _convolve,
     bracket_identity_residual,
     bracket_potential,
     kernel_basis,
@@ -100,11 +99,11 @@ def register(kind: str, signature: str):
 
 
 def arity_error(kind: str, count: int) -> str | None:
-    """Why a known check kind cannot take ``count`` arguments, or None.  The
-    document parser and :func:`run_check` both hold checks to it."""
+    """Why ``kind`` is no check kind or cannot take ``count`` arguments, or
+    None.  The document parser and :func:`run_check` both hold checks to it."""
     check = REGISTRY.get(kind)
     if check is None:
-        return None
+        return f"unknown check kind {kind!r}"
     low, high = check.arity
     if low <= count <= high:
         return None
@@ -113,14 +112,12 @@ def arity_error(kind: str, count: int) -> str | None:
 
 
 def run_check(model: Model, directive: CheckDirective, flags: RunFlags) -> CheckRecord:
-    check = REGISTRY.get(directive.kind)
     started = time.perf_counter()
-    if check is None:
-        return CheckRecord(directive.label(), ERROR, f"unknown check kind {directive.kind!r}", 0.0)
     try:
         problem = arity_error(directive.kind, len(directive.args))
         if problem:
             raise SemanticError(problem)
+        check = REGISTRY[directive.kind]
         values = [_resolve(model, kind.rstrip("?"), arg)
                   for kind, arg in zip(check.kinds, directive.args)]
         # an omitted bound reads its flag; any other omitted argument is None
@@ -278,21 +275,9 @@ def _check_kernel_spans(model: Model, flags, field, bound, generator,
     reduced = field.chart.normal_form(generator)
     if expected_dim >= 2 and not reduced.support():
         return FAIL, f"({generator}) has constant normal form {reduced}; its powers are dependent"
-    # each power is an integer multiple tested in the kernel's own span, by
-    # packed codes.  Every member has its exponents in the table's box, so a
-    # generator with a term at an exponent no member has is outside the span;
-    # otherwise it is in the box, like every contained power, and their
-    # product is within the packing's digits (avdp.kernel_basis)
-    span, packing = basis.span, basis.packing
-    exponents = {e for member in basis for e, _ in member.terms}
-    terms = ([(packing.pack(e), n) for e, n in _integral(reduced.terms)[1]]
-             if all(e in exponents for e, _ in reduced.terms) else None)
-    power = {0: 1}
-    for k in range(expected_dim):
-        if k:
-            power = None if terms is None else _convolve((power.items(), terms))
-        if power is None or not span.contains(power):
-            return FAIL, f"({generator})**{k} is outside the computed kernel"
+    k = basis.power_outside(reduced, expected_dim)
+    if k is not None:
+        return FAIL, f"({generator})**{k} is outside the computed kernel"
     return PASS, f"kernel is exactly the span of powers of {generator} (dim {expected_dim})"
 
 

@@ -410,3 +410,39 @@ def test_string_form_is_stable():
     x, y = gens(*XY)
     assert str(x ** 2 - Fraction(1, 2) * y ** -1) == "x**2 - 1/2*y**-1"
     assert str(LaurentPoly.zero(XY)) == "0"
+
+
+XY = ("x", "y")
+X = LaurentPoly.variable(XY, "x")
+
+ALGEBRA_INPUT_ERRORS = {
+    "exponent_length": (lambda: LaurentPoly.from_dict(("x",), {(1, 2): 1}), VariableMismatchError,
+                        "exponent vector (1, 2) has length 2, expected 1"),
+    "unknown_variable": (lambda: LaurentPoly.variable(XY, "q"), UnknownVariableError,
+                         "unknown variable 'q'"),
+    "fractional_power": (lambda: X ** Fraction(1, 2), TypeError, "exponent must be an integer"),
+    "rename_duplicate": (lambda: X.rename_variables({"x": "y"}), VariableMismatchError,
+                         "renaming produces duplicate names: ('y', 'y')"),
+    "extend_missing": (lambda: X.extend_variables(("y",)), UnknownVariableError,
+                       "target variable list is missing 'x'"),
+    # an operand of another type is NotImplemented, so Python raises
+    "add_str": (lambda: X + "a", TypeError,
+                "unsupported operand type(s) for +: 'LaurentPoly' and 'str'"),
+    "sub_str": (lambda: X - "a", TypeError,
+                "unsupported operand type(s) for -: 'LaurentPoly' and 'str'"),
+    "div_str": (lambda: X / "a", TypeError,
+                "unsupported operand type(s) for /: 'LaurentPoly' and 'str'"),
+}
+
+
+@pytest.mark.parametrize("case", ALGEBRA_INPUT_ERRORS)
+def test_algebra_input_errors(case):
+    build, error, message = ALGEBRA_INPUT_ERRORS[case]
+    with pytest.raises(error) as raised:
+        build()
+    assert str(raised.value) == message
+
+
+def test_zero_polynomial_degree_and_repr():
+    assert LaurentPoly.zero(XY).degree_in("x") == 0
+    assert repr(X * X - 1) == "LaurentPoly(x**2 - 1)"

@@ -40,7 +40,9 @@ from volform import (
 )
 from volform import avdp, linalg
 from volform.avdp import _compositions, _Packing, _monomial_table
-from volform.errors import DimensionError, PreconditionError, VariableMismatchError
+from volform.errors import (
+    DimensionError, PointError, PreconditionError, VariableMismatchError,
+)
 from volform.linalg import SpanBuilder
 from volform.algebra import _grlex_key
 
@@ -148,10 +150,10 @@ def test_kernel_of_surface_fields_are_coordinate_polynomials():
         assert len(basis) == 5
         builder = SpanBuilder(key_order=_grlex_key)
         for member in basis:
-            builder.insert(integral_vector(member.as_dict()))
+            builder.insert(integral_vector(dict(member.terms)))
         g = on.generator(coordinate)
         for k in range(5):
-            assert builder.contains(integral_vector(on.normal_form(g ** k).as_dict()))
+            assert builder.contains(integral_vector(dict(on.normal_form(g ** k).terms)))
 
 
 CUBIC = "surface:p=2*x+x**3,q=y**2+y"
@@ -240,6 +242,12 @@ def test_packed_codes_round_trip_order_and_add_at_the_digit_limits(n, width):
     assert [packing.unpack(c) for c in codes] == cases
     assert packing.pack(zero) == 0
     assert sorted(cases, key=packing.pack) == sorted(cases, key=_grlex_key)
+    # the box is the largest whose triple sums keep every digit within the limit
+    assert 3 * n * packing.box <= limit < 3 * n * (packing.box + 1)
+    names = tuple(f"x{i}" for i in range(n))
+    edge = LaurentPoly.monomial(names, (packing.box,) * n)
+    assert packing.terms(edge) == [(packing.pack((packing.box,) * n), 1)]
+    assert packing.terms(edge * LaurentPoly.variable(names, "x0")) is None
     # the codes below 0 are exactly the vectors below 0 in grlex order
     assert any(c < 0 for c in codes)
     assert [c < 0 for c in codes] == [_grlex_key(e) < _grlex_key(zero) for e in cases]
@@ -268,6 +276,7 @@ def test_table_packing_holds_the_proven_exponent_bound(address):
     for bound in (1, 3):
         _, _, packing = _monomial_table(on, bound, fields)
         limit = 3 * bound * top
+        assert packing.box >= bound * top
         extremes = [(limit,) * n, (-limit,) * n, (limit,) + (0,) * (n - 1)]
         for e in extremes:
             assert packing.unpack(packing.pack(e)) == e
@@ -530,9 +539,9 @@ def test_kernel_of_sl2_shear_contains_its_kernel_coordinates():
     basis = kernel_basis(xi, 1)
     builder = SpanBuilder(key_order=_grlex_key)
     for member in basis:
-        builder.insert(integral_vector(member.as_dict()))
-    assert builder.contains(integral_vector(on.generator("b1").as_dict()))
-    assert builder.contains(integral_vector(on.normal_form(on.generator("b2")).as_dict()))
+        builder.insert(integral_vector(dict(member.terms)))
+    assert builder.contains(integral_vector(dict(on.generator("b1").terms)))
+    assert builder.contains(integral_vector(dict(on.normal_form(on.generator("b2")).terms)))
 
 
 def test_kernel_dimension_tracks_the_bound():
@@ -717,8 +726,6 @@ def test_wedge_span_rejects_foreign_points():
     nu1 = vector_field(on, {"z1": on.generator("z1")})
     nu2 = vector_field(on, {"z2": on.generator("z2")})
     one = LaurentPoly.one(on.coordinates)
-    from volform.errors import PointError
-
     with pytest.raises(PointError):
         spans_wedge_square([(nu1, nu2, one)], sample_point(other, 0))
 
@@ -963,3 +970,13 @@ def test_divergence_of_kernel_scaled_fields_is_application():
             assert divergence(nu, w).is_zero
             f = random_poly(rng, on, max_terms=2, max_degree=2)
             assert divergence(f * nu, w) == nu.apply(f)
+
+
+def test_pointwise_tests_reject_a_foreign_point_and_no_pairs():
+    plane = chart(("x", "y"))
+    y = plane.generator("y")
+    with pytest.raises(PreconditionError, match="^no field pairs supplied$"):
+        spans_wedge_square([], plane.point({"x": 1, "y": 1}))
+    other = chart(("x", "y"), ("x",)).point({"x": 1, "y": 0})
+    with pytest.raises(PointError, match="^point does not belong to the field's chart$"):
+        verify_flow_jacobian(vector_field(plane, {"x": 1}), y, other, 2)

@@ -9,6 +9,7 @@ import pytest
 from volform import (
     DiffForm,
     LaurentPoly,
+    action,
     chart,
     contract_volume,
     diff_form,
@@ -26,6 +27,7 @@ from volform import (
     wedge,
 )
 from volform.errors import (
+    ChartError,
     DimensionError,
     NilpotencyError,
     NotTangentError,
@@ -111,9 +113,9 @@ def test_form_operations_match_permutation_sums():
             a = random_form(rng, on, rng.randint(0, n))
             b = random_form(rng, on, rng.randint(0, n))
             xi = random_tangent_field(rng, on)
-            assert wedge(a, b).as_dict() == brute_force_wedge(a, b)
-            assert exterior_derivative(a).as_dict() == brute_force_d(a)
-            assert interior_product(xi, a).as_dict() == brute_force_contraction(xi, a)
+            assert dict(wedge(a, b).coefficients) == brute_force_wedge(a, b)
+            assert dict(exterior_derivative(a).coefficients) == brute_force_d(a)
+            assert dict(interior_product(xi, a).coefficients) == brute_force_contraction(xi, a)
 
 
 def test_diff_form_merges_raw_pairs_with_signs():
@@ -522,3 +524,27 @@ def test_field_invariance_matches_inverse_jacobian_oracle(address):
         verdicts = [is_invariant(f, act) for f in cases]
         assert verdicts == [field_invariant_by_inverse_jacobian(f, act) for f in cases], act.name
         assert True in verdicts and False in verdicts, act.name
+
+
+def test_calculus_input_errors():
+    xy = ("x", "y")
+    x, y = (LaurentPoly.variable(xy, v) for v in xy)
+    plane = chart(xy)
+    swap = action(plane, "s", {"x": y, "y": x}, 2)
+    cases = [
+        (lambda: vector_field(plane, {"x": 1}).coefficient("q"), ChartError,
+         "no coefficient for coordinate 'q'"),
+        (lambda: vector_field(plane, {"q": 1}), ChartError,
+         "coefficients for unknown coordinates: ['q']"),
+        (lambda: diff_form(plane, 1, {("x", "y"): 1}), DimensionError,
+         "key ('x', 'y') does not match degree 1"),
+        (lambda: diff_form(chart(xy, (), [(x - 1, "x")]), 1, {("x",): 1}), ChartError,
+         "'x' is not a free coordinate of the chart"),
+        (lambda: is_invariant(x, swap), ChartError,
+         "invariance of a bare polynomial needs the chart"),
+        (lambda: is_invariant(3, swap, plane), TypeError, "cannot test invariance of int"),
+    ]
+    for build, error, message in cases:
+        with pytest.raises(error) as raised:
+            build()
+        assert str(raised.value) == message

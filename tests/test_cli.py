@@ -10,8 +10,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from volform.checks import REGISTRY, RunFlags
+from volform import parse
+from volform.checks import REGISTRY, RunFlags, run_check
 from volform.cli import SCHEMA_PATH, build_parser, main
+from volform.model import CheckDirective
 
 DATA = Path(__file__).parent / "data"
 
@@ -180,6 +182,11 @@ ERROR_DETAILS = {
                                            "in 3 coordinates exceed the budget of 300",
     "check semicompat(dz, dy, 40);": "ResourceLimitError: 12341 monomials of degree <= 40 "
                                      "in 3 coordinates exceed the budget of 300",
+    # surface checks on a chart of dimension 3
+    "chart { vars x, y, z; } field a = (1) d/dx; volume u = (1) dx^dy^dz; poly p = x; "
+    "check bracket_potential(a, a, u, p);": "DimensionError: chart has dimension 3, expected 2",
+    "chart { vars x, y, z; } field a = (1) d/dx; volume u = (1) dx^dy^dz; poly p = x; "
+    "check potential(p, a, u);": "DimensionError: chart has dimension 3, expected 2",
     # a detail whose coefficient is longer than Python prints
     "volume w = (x**-1*y**-1) dx^dy; poly bad = 2**20000*z; check potential(bad, dz, w);":
         "ResourceLimitError: a coefficient of 20001 bits is too long to print",
@@ -300,6 +307,53 @@ def test_cyclic_relations_are_a_positioned_error(tmp_path, capsys):
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (
             "", f"{doc}:1:1: relation for 'x' is self-referential\n")
+
+
+def test_unknown_check_kind_is_a_positioned_error(tmp_path, capsys):
+    # the registry's kinds are known when the document is parsed
+    doc = tmp_path / "unknown.vf"
+    doc.write_text("chart { vars x; }\ncheck nope(x);\n")
+    for command in ("check", "parse"):
+        assert main([command, str(doc)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"{doc}:2:7: unknown check kind 'nope'\n")
+    # a directive built through the library gets the same message as an ERROR
+    model = parse("chart { vars x; }")
+    record = run_check(model, CheckDirective("nope", ("x",)), RunFlags())
+    assert (record.status, record.detail) == ("ERROR", "SemanticError: unknown check kind 'nope'")
+
+
+# a target -> the one line its command prints to stderr, and the exit code; a
+# document target is written to a file and its line starts with the file name
+USER_ERRORS = {
+    "product:sl2": ("error: product address needs two parts: 'product:sl2'", 2),
+    "surface:p=y,q=y": ("error: p must be a polynomial in x only, got y", 2),
+    "chart { vars x; }\naction s: x -> 2*x order 0;":
+        ("2:1: declared order must be positive, got 0", 2),
+    "chart { vars z*, w; }\naction s: z -> z + 1 order 2;":
+        ("2:1: invertible coordinate 'z' must map to a unit monomial, got z + 1", 2),
+    "chart { vars z*, w; }\naction s: z -> w, w -> z order 2;":
+        ("2:1: image of invertible coordinate 'z' involves non-invertible coordinates", 2),
+    "chart { vars x*; }\nvolume v = (1 + x) dx;": ("2:1: volume form coefficient x + 1 is not "
+                                                   "a single Laurent monomial; this shape is "
+                                                   "not supported", 2),
+    "chart { vars x, y; }\nvolume v = (x) dx^dy;": ("2:1: volume form coefficient x involves "
+                                                   "non-invertible coordinates and would "
+                                                   "vanish somewhere", 2),
+    "group G { ambient 2; basis [[1, 0]]; }": ("1:1: basis matrix is not a 2x2 matrix", 2),
+}
+
+
+@pytest.mark.parametrize("target", USER_ERRORS, ids=lambda t: t.split("\n")[-1])
+def test_user_errors_print_their_message_and_exit_code(target, tmp_path, capsys):
+    message, code = USER_ERRORS[target]
+    if not message.startswith("error:"):
+        doc = tmp_path / "case.vf"
+        doc.write_text(target + "\n")
+        target, message = str(doc), f"{doc}:{message}"
+    assert main(["check", target]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message + "\n")
 
 
 def test_deeply_nested_scenario_address_is_a_positioned_error(capsys):
@@ -470,7 +524,8 @@ def test_every_public_method_is_used_by_package_code():
     # volform.__all__ names no method, so the test above cannot see one that
     # only tests call.  Each public method or property of a class defined in
     # src/volform must be loaded as an attribute (obj.name) in package code;
-    # the name alone counts, whichever object it is loaded from.
+    # the name alone counts, whichever object it is loaded from, so a method
+    # name shared by several classes hides the unused ones.
     import volform
 
     defined, loaded = set(), set()

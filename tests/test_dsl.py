@@ -221,6 +221,14 @@ def test_rel_without_solve_is_triangularity_error():
     assert "triangular presentation required" in str(err.value)
 
 
+def test_cyclic_relations_whose_cycle_cancels_solve():
+    # x depends on y and t, and y on x, but substituting both into x cancels x
+    model = parse("chart { vars x, y, t, s; rel x - y - t solve x; "
+                  "rel y - x - s solve y; rel t + x solve t; }")
+    s = model.chart.generator("s")
+    assert dict(model.chart.solutions) == {"x": s, "y": 2 * s, "t": -s}
+
+
 def test_unknown_identifier_has_position():
     with pytest.raises(SemanticError) as err:
         parse(CHART_ONLY + "poly f = x + nope;")
@@ -401,6 +409,12 @@ def test_parse_format_parse_is_fixed_point():
         again = parse(printed)
         assert again == doc
         assert format_document(again) == printed
+
+
+def test_zero_field_prints_one_zero_component():
+    doc = parse("chart { vars x, y; } field v = (0) d/dy;")
+    assert "field v = (0) d/dx;\n" in format_document(doc)
+    assert parse(format_document(doc)) == doc
 
 
 def test_check_details_and_documents_print_forms_alike():

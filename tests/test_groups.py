@@ -157,3 +157,8 @@ def test_each_test_element_adjoint_is_computed_once(monkeypatch, capsys):
     assert main(["check", str(DATA / "sl2_group.vf")]) == 0
     assert "pass: 3" in capsys.readouterr().out
     assert len(calls) == 3  # one per test element
+
+
+def test_empty_basis_is_a_group_error():
+    with pytest.raises(GroupError, match="^empty Lie algebra basis$"):
+        group_presentation(2, [])

@@ -27,6 +27,9 @@ def test_det_known_values():
     assert det_bareiss(make_matrix([[0, 1], [1, 0]])) == -1
     assert det_bareiss(make_matrix([[1, 2], [2, 4]])) == 0
     assert det_bareiss(make_matrix([[Fraction(1, 2), 0], [0, Fraction(2, 3)]])) == Fraction(1, 3)
+    # the empty product, and a column with no pivot
+    assert det_bareiss(()) == 1
+    assert det_bareiss(make_matrix([[0, 1], [0, 2]])) == 0
 
 
 def test_det_matches_cofactor_expansion_on_random_matrices():

@@ -34,6 +34,7 @@ from volform import (
 from volform.algebra import _grlex_key, _integral
 from volform.errors import ChartError, SemanticError
 from volform.linalg import SpanBuilder
+from volform.model import Model
 
 from helpers import run_snippet
 
@@ -513,3 +514,8 @@ except SemanticError as exc:
     print(exc)
 """)
     assert result.stdout == "lnd_bound must be at least 0, got -1\n", result.stderr
+
+
+def test_product_needs_two_charted_scenarios():
+    with pytest.raises(ChartError, match="^product needs two scenarios with charts and volume forms$"):
+        product(Model(), torus(1))

@@ -14,6 +14,7 @@ from volform.errors import (
     ChartError,
     PointError,
     ScalarError,
+    UnknownVariableError,
 )
 
 from helpers import (
@@ -273,3 +274,37 @@ def test_identity_action_with_non_unit_jacobian_fixes_every_field():
     assert is_invariant(fields["dz"], s)
     assert is_invariant(fields["dx"], s)
     assert is_invariant(surface_volume(on), s)
+
+
+XY = ("x", "y")
+X, Y = (LaurentPoly.variable(XY, v) for v in XY)
+PLANE = chart(XY)
+
+# public constructors and lookups reject bad input with these messages
+VARIETY_INPUT_ERRORS = {
+    "no_coordinate": (lambda: chart([]), ChartError, "a chart needs at least one coordinate"),
+    "unknown_invertible": (lambda: chart(["x"], ["y"]), ChartError,
+                           "invertible flags for unknown coordinates: ['y']"),
+    "unknown_solvable": (lambda: chart(XY, (), [(X - 1, "q")]), ChartError,
+                         "solvable coordinate 'q' is not a coordinate"),
+    "solved_twice": (lambda: chart(XY, (), [(X - 1, "x"), (X - 2, "x")]), ChartError,
+                     "coordinate 'x' solved by two relations"),
+    "leading_not_monomial": (lambda: chart(XY, (), [(X * Y + X - 1, "x")]), ChartError,
+                             "leading coefficient y + 1 of 'x' is not a single monomial"),
+    "point_missing": (lambda: PLANE.point({"x": 1}), PointError,
+                      "missing value for coordinate 'y'"),
+    "point_unknown": (lambda: PLANE.point({"x": 1, "y": 1, "q": 2}), PointError,
+                      "unknown coordinates in point: ['q']"),
+    "action_unknown": (lambda: action(PLANE, "s", {"q": 1}, 2), ActionError,
+                       "images for unknown coordinates: ['q']"),
+    "image_unknown": (lambda: action(PLANE, "s", {"x": Y, "y": X}, 2).image("q"),
+                      UnknownVariableError, "no image for coordinate 'q'"),
+}
+
+
+@pytest.mark.parametrize("case", VARIETY_INPUT_ERRORS)
+def test_variety_input_errors(case):
+    build, error, message = VARIETY_INPUT_ERRORS[case]
+    with pytest.raises(error) as raised:
+        build()
+    assert str(raised.value) == message
