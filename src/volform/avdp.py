@@ -201,7 +201,8 @@ def _monomial_table(
     nf(m) with its codes shifted by code(x_i) and its terms times t_i.
 
     An entry sums products of at most d = bound generator data, each with
-    every |exponent| <= top, so it lies in the packing's box (d*top).
+    every |exponent| <= top, so every |exponent| <= d*top, which is within
+    the packing's box.
     """
     if degree_bound < 0:  # no monomial, not even the constant 1
         raise PreconditionError(f"degree bound {degree_bound} is negative")
@@ -262,7 +263,7 @@ class _Kernel(list):
         return None
 
 
-def kernel_basis(xi: VectorField, degree_bound: int) -> list[LaurentPoly]:
+def kernel_basis(xi: VectorField, degree_bound: int) -> _Kernel:
     """Echelonized basis of {f : xi(f) = 0 on the chart} within the span of
     ambient monomials of total degree <= bound, all in normal form.
 

@@ -412,7 +412,6 @@ def test_string_form_is_stable():
     assert str(LaurentPoly.zero(XY)) == "0"
 
 
-XY = ("x", "y")
 X = LaurentPoly.variable(XY, "x")
 
 ALGEBRA_INPUT_ERRORS = {

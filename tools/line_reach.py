@@ -9,7 +9,7 @@ test fails, when an unreached line is not listed, when a listed line is
 reached, or when an entry has no reason, and prints a list entry for each
 unlisted line.  Tier-1 runs about four times slower under the tracer.
 
-Usage: python tools/line_reach.py [extra pytest arguments]
+Usage: python tools/line_reach.py
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def body_lines(path: Path) -> dict[int, str]:
     return owner
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     import pytest
 
     # this checkout's package, in this process and in the CLI tests' subprocesses
@@ -76,7 +76,7 @@ def main(argv: list[str]) -> int:
                for path in sorted(PACKAGE.glob("*.py"))}
     sys.settrace(calls)
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests"), *argv])
+        status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
     finally:
         sys.settrace(None)
 
@@ -108,4 +108,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
