@@ -38,10 +38,10 @@ FULL_RING = "FULL_RING"
 IDEAL_WITNESS = "IDEAL_WITNESS"
 UNKNOWN = "UNKNOWN"
 # Largest monomial basis a kernel or semicompat search may enumerate: it
-# admits bound 10 on a surface (286 monomials).  The slowest admitted cases,
-# semicompat(dz, dx, 10) and (dx, dz, 10) on p = x + x^3, q = 2y + y^3, take
-# 0.12-0.14 s each (best of 7, CPython 3.11.7, shared 2-core host): half in
-# the product span, a quarter in the two kernels, a fifth in the table.
+# admits bound 10 on a surface (286 monomials).  semicompat(dz, dx, 10) takes
+# 0.17-0.21 s on p = x^6 - 2x, q = y^2 + y and 0.09-0.10 s on p = x + x^3,
+# q = 2y + y^3 (best of 3-7, CPython 3.11.7, shared 2-core host); on the
+# latter 3/4 is the product span, 1/6 the table and 1/8 the two kernels.
 MAX_MONOMIALS = 300
 IntTerms = dict[int, int]  # an integer multiple of a polynomial's terms, by exponent code
 
@@ -170,9 +170,9 @@ class _Packing:
         return [(self.pack(e), c) for e, c in _integral(f.terms)[1]]
 
 
-def _convolve(*products: tuple[Iterable[tuple], Iterable[tuple]]) -> IntTerms:
-    """Sum of the products of (code, int) term pairs."""
-    out: IntTerms = {}
+def _convolve(*products: tuple[Iterable, Iterable], start: IntTerms | None = None) -> IntTerms:
+    """Sum of the products of (code, int) term pairs, added into ``start``."""
+    out: IntTerms = {} if start is None else start
     for a, b in products:
         for e1, n1 in a:
             for e2, n2 in b:
@@ -181,24 +181,45 @@ def _convolve(*products: tuple[Iterable[tuple], Iterable[tuple]]) -> IntTerms:
     return {e: n for e, n in out.items() if n}
 
 
+def _standard_leads(on: Chart) -> list[Exponents]:
+    """The lead a*s of each relation r = a*s + b, solved for s, with every
+    exponent >= 0 and a*s leading in the graded order that compares solved
+    coordinates first: each term of b has lower degree, or equal degree and
+    no solved coordinate."""
+    solved = [on.coordinates.index(rel.solves) for rel in on.relations]
+    leads = []
+    for rel, s in zip(on.relations, solved):
+        (lead,) = (e for e, _ in rel.poly.terms if e[s])
+        if all(min(e) >= 0 and (sum(e) < sum(lead) or e == lead or sum(e) == sum(lead)
+                                and not any(e[i] for i in solved)) for e, _ in rel.poly.terms):
+            leads.append(lead)
+    return leads
+
+
 def _monomial_table(
     on: Chart, degree_bound: int, fields: Sequence[VectorField] = ()
 ) -> tuple[list[IntTerms], list[list[IntTerms]], _Packing]:
-    """Normal forms of the monomials m_j of degree <= bound, in the order of
-    :func:`monomials_up_to`, and their images under each field, as integer
-    term dicts s_j*nf(m_j) and s_j*xi(m_j) for one integer s_j > 0 per j;
-    no nullspace or span read from the table depends on the s_j.  Terms are
-    keyed by the codes of the returned packing, which add like exponents, so
-    a product of entries is the :func:`_convolve` of their terms.
+    """Normal forms of the standard monomials m_j of degree <= bound, in the
+    order of :func:`monomials_up_to`, and their images under each field, as
+    integer term dicts s_j*nf(m_j) and s_j*xi(m_j) for one integer s_j > 0
+    per j; no nullspace or span read from the table depends on the s_j.  Terms
+    are keyed by the codes of the returned packing, which add like exponents,
+    so a product of entries is the :func:`_convolve` of their terms.
+
+    A monomial is standard when no lead a*s of :func:`_standard_leads`
+    divides it.  Standard rows span all rows (Cox, Little & O'Shea, ch. 5
+    sec. 3): for m = a*s*m', nf(m) = nf(-b*m') and xi(m) = xi(-b*m'), rows of
+    degree <= deg m, each lower in degree or in solved coordinates.  So the
+    kernels, and by linearity the witness tests, are those of all rows.
 
     Generator data are read, not computed: nf(x_i) is x_i or its chart
     solution, xi(x_i) is xi's stored (normal-form) coefficient at x_i, and
     both are scaled by t_i, the lcm of their denominators.  Each m*x_i comes
-    from the earlier entry m: nf(m*x_i) = nf(m)*nf(x_i) and, by Leibniz,
-    xi(m*x_i) = xi(m)*nf(x_i) + nf(m)*xi(x_i), so s_{m*x_i} = s_m*t_i.
-    Products of normal forms (free coordinates only) are normal forms.  Along
-    a single-term generator (every free coordinate, t_i*x_i) nf(m*x_i) is
-    nf(m) with its codes shifted by code(x_i) and its terms times t_i.
+    from the earlier entry m, a standard divisor: nf(m*x_i) = nf(m)*nf(x_i)
+    and, by Leibniz, xi(m*x_i) = xi(m)*nf(x_i) + nf(m)*xi(x_i), so
+    s_{m*x_i} = s_m*t_i.  Products of normal forms (free coordinates only) are
+    normal forms.  Along a single-term generator (every free coordinate,
+    t_i*x_i) a product by nf(x_i) shifts codes by code(x_i) and scales by t_i.
 
     An entry sums products of at most d = bound generator data, each with
     every |exponent| <= top, so every |exponent| <= d*top, which is within
@@ -222,22 +243,26 @@ def _monomial_table(
                         for e, c in p.terms] for p in polys])
     # extend along the coordinate whose normal form has the fewest terms
     order = sorted(range(len(scaled)), key=lambda i: len(scaled[i][0]))
+    leads = _standard_leads(on)
     position: dict[Exponents, int] = {(0,) * n: 0}
     forms: list[IntTerms] = [{0: 1}]  # the constant 1, code 0, comes first
     images: list[list[IntTerms]] = [[{}] for _ in fields]
-    for j, m in enumerate(monomials[1:], 1):
+    for m in monomials[1:]:
         exps = m.terms[0][0]
-        position[exps] = j
+        if any(all(e >= l for e, l in zip(exps, lead)) for lead in leads):
+            continue
+        position[exps] = len(forms)
         i = next(i for i in order if exps[i])
         k = position[exps[:i] + (exps[i] - 1,) + exps[i + 1:]]
         form, (gen_form, *gen_images) = forms[k].items(), scaled[i]
         if len(gen_form) == 1:  # a free coordinate: a shift of codes and a scale
             ((shift, t),) = gen_form
-            forms.append({e + shift: n * t for e, n in form})
+            times = lambda terms: {e + shift: n * t for e, n in terms.items()}
         else:
-            forms.append(_convolve((form, gen_form)))
+            times = lambda terms: _convolve((terms.items(), gen_form))
+        forms.append(times(forms[k]))
         for column, gen_image in zip(images, gen_images):
-            column.append(_convolve((column[k].items(), gen_form), (form, gen_image)))
+            column.append(_convolve((form, gen_image), start=times(column[k])))
     return forms, images, packing
 
 

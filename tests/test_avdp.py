@@ -28,6 +28,7 @@ from volform import (
     lie_bracket,
     monomials_up_to,
     parse,
+    parse_polynomial,
     sample_point,
     scenario_by_name,
     scalar_form,
@@ -60,6 +61,7 @@ from helpers import (
 from oracles import (
     brute_force_kernel,
     brute_force_semicompat,
+    dense_rank,
     dense_rref,
     row_space_contains,
     wedge_span_by_substitution,
@@ -176,13 +178,22 @@ def test_kernel_matches_brute_force_oracle():
             assert row_space_contains(functions, vec)
 
 
+def standard_monomials(on, degree_bound):
+    """The monomials of degree <= bound that no qualifying relation lead
+    divides, in the order of monomials_up_to: the rows of the table."""
+    leads = avdp._standard_leads(on)
+    return [m for m in monomials_up_to(on, degree_bound)
+            if not any(all(e >= l for e, l in zip(m.terms[0][0], lead)) for lead in leads)]
+
+
 @pytest.mark.parametrize("address", [
     "sl2", "xm1:1", "xm1:2", "torus:2", "surface:p=x,q=y", CUBIC, "rational",
 ])
 def test_monomial_table_matches_direct_normal_forms_and_images(address):
     # the table builds each entry from a lower one; the oracle reduces each
     # monomial from scratch.  Entry j holds s_j*nf(m_j) and s_j*xi(m_j) as
-    # integer term dicts, for one integer s_j > 0 per table
+    # integer term dicts, for one integer s_j > 0 per table, m_j the j-th
+    # standard monomial
     if address == "rational":
         a, b = rational_pair()
         # a third of a: its images of y have a denominator the normal form lacks
@@ -191,7 +202,7 @@ def test_monomial_table_matches_direct_normal_forms_and_images(address):
         fields = list(scenario_by_name(address).fields.values())
     on = fields[0].chart
     for bound in range(4):
-        monomials = monomials_up_to(on, bound)
+        monomials = standard_monomials(on, bound)
         for table_fields in ([], fields):
             forms, images, packing = _monomial_table(on, bound, table_fields)
             assert len(forms) == len(monomials)
@@ -354,9 +365,9 @@ def test_generator_data_live_in_the_field_and_the_chart(target):
 
 def _table_by_apply(on, degree_bound, fields):
     """The monomial table as it was built from Chart.normal_form and
-    VectorField.apply of each generator: the reference for reading those
-    data where they live."""
-    monomials = monomials_up_to(on, degree_bound)
+    VectorField.apply of each generator, over the standard monomials: the
+    reference for reading those data where they live."""
+    monomials = standard_monomials(on, degree_bound)
     n = len(on.coordinates)
     generators = [[on.normal_form(g), *(xi.apply(g) for xi in fields)] for g in on.generators()]
     top = max([1] + [abs(e) for ps in generators for p in ps for exps, _ in p.terms for e in exps])
@@ -369,9 +380,9 @@ def _table_by_apply(on, degree_bound, fields):
     order = sorted(range(n), key=lambda i: len(scaled[i][0]))
     position = {(0,) * n: 0}
     forms, images = [{0: 1}], [[{}] for _ in fields]
-    for j, m in enumerate(monomials[1:], 1):
+    for m in monomials[1:]:
         exps = m.terms[0][0]
-        position[exps] = j
+        position[exps] = len(forms)
         i = next(i for i in order if exps[i])
         k = position[exps[:i] + (exps[i] - 1,) + exps[i + 1:]]
         form, gen_form, gen_images = forms[k].items(), scaled[i][0], scaled[i][1:]
@@ -399,6 +410,94 @@ def test_monomial_table_matches_its_construction_by_apply(address):
     for bound in range(1, 5):
         forms, images, packing = _monomial_table(on, bound, fields)
         assert (forms, images, packing.width) == _table_by_apply(on, bound, fields)
+
+
+def _chart_model(address):
+    return parse(SL3) if address == "sl3" else scenario_by_name(address)
+
+
+def _pair_ranks(on, fields, base, extra):
+    """Dense ranks of the rows of ``base`` and of ``base + extra``, the row of
+    a monomial m holding nf(m) and m's image under each field, computed by
+    Chart.normal_form and VectorField.apply."""
+    rows = []
+    for m in base + extra:
+        row = {("nf", e): c for e, c in on.normal_form(m).terms}
+        for k, field in enumerate(fields):
+            row.update({(k, e): c for e, c in field.apply(m).terms})
+        rows.append(row)
+    columns = sorted({c for row in rows for c in row}, key=repr)
+    dense = [[row.get(c, Fraction(0)) for c in columns] for row in rows]
+    return dense_rank(dense[:len(base)]), dense_rank(dense)
+
+
+@pytest.mark.parametrize("address, bound", [
+    ("sl2", 4), ("xm1:1", 4), ("xm1:2", 4), ("xm1:3", 4),
+    ("surface:p=x,q=y", 4), (CUBIC, 4), ("surface:p=x**3+x,q=y**3+2*y", 4),
+    ("surface:p=x**6-2*x,q=y**2+y", 3), ("sl3", 2),
+])
+def test_standard_rows_span_every_monomial_row(address, bound):
+    # dense oracle: the pair (nf(m), xi(m) per field) of every monomial of
+    # degree <= bound lies in the span of the standard monomials' pairs, so
+    # a table over standard monomials has the kernels and witness tests of
+    # the full one: the rank of the standard rows does not grow when the
+    # others are added
+    model = _chart_model(address)
+    on, fields = model.chart, list(model.fields.values())
+    standard = standard_monomials(on, bound)
+    others = [m for m in monomials_up_to(on, bound) if m not in standard]
+    assert others or address.startswith("surface:p=x**6")
+    low, high = _pair_ranks(on, fields, standard, others)
+    assert low == high
+    if not others:
+        # the sextic's x*y*z does not lead its relation (x**6 does): the row
+        # of x*y*z is outside the span of the rows that x*y*z does not divide
+        xyz = on.generator("x") * on.generator("y") * on.generator("z")
+        low, high = _pair_ranks(on, fields, [m for m in standard if m != xyz], [xyz])
+        assert low < high
+
+
+@pytest.mark.parametrize("address, leads", [
+    ("sl2", ["a1*b2"]),
+    ("xm1:2", ["x**2*v"]),
+    ("surface:p=x,q=y", ["x*y*z"]),
+    # x**6 outranks x*y*z
+    ("surface:p=x**6-2*x,q=y**2+y", []),
+    # the a11 relation's b holds a12*a21*a33, of degree 3 > deg(a11*m)
+    ("sl3", ["a22*a33"]),
+    ("negative", []),
+    ("solved", []),
+])
+def test_qualifying_relation_leads(address, leads):
+    names = ("x", "y", "u", "v")
+    x, y, u, v = LaurentPoly.generators(names)
+    if address == "negative":
+        # the lead v/x has a negative exponent
+        on = chart(names, invertible=("x",), relations=[(v * x ** -1 - y - 1, "v")])
+    elif address == "solved":
+        # v's b holds y*u, of the degree of x*v, with u solved; u's relation
+        # has b = y**3 above x*u
+        on = chart(names, invertible=("x",),
+                   relations=[(x * u - y ** 3, "u"), (x * v - y * u - 1, "v")])
+    else:
+        on = _chart_model(address).chart
+    expected = [parse_polynomial(lead, on.coordinates).terms[0][0] for lead in leads]
+    assert avdp._standard_leads(on) == expected
+
+
+def test_cubic_table_holds_standard_rows_only(monkeypatch):
+    # at bound 6 x*y*z divides 20 of the 84 monomials; the table keeps the
+    # other 64, and the nullspace of their images is the kernel itself (all
+    # 84 rows give 27 nullspace vectors, 20 of them building zero members)
+    dz = scenario_by_name(CUBIC).fields["dz"]
+    forms, (images,), _ = _monomial_table(dz.chart, 6, (dz,))
+    assert len(forms) == len(images) == 64
+    sizes = []
+    nullspace = SpanBuilder.nullspace
+    monkeypatch.setattr(SpanBuilder, "nullspace",
+                        lambda span, keys: sizes.append(len(out := nullspace(span, keys))) or out)
+    assert len(kernel_basis(dz, 6)) == 7
+    assert sizes == [7]
 
 
 @pytest.mark.parametrize("address, a, b", [
