@@ -5,10 +5,11 @@ checks.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from .algebra import Exponents, LaurentPoly, _integral
 from .calculus import (
@@ -39,9 +40,9 @@ IDEAL_WITNESS = "IDEAL_WITNESS"
 UNKNOWN = "UNKNOWN"
 # Largest monomial basis a kernel or semicompat search may enumerate: it
 # admits bound 10 on a surface (286 monomials).  semicompat(dz, dx, 10) takes
-# 0.17-0.21 s on p = x^6 - 2x, q = y^2 + y and 0.09-0.10 s on p = x + x^3,
-# q = 2y + y^3 (best of 3-7, CPython 3.11.7, shared 2-core host); on the
-# latter 3/4 is the product span, 1/6 the table and 1/8 the two kernels.
+# 0.15-0.18 s on p = x^6 - 2x, q = y^2 + y and 0.08-0.09 s on p = x + x^3,
+# q = 2y + y^3 (best of 5-7, CPython 3.11.7, shared 2-core host); on the
+# latter 3/4 is the product span, 1/6 the table and 1/12 the two kernels.
 MAX_MONOMIALS = 300
 IntTerms = dict[int, int]  # an integer multiple of a polynomial's terms, by exponent code
 
@@ -171,14 +172,18 @@ class _Packing:
 
 
 def _convolve(*products: tuple[Iterable, Iterable], start: IntTerms | None = None) -> IntTerms:
-    """Sum of the products of (code, int) term pairs, added into ``start``."""
+    """Sum of the products of (code, int) term pairs, added into ``start``;
+    a term that cancels is dropped as it cancels, so nothing is copied."""
     out: IntTerms = {} if start is None else start
     for a, b in products:
         for e1, n1 in a:
             for e2, n2 in b:
                 e = e1 + e2
-                out[e] = out.get(e, 0) + n1 * n2
-    return {e: n for e, n in out.items() if n}
+                if n := out.get(e, 0) + n1 * n2:
+                    out[e] = n
+                else:
+                    del out[e]
+    return out
 
 
 def _standard_leads(on: Chart) -> list[Exponents]:
@@ -243,13 +248,15 @@ def _monomial_table(
                         for e, c in p.terms] for p in polys])
     # extend along the coordinate whose normal form has the fewest terms
     order = sorted(range(len(scaled)), key=lambda i: len(scaled[i][0]))
-    leads = _standard_leads(on)
+    # the monomials a lead divides: the lead times each vector of degree <= d - deg(lead)
+    multiples = {tuple(map(sum, zip(lead, e))) for lead in _standard_leads(on)
+                 for total in range(degree_bound - sum(lead) + 1) for e in _compositions(total, n)}
     position: dict[Exponents, int] = {(0,) * n: 0}
     forms: list[IntTerms] = [{0: 1}]  # the constant 1, code 0, comes first
     images: list[list[IntTerms]] = [[{}] for _ in fields]
     for m in monomials[1:]:
         exps = m.terms[0][0]
-        if any(all(e >= l for e, l in zip(exps, lead)) for lead in leads):
+        if exps in multiples:
             continue
         position[exps] = len(forms)
         i = next(i for i in order if exps[i])
@@ -257,22 +264,39 @@ def _monomial_table(
         form, (gen_form, *gen_images) = forms[k].items(), scaled[i]
         if len(gen_form) == 1:  # a free coordinate: a shift of codes and a scale
             ((shift, t),) = gen_form
-            times = lambda terms: {e + shift: n * t for e, n in terms.items()}
+            forms.append({e + shift: n * t for e, n in form})
+            starts = [{e + shift: n * t for e, n in column[k].items()} for column in images]
         else:
-            times = lambda terms: _convolve((terms.items(), gen_form))
-        forms.append(times(forms[k]))
-        for column, gen_image in zip(images, gen_images):
-            column.append(_convolve((form, gen_image), start=times(column[k])))
+            forms.append(_convolve((form, gen_form)))
+            starts = [_convolve((column[k].items(), gen_form)) for column in images]
+        for column, gen_image, start in zip(images, gen_images, starts):
+            column.append(_convolve((form, gen_image), start=start) if gen_image else start)
     return forms, images, packing
 
 
-class _Kernel(list):
-    """The members of a kernel's echelon basis, with the integer span they
-    were read from (``span``) and the packing of its codes (``packing``)."""
+class _Kernel(Sequence):
+    """A kernel's echelon basis members as a read-only list, built on first
+    read, with the integer span they come from (``span``, which its length
+    and :meth:`power_outside` read) and the packing of its codes."""
 
-    def __init__(self, members: Iterable[LaurentPoly], span: SpanBuilder, packing: _Packing):
-        super().__init__(members)
-        self.span, self.packing = span, packing
+    def __init__(self, on: Chart, span: SpanBuilder, packing: _Packing):
+        self._chart, self.span, self.packing = on, span, packing
+
+    @functools.cached_property
+    def _members(self) -> list[LaurentPoly]:
+        return [_row_poly(self._chart, self.packing, row) for row in self.span.primitive_rows()]
+
+    def __len__(self) -> int:
+        return len(self.span)
+
+    def __getitem__(self, index):
+        return self._members[index]
+
+    def __eq__(self, other: object) -> bool:
+        return self._members == other
+
+    def __repr__(self) -> str:
+        return repr(self._members)
 
     def power_outside(self, f: LaurentPoly, count: int) -> int | None:
         """The least k < count with f**k outside the kernel, or None, for f in
@@ -295,9 +319,7 @@ def kernel_basis(xi: VectorField, degree_bound: int) -> _Kernel:
     The list is a :class:`_Kernel`, which also tests powers in its span."""
     _require_tangent(xi)
     forms, (images,), packing = _monomial_table(xi.chart, degree_bound, (xi,))
-    span = _kernel_from_table(forms, images)
-    return _Kernel((_row_poly(xi.chart, packing, row) for row in span.primitive_rows()),
-                   span, packing)
+    return _Kernel(xi.chart, _kernel_from_table(forms, images), packing)
 
 
 def _row_poly(on: Chart, packing: _Packing, row: Mapping[int, int]) -> LaurentPoly:
@@ -313,20 +335,43 @@ def _row_poly(on: Chart, packing: _Packing, row: Mapping[int, int]) -> LaurentPo
 
 
 def _kernel_from_table(forms: list[IntTerms], images: list[IntTerms]) -> SpanBuilder:
-    """Span of the combinations of a table's forms whose images cancel."""
-    # kernel = nullspace of the image matrix: one row per image monomial,
-    # keyed by monomial index.  Only that nullspace is read, and its span is
-    # the kernel of the image map in any elimination order, so eliminate
-    # sparsest first to limit fill-in (Markowitz): shortest rows first, and
-    # the index with the fewest image entries pivots, lowest index on ties:
-    # the highest rank in a list sorted once
-    image_rows: dict[int, dict[int, int]] = {}
+    """Span of the combinations of a table's forms whose images cancel: the
+    weights c_j are the nullspace of the image matrix M, a row per image
+    code and a column per entry j.  Singleton pruning (LaMacchia & Odlyzko,
+    "Solving large sparse linear systems over finite fields", CRYPTO '90)
+    finds most of it with no arithmetic: once every other column holding
+    code r is forced to 0, row r reads M[r][j]*c_j = 0, and M[r][j] is a
+    nonzero integer, so c_j = 0.  The nullspace is that of the core (the
+    codes still held, on the live columns), 0 at every forced column; an
+    empty core's is the live unit vectors.  The reduced echelon form of the
+    members is unique, whichever nullspace basis weighs the forms."""
+    count, xor = {}, {}  # per image code: its live columns, and the XOR of their indices
     for j, w in enumerate(images):
-        for code, n in w.items():
+        for code in w:
+            count[code] = count.get(code, 0) + 1
+            xor[code] = xor.get(code, 0) ^ j
+    live = [True] * len(images)
+    forced = [code for code, k in count.items() if k == 1]
+    while forced:
+        code = forced.pop()
+        if count[code] == 1:  # else its last column left after it was pushed
+            j = xor[code]
+            live[j] = False
+            for c in images[j]:
+                count[c] -= 1
+                xor[c] ^= j
+                if count[c] == 1:
+                    forced.append(c)
+    # the core: its nullspace is the same in any elimination order, so shortest
+    # rows go first to limit fill-in (Markowitz), and the column with the fewest
+    # entries pivots, lowest index on ties: the highest rank in a list sorted once
+    columns = [j for j in range(len(images)) if live[j]]
+    image_rows: dict[int, dict[int, int]] = {}
+    for j in columns:
+        for code, n in images[j].items():
             image_rows.setdefault(code, {})[j] = n
     rank = [0] * len(images)
-    for r, j in enumerate(sorted(range(len(images)), key=lambda j: (len(images[j]), j),
-                                 reverse=True)):
+    for r, j in enumerate(sorted(columns, key=lambda j: (len(images[j]), j), reverse=True)):
         rank[j] = r
     image_span = SpanBuilder(key_order=rank.__getitem__)
     for row in sorted(image_rows.values(), key=len):
@@ -335,7 +380,7 @@ def _kernel_from_table(forms: list[IntTerms], images: list[IntTerms]) -> SpanBui
     # forms[j] and images[j] share one scale, so a cancelling combination of
     # images weighs the forms; the echelon basis ignores row scale
     basis_span = SpanBuilder(key_order=int)
-    for combo in image_span.nullspace(range(len(forms))):
+    for combo in image_span.nullspace(columns):
         member: IntTerms = {}
         for j, k in combo.items():
             for code, n in forms[j].items():

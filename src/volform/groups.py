@@ -69,20 +69,24 @@ def group_presentation(
             raise GroupError(f"basis spans no Lie algebra: the bracket of matrices {i} and {j} "
                              "lies outside its span")
 
-    elements = []
+    elements, inverses = [], []
     for name, raw in test_elements:
         h = make_matrix(raw)
         _check_square(h, size, f"element {name!r}")
-        if det_bareiss(h) == 0:
-            raise GroupError(f"element {name!r} is singular")
+        try:
+            inverses.append(mat_inverse(h))
+        except GroupError:
+            raise GroupError(f"element {name!r} is singular") from None
         elements.append((name, h))
     # adjoint_matrix raises when the span is not Ad_h-stable
-    values = {h: submodular(h, basis) for _, h in elements}
+    values = {h: submodular(h, basis, h_inv) for (_, h), h_inv in zip(elements, inverses)}
     return GroupPresentation(size, basis, tuple(elements), values)
 
 
-def adjoint_matrix(h: Matrix | Sequence[Sequence], basis: Sequence[Matrix]) -> Matrix:
-    """Matrix of B -> h B h^-1 in the given basis; exact rational entries.
+def adjoint_matrix(h: Matrix | Sequence[Sequence], basis: Sequence[Matrix],
+                   inverse: Matrix | None = None) -> Matrix:
+    """Matrix of B -> h B h^-1 in the given basis; exact rational entries,
+    with h^-1 the ``inverse`` a caller holds (group_presentation's) or computed.
 
     Ad_h is the solution X of one solve A X = C, with the flattened B_j and
     h B_j h^-1 as the columns of A and C.  Raises GroupError when h is
@@ -96,7 +100,7 @@ def adjoint_matrix(h: Matrix | Sequence[Sequence], basis: Sequence[Matrix]) -> M
     basis_mats = [make_matrix(b) for b in basis]
     for b in basis_mats:
         _check_square(b, size, "basis matrix")
-    h_inv = mat_inverse(hm)
+    h_inv = mat_inverse(hm) if inverse is None else inverse
     conjugated = [mat_mul(mat_mul(hm, b), h_inv) for b in basis_mats]
     ad = solve_exact(list(zip(*map(_vectorize, basis_mats))),
                      list(zip(*map(_vectorize, conjugated))))
@@ -107,6 +111,7 @@ def adjoint_matrix(h: Matrix | Sequence[Sequence], basis: Sequence[Matrix]) -> M
     return ad
 
 
-def submodular(h: Matrix | Sequence[Sequence], basis: Sequence[Matrix]) -> Fraction:
+def submodular(h: Matrix | Sequence[Sequence], basis: Sequence[Matrix],
+               inverse: Matrix | None = None) -> Fraction:
     """Determinant of the adjoint action of h on the basis span."""
-    return det_bareiss(adjoint_matrix(h, basis))
+    return det_bareiss(adjoint_matrix(h, basis, inverse))

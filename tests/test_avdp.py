@@ -46,6 +46,8 @@ from volform.errors import (
 )
 from volform.linalg import SpanBuilder
 from volform.algebra import _grlex_key
+from volform.checks import RunFlags, run_check
+from volform.model import CheckDirective
 
 from helpers import (
     integral_vector,
@@ -500,6 +502,127 @@ def test_cubic_table_holds_standard_rows_only(monkeypatch):
     assert sizes == [7]
 
 
+QUARTIC = "surface:p=x**4+x,q=y**4+y"
+SEXTIC = "surface:p=x**6-2*x,q=y**2+y"
+
+
+def peel_shape(monkeypatch, field, bound):
+    """(columns, peeled, zero-image, core columns, core codes) of the kernel
+    of a field: the core is what _kernel_from_table hands to SpanBuilder,
+    the image rows inserted into the span whose nullspace it reads."""
+    inserted, read = [], []
+    insert, nullspace = SpanBuilder.insert, SpanBuilder.nullspace
+    with monkeypatch.context() as patch:
+        patch.setattr(SpanBuilder, "insert",
+                      lambda span, vec: inserted.append((span, vec)) or insert(span, vec))
+        patch.setattr(SpanBuilder, "nullspace", lambda span, keys: read.append(
+            (span, keys := list(keys))) or nullspace(span, keys))
+        kernel_basis(field, bound)
+    ((image_span, live),) = read
+    rows = [vec for span, vec in inserted if span is image_span]
+    _, (images,), _ = _monomial_table(field.chart, bound, (field,))
+    zero = sum(1 for w in images if not w)
+    return len(images), len(images) - len(live), zero, len(set().union(*rows)), len(rows)
+
+
+@pytest.mark.parametrize("address, name, bound, shape", [
+    (QUARTIC, "dz", 6, (84, 24, 7, 53, 127)),
+    (QUARTIC, "dy", 6, (84, 28, 7, 49, 62)),
+    (SEXTIC, "dx", 6, (84, 55, 7, 22, 18)),
+    (SEXTIC, "dz", 6, (84, 72, 7, 5, 12)),
+])
+def test_peel_leaves_a_core_where_no_relation_lead_qualifies(monkeypatch, address, name,
+                                                             bound, shape):
+    # no lead qualifies on these surfaces, so their tables keep dependent
+    # rows, and singleton pruning stops short of the zero-image columns
+    field = scenario_by_name(address).fields[name]
+    assert peel_shape(monkeypatch, field, bound) == shape
+
+
+@pytest.mark.parametrize("address, name, bound", [
+    *((QUARTIC, name, bound) for name in ("dz", "dy") for bound in (4, 6)),
+    *((SEXTIC, name, bound) for name in ("dz", "dx") for bound in (3, 4, 6)),
+])
+def test_peeled_kernels_match_the_dense_oracle(address, name, bound):
+    # the dense oracle solves the whole image matrix with Fractions; the
+    # members are the rows of its kernel's reduced echelon form, grlex
+    # columns descending
+    field = scenario_by_name(address).fields[name]
+    dimension, functions, columns = brute_force_kernel(field, field.chart, bound)
+    order = sorted(range(len(columns)), key=lambda i: _grlex_key(columns[i]), reverse=True)
+    expected = dense_rref([[f[i] for i in order] for f in functions])
+    basis = [dict(member.terms) for member in kernel_basis(field, bound)]
+    assert len(basis) == dimension
+    assert [[member.get(columns[i], 0) for i in order] for member in basis] == expected
+
+
+@pytest.mark.parametrize("address, name, bound", [
+    # one surface per kernels benchmark class: (field, bound, deg p, deg q)
+    ("surface:p=-2*x,q=3*y", "dz", 4),
+    ("surface:p=-2*x,q=3*y-y**2", "dy", 5),
+    ("surface:p=-2*x,q=3*y", "dx", 6),
+    ("surface:p=-2*x+x**2,q=3*y", "dz", 5),
+    ("surface:p=-2*x+x**2+3*x**3,q=3*y-y**2+2*y**3", "dy", 4),
+    ("surface:p=-2*x+x**2,q=3*y-y**2+2*y**3", "dx", 4),
+    ("surface:p=-2*x+x**2,q=3*y-y**2", "dz", 6),
+    ("surface:p=-2*x+x**2,q=3*y", "dy", 6),
+    ("surface:p=-2*x+x**2+3*x**3,q=3*y-y**2", "dx", 5),
+    # the certify benchmark's kernels
+    *((address, name, bound) for address in ("sl2", "xm1:1", "xm1:2", "xm1:3")
+      for name in ("xi", "eta", "nu_y", "nu_u") for bound in (2, 3, 4, 6)
+      if name in scenario_by_name(address).fields),
+])
+def test_peel_leaves_no_core_on_benchmark_tables(monkeypatch, address, name, bound):
+    # every column with a nonzero image is forced to 0, so the kernel needs
+    # no elimination: its members are the zero-image forms
+    field = scenario_by_name(address).fields[name]
+    columns, peeled, zero, core_columns, core_codes = peel_shape(monkeypatch, field, bound)
+    assert (core_columns, core_codes) == (0, 0)
+    assert columns == peeled + zero
+
+
+def test_cubic_kernel_inserts_no_image_row(monkeypatch):
+    # the peel forces every column of a nonzero image, so only the 7 basis
+    # rows, read from the 7 zero-image columns, reach SpanBuilder.insert
+    dz = scenario_by_name(CUBIC).fields["dz"]
+    rows = []
+    insert = SpanBuilder.insert
+    monkeypatch.setattr(SpanBuilder, "insert",
+                        lambda span, vec: rows.append(vec) or insert(span, vec))
+    assert len(kernel_basis(dz, 6)) == 7
+    assert len(rows) == 7
+
+
+def test_kernel_spans_builds_no_member_polynomial(monkeypatch):
+    # the check reads the kernel's length and tests powers in its span
+    calls = []
+    row_poly = avdp._row_poly
+    monkeypatch.setattr(avdp, "_row_poly", lambda *args: calls.append(args) or row_poly(*args))
+    model = scenario_by_name(CUBIC)
+    record = run_check(model, CheckDirective("kernel_spans", ("dz", 6, "pz", 7)), RunFlags())
+    assert record.status == "PASS"
+    assert calls == []
+
+
+def test_kernel_members_are_built_once_when_first_read(monkeypatch):
+    calls = []
+    row_poly = avdp._row_poly
+    monkeypatch.setattr(avdp, "_row_poly", lambda *args: calls.append(args) or row_poly(*args))
+    dz = scenario_by_name(CUBIC).fields["dz"]
+    kernel = kernel_basis(dz, 3)
+    z = dz.chart.normal_form(dz.chart.generator("z"))
+    assert len(kernel) == 4 and kernel.power_outside(z, 4) is None
+    assert calls == []
+    members = list(kernel)
+    assert len(calls) == 4
+    assert all(dz.apply(member).is_zero for member in members)
+    assert kernel == members and members == kernel and kernel != members[:3]
+    assert kernel[0] == members[0] and kernel[-2:] == members[-2:]
+    assert str(kernel) == str(members) and LaurentPoly.one(dz.chart.coordinates) in kernel
+    assert kernel.packing.unpack(0) == (0,) * len(dz.chart.coordinates)
+    assert len(calls) == 4
+
+
 @pytest.mark.parametrize("address, a, b", [
     ("xm1:20", "nu_y", "nu_u"),
     ("surface:p=x**6-2*x,q=y**2+y", "dz", "dx"),
@@ -569,11 +692,12 @@ def test_polynomial_products_do_not_grow_with_the_bound(monkeypatch, search):
 
 
 def test_kernel_elimination_works_sparsest_first(monkeypatch):
-    # only the nullspace of the image matrix is read, so its rows are
-    # eliminated shortest first with the sparsest index as pivot; in table
-    # order with the lowest index as pivot, this kernel touches 107,169 row
-    # entries, against 9,851 sparsest first
-    dz = scenario_by_name(CUBIC).fields["dz"]
+    # only the nullspace of the image matrix is read, so the rows of the
+    # peeled core are eliminated shortest first with the sparsest index as
+    # pivot; in table order with the lowest index as pivot, this kernel
+    # touches 103,763 row entries, against 5,897 sparsest first (the cubic
+    # surface's kernel has no core)
+    dz = scenario_by_name(QUARTIC).fields["dz"]
     touched = []
     eliminate = linalg._eliminate
 

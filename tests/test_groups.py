@@ -149,14 +149,39 @@ def test_each_test_element_adjoint_is_computed_once(monkeypatch, capsys):
     calls = []
     original = groups.adjoint_matrix
 
-    def counted(h, basis):
+    def counted(h, basis, inverse=None):
         calls.append(h)
-        return original(h, basis)
+        return original(h, basis, inverse)
 
     monkeypatch.setattr(groups, "adjoint_matrix", counted)
     assert main(["check", str(DATA / "sl2_group.vf")]) == 0
     assert "pass: 3" in capsys.readouterr().out
     assert len(calls) == 3  # one per test element
+
+
+def test_each_test_element_is_inverted_once(monkeypatch, capsys):
+    # the inverse that decides an element's singularity also conjugates
+    # the basis; the only determinants are the three submodular values
+    calls = {"det_bareiss": 0, "mat_inverse": 0}
+    for name in calls:
+        original = getattr(groups, name)
+
+        def counted(m, name=name, original=original):
+            calls[name] += 1
+            return original(m)
+
+        monkeypatch.setattr(groups, name, counted)
+    assert main(["check", str(DATA / "sl2_group.vf")]) == 0
+    assert "pass: 3" in capsys.readouterr().out
+    assert calls == {"det_bareiss": 3, "mat_inverse": 3}
+
+
+def test_singular_elements_are_refused_before_any_unstable_span():
+    # "bad" leaves the span of H, but every element is inverted first
+    with pytest.raises(GroupError, match="^element 'sing' is singular$"):
+        group_presentation(2, [H], [("bad", [[1, 1], [0, 1]]), ("sing", [[1, 0], [0, 0]])])
+    with pytest.raises(GroupError, match="^adjoint action leaves the span"):
+        group_presentation(2, [H], [("bad", [[1, 1], [0, 1]]), ("ok", A0)])
 
 
 def test_empty_basis_is_a_group_error():
