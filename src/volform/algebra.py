@@ -29,13 +29,8 @@ Scalar = Union[int, Fraction]
 PolyLike = Union["LaurentPoly", int, Fraction]
 
 
-def _grlex_key(exps: Exponents) -> tuple[int, Exponents]:
-    return (sum(exps), exps)
-
-
 def _term_key(term: tuple[Exponents, Fraction]) -> tuple[int, Exponents]:
-    # _grlex_key of the term's exponents, inlined: it runs once per term of
-    # every arithmetic result
+    """A term's graded-lex key: its degree, then its exponents."""
     exps = term[0]
     return (sum(exps), exps)
 

@@ -104,21 +104,17 @@ def verify_potential(f: LaurentPoly, xi: VectorField, volume: VolumeForm) -> boo
 # --------------------------------------------------------------- kernels
 
 
-def monomials_up_to(on: Chart, degree_bound: int) -> list[LaurentPoly]:
-    """All ambient monomials of total degree <= bound, degree-then-lex order;
-    none for a negative bound."""
+def monomials_up_to(on: Chart, degree_bound: int) -> list[Exponents]:
+    """The exponent vectors of all ambient monomials of total degree <= bound,
+    degree-then-lex order; none for a negative bound."""
     if degree_bound < 0:
         return []
     n = len(on.coordinates)
     count = math.comb(n + degree_bound, n)
     if count > MAX_MONOMIALS:
-        raise ResourceLimitError(
-            f"{count} monomials of degree <= {degree_bound} in {n} coordinates "
-            f"exceed the budget of {MAX_MONOMIALS}"
-        )
-    one = Fraction(1)
-    return [LaurentPoly(on.coordinates, ((exps, one),))
-            for total in range(degree_bound + 1) for exps in _compositions(total, n)]
+        raise ResourceLimitError(f"{count} monomials of degree <= {degree_bound} in {n} "
+                                 f"coordinates exceed the budget of {MAX_MONOMIALS}")
+    return [exps for total in range(degree_bound + 1) for exps in _compositions(total, n)]
 
 
 def _compositions(total: int, parts: int) -> Iterable[Exponents]:
@@ -143,9 +139,9 @@ class _Packing:
     signed-digit sum of (sum(e), e_1, ..., e_n), most significant first, each
     digit shifted by a field of ``width`` bits, so code(0) = 0 and
     code(e1 + e2) = code(e1) + code(e2).  While every digit lies within
-    +-(O-1), O = 2**(width-1), integer order of codes is
-    ``algebra._grlex_key`` order: the top differing digit outweighs every
-    digit below it.  A sum of at most three vectors of the box, every |e_i|
+    +-(O-1), O = 2**(width-1), integer order of codes is graded-lex order,
+    the order of (sum(e), e): the top differing digit outweighs every digit
+    below it.  A sum of at most three vectors of the box, every |e_i|
     <= box = (O-1) // (3n), as in a product of three packed polynomials, has
     every digit, its degree n*3*box included, within +-(O-1)."""
 
@@ -171,18 +167,17 @@ class _Packing:
         return [(self.pack(e), c) for e, c in _integral(f.terms)[1]]
 
 
-def _convolve(*products: tuple[Iterable, Iterable], start: IntTerms | None = None) -> IntTerms:
-    """Sum of the products of (code, int) term pairs, added into ``start``;
-    a term that cancels is dropped as it cancels, so nothing is copied."""
+def _convolve(a: Iterable, b: Iterable, start: IntTerms | None = None) -> IntTerms:
+    """The product of two (code, int) term lists, added into ``start``; a
+    term that cancels is dropped as it cancels, so nothing is copied."""
     out: IntTerms = {} if start is None else start
-    for a, b in products:
-        for e1, n1 in a:
-            for e2, n2 in b:
-                e = e1 + e2
-                if n := out.get(e, 0) + n1 * n2:
-                    out[e] = n
-                else:
-                    del out[e]
+    for e1, n1 in a:
+        for e2, n2 in b:
+            e = e1 + e2
+            if n := out.get(e, 0) + n1 * n2:
+                out[e] = n
+            else:
+                del out[e]
     return out
 
 
@@ -217,14 +212,14 @@ def _monomial_table(
     degree <= deg m, each lower in degree or in solved coordinates.  So the
     kernels, and by linearity the witness tests, are those of all rows.
 
-    Generator data are read, not computed: nf(x_i) is x_i or its chart
-    solution, xi(x_i) is xi's stored (normal-form) coefficient at x_i, and
-    both are scaled by t_i, the lcm of their denominators.  Each m*x_i comes
-    from the earlier entry m, a standard divisor: nf(m*x_i) = nf(m)*nf(x_i)
-    and, by Leibniz, xi(m*x_i) = xi(m)*nf(x_i) + nf(m)*xi(x_i), so
-    s_{m*x_i} = s_m*t_i.  Products of normal forms (free coordinates only) are
-    normal forms.  Along a single-term generator (every free coordinate,
-    t_i*x_i) a product by nf(x_i) shifts codes by code(x_i) and scales by t_i.
+    Generator data are read as terms: nf(x_i) is x_i or its chart solution,
+    xi(x_i) is xi's stored (normal-form) coefficient at x_i, and one t_i, the
+    lcm of all their denominators, scales them all.  Each m*x_i comes from
+    the earlier entry m, a standard divisor: nf(m*x_i) = nf(m)*nf(x_i) and,
+    by Leibniz, xi(m*x_i) = xi(m)*nf(x_i) + nf(m)*xi(x_i), a sum of products
+    by both, so s_{m*x_i} = s_m*t_i.  Products of normal forms (free
+    coordinates only) are normal forms; along a free coordinate, t_i*x_i,
+    a product by nf(x_i) shifts codes by code(x_i) and scales by t_i.
 
     An entry sums products of at most d = bound generator data, each with
     every |exponent| <= top, so every |exponent| <= d*top, which is within
@@ -235,17 +230,18 @@ def _monomial_table(
     monomials = monomials_up_to(on, degree_bound)
     n = len(on.coordinates)
     # at bound 0 the table is the constant 1 alone, which needs no generator
-    solved = dict(on.solutions)
-    generators = [[solved.get(c, g), *(xi.coefficient(c) for xi in fields)]
-                  for c, g in zip(on.coordinates, on.generators())] if degree_bound > 0 else []
-    top = max([1] + [abs(e) for ps in generators for p in ps for exps, _ in p.terms for e in exps])
+    solved = {c: p.terms for c, p in on.solutions}
+    generators = [[solved.get(c, ((tuple(int(j == i) for j in range(n)), 1),)),
+                   *(xi.coefficient(c).terms for xi in fields)]
+                  for i, c in enumerate(on.coordinates)] if degree_bound > 0 else []
+    top = max([1] + [abs(e) for data in generators for terms in data for t in terms for e in t[0]])
     # O - 1 >= 2*(3n*d*top), so the box holds d*top
     packing = _Packing(n, (3 * n * max(degree_bound, 1) * top).bit_length() + 2)
     scaled = []  # per generator: its normal form, then its image under each field
-    for polys in generators:
-        den = math.lcm(*(c.denominator for p in polys for _, c in p.terms))
+    for data in generators:
+        den = math.lcm(*(c.denominator for terms in data for _, c in terms))
         scaled.append([[(packing.pack(e), c.numerator * (den // c.denominator))
-                        for e, c in p.terms] for p in polys])
+                        for e, c in terms] for terms in data])
     # extend along the coordinate whose normal form has the fewest terms
     order = sorted(range(len(scaled)), key=lambda i: len(scaled[i][0]))
     # the monomials a lead divides: the lead times each vector of degree <= d - deg(lead)
@@ -254,8 +250,7 @@ def _monomial_table(
     position: dict[Exponents, int] = {(0,) * n: 0}
     forms: list[IntTerms] = [{0: 1}]  # the constant 1, code 0, comes first
     images: list[list[IntTerms]] = [[{}] for _ in fields]
-    for m in monomials[1:]:
-        exps = m.terms[0][0]
+    for exps in monomials[1:]:
         if exps in multiples:
             continue
         position[exps] = len(forms)
@@ -267,10 +262,10 @@ def _monomial_table(
             forms.append({e + shift: n * t for e, n in form})
             starts = [{e + shift: n * t for e, n in column[k].items()} for column in images]
         else:
-            forms.append(_convolve((form, gen_form)))
-            starts = [_convolve((column[k].items(), gen_form)) for column in images]
+            forms.append(_convolve(form, gen_form))
+            starts = [_convolve(column[k].items(), gen_form) for column in images]
         for column, gen_image, start in zip(images, gen_images, starts):
-            column.append(_convolve((form, gen_image), start=start) if gen_image else start)
+            column.append(_convolve(form, gen_image, start) if gen_image else start)
     return forms, images, packing
 
 
@@ -306,7 +301,7 @@ class _Kernel(Sequence):
         terms, power = self.packing.terms(f), {0: 1}
         for k in range(count):
             if k:
-                power = None if terms is None else _convolve((power.items(), terms))
+                power = None if terms is None else _convolve(power.items(), terms)
             if power is None or not self.span.contains(power):
                 return k
         return None
@@ -421,7 +416,7 @@ def semicompat_bounded(
     span = SpanBuilder(key_order=int)
     for f in kernel_a:
         for g in kernel_b:
-            span.insert(_convolve((f.items(), g.items())))
+            span.insert(_convolve(f.items(), g.items()))
 
     # codes add like exponents and integer leading terms cannot cancel, so
     # w*nf(m) leads with lead(w) + lead(nf(m)); a nonzero span member
@@ -434,7 +429,7 @@ def semicompat_bounded(
         lead = max(w)
         if not all(m + lead in pivots for m in leads):
             return False
-        return all(span.contains(_convolve((m.items(), w.items()))) for m in forms)
+        return all(span.contains(_convolve(m.items(), w.items())) for m in forms)
 
     if multiplies_into_span({0: 1}):  # the witness 1
         return SemicompatVerdict(FULL_RING, LaurentPoly.one(on.coordinates), degree_bound)

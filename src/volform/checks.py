@@ -192,8 +192,12 @@ def _resolve(model: Model, kind: str, value):
                  _resolve(model, "poly", witness))
                 for a, b, witness in _tuples(value, 3, "(field, field, witness) triples")]
     if kind == "point":
-        return {name: _number(v, "coordinate value")
-                for name, v in _tuples(value, 2, "(coordinate, value) pairs")}
+        values = {}
+        for name, v in _tuples(value, 2, "(coordinate, value) pairs"):
+            if name in values:
+                raise SemanticError(f"coordinate {name!r} already has a value")
+            values[name] = _number(v, "coordinate value")
+        return values
     if kind == "name":
         return value
     raise ValueError(f"undeclared argument kind {kind!r}")

@@ -431,12 +431,17 @@ class _Parser:
         on = self._require_chart()
         name = self._head("action", ":")
 
-        def image() -> tuple[str, LaurentPoly]:
-            coord = self._coordinate(on.coordinates)
-            self.expect("->")
-            return coord, self._expr(on.coordinates)
+        images: dict[str, LaurentPoly] = {}
 
-        images = dict(self._commas(image))
+        def image() -> None:
+            tok = self.peek()
+            coord = self._coordinate(on.coordinates)
+            if coord in images:
+                raise SemanticError(f"coordinate {coord!r} already has an image", tok.line, tok.col)
+            self.expect("->")
+            images[coord] = self._expr(on.coordinates)
+
+        self._commas(image)
         self.expect("order")
         order = int(self.expect("INT", "action order").text)
         self.expect(";")

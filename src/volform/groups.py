@@ -40,10 +40,9 @@ class GroupPresentation:
     submodular_values: Mapping[Matrix, Fraction] = field(compare=False)
 
     def element(self, name: str) -> Matrix:
-        for key, value in self.test_elements:
-            if key == name:
-                return value
-        raise GroupError(f"no test element named {name!r}")
+        if name not in (elements := dict(self.test_elements)):
+            raise GroupError(f"no test element named {name!r}")
+        return elements[name]
 
 
 def group_presentation(
@@ -71,6 +70,8 @@ def group_presentation(
 
     elements, inverses = [], []
     for name, raw in test_elements:
+        if any(name == other for other, _ in elements):
+            raise GroupError(f"element {name!r} is already defined")
         h = make_matrix(raw)
         _check_square(h, size, f"element {name!r}")
         try:

@@ -52,6 +52,13 @@ def integral_vector(vec: dict) -> dict:
     return {k: int(v * den) for k, v in vec.items()}
 
 
+def grlex_key(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The graded-lex order of exponent vectors that LaurentPoly keeps its
+    terms in (descending) and that packed exponent codes follow: degree
+    first, then the vector."""
+    return (sum(exps), exps)
+
+
 def surface_chart(p: LaurentPoly | None = None, q: LaurentPoly | None = None) -> Chart:
     x, y, z = LaurentPoly.generators(XYZ)
     p = x if p is None else p

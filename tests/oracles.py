@@ -2,7 +2,8 @@
 conversions and substitution, dense kernels and semi-compatibility, field
 invariance through a sympy inverse Jacobian, wedge spans evaluated in sympy,
 and brute-force form coefficients summed over permutations.
-Nothing here reuses the package's echelon, kernel or form-key machinery.
+Nothing here reuses the package's echelon, kernel, monomial enumeration or
+form-key machinery.
 """
 
 from __future__ import annotations
@@ -90,6 +91,16 @@ def row_space_contains(rows: list[list[Fraction]], vec: list[Fraction]) -> bool:
     return dense_rank(rows + [list(vec)]) == dense_rank(rows)
 
 
+def ambient_exponents(on: Chart, degree_bound: int) -> list[tuple[int, ...]]:
+    """The exponent vectors of the monomials of total degree <= bound in the
+    chart's coordinates, ordered by degree, then by tuple; none for a
+    negative bound.  Filtered here from every tuple with entries <= bound,
+    with no budget, so the dense oracles share no enumerator with the
+    kernels they check."""
+    every = itertools.product(range(degree_bound + 1), repeat=len(on.coordinates))
+    return sorted((e for e in every if sum(e) <= degree_bound), key=lambda e: (sum(e), e))
+
+
 def brute_force_kernel(
     xi: VectorField, on: Chart, degree_bound: int
 ) -> tuple[int, list[list[Fraction]], list[tuple]]:
@@ -100,9 +111,8 @@ def brute_force_kernel(
     are coefficient rows of the kernel *functions* in normal form over the
     returned Laurent-monomial columns.
     """
-    from volform import monomials_up_to
-
-    monomials = monomials_up_to(on, degree_bound)
+    monomials = [LaurentPoly.monomial(on.coordinates, e)
+                 for e in ambient_exponents(on, degree_bound)]
     reduced = [on.normal_form(m) for m in monomials]
     images = [xi.apply(m) for m in monomials]
 
@@ -157,8 +167,6 @@ def brute_force_semicompat(a: VectorField, b: VectorField, degree_bound: int):
     exponents -> coefficient dict: 1 for FULL_RING, the first such row
     divided by its pivot entry for IDEAL_WITNESS, None for UNKNOWN.
     """
-    from volform import monomials_up_to
-
     on = a.chart
     kernels = []
     for field in (a, b):
@@ -182,7 +190,8 @@ def brute_force_semicompat(a: VectorField, b: VectorField, degree_bound: int):
                 vec = [x - f * y for x, y in zip(vec, row)]
         return not any(vec)
 
-    normal_forms = [dict(on.normal_form(m).terms) for m in monomials_up_to(on, degree_bound)]
+    normal_forms = [dict(on.normal_form(LaurentPoly.monomial(on.coordinates, e)).terms)
+                    for e in ambient_exponents(on, degree_bound)]
     if all(contains(nf) for nf in normal_forms):
         return "FULL_RING", {(0,) * len(on.coordinates): Fraction(1)}
     for row in rref:

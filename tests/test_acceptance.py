@@ -41,9 +41,9 @@ from volform import (
 )
 from volform.cli import SCHEMA_PATH
 from volform.linalg import SpanBuilder, identity_matrix, make_matrix, mat_mul
-from volform.algebra import _grlex_key
 
 from helpers import (
+    grlex_key,
     integral_vector,
     lie_derivative,
     random_form,
@@ -131,7 +131,7 @@ def test_criterion_04_kernels_with_brute_force_oracle():
             field = s.fields[field_name]
             basis = kernel_basis(field, 4)
             assert len(basis) == 5
-            span = SpanBuilder(key_order=_grlex_key)
+            span = SpanBuilder(key_order=grlex_key)
             for member in basis:
                 span.insert(integral_vector(dict(member.terms)))
             g = s.chart.generator(coordinate)

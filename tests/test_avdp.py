@@ -45,11 +45,11 @@ from volform.errors import (
     DimensionError, PointError, PreconditionError, VariableMismatchError,
 )
 from volform.linalg import SpanBuilder
-from volform.algebra import _grlex_key
 from volform.checks import RunFlags, run_check
 from volform.model import CheckDirective
 
 from helpers import (
+    grlex_key,
     integral_vector,
     lie_derivative,
     random_poly,
@@ -61,6 +61,7 @@ from helpers import (
     torus_volume,
 )
 from oracles import (
+    ambient_exponents,
     brute_force_kernel,
     brute_force_semicompat,
     dense_rank,
@@ -152,7 +153,7 @@ def test_kernel_of_surface_fields_are_coordinate_polynomials():
     for name, coordinate in span_gens.items():
         basis = kernel_basis(fields[name], 4)
         assert len(basis) == 5
-        builder = SpanBuilder(key_order=_grlex_key)
+        builder = SpanBuilder(key_order=grlex_key)
         for member in basis:
             builder.insert(integral_vector(dict(member.terms)))
         g = on.generator(coordinate)
@@ -181,11 +182,12 @@ def test_kernel_matches_brute_force_oracle():
 
 
 def standard_monomials(on, degree_bound):
-    """The monomials of degree <= bound that no qualifying relation lead
-    divides, in the order of monomials_up_to: the rows of the table."""
+    """The exponent vectors of the monomials of degree <= bound that no
+    qualifying relation lead divides, in the order of monomials_up_to: the
+    rows of the table."""
     leads = avdp._standard_leads(on)
-    return [m for m in monomials_up_to(on, degree_bound)
-            if not any(all(e >= l for e, l in zip(m.terms[0][0], lead)) for lead in leads)]
+    return [exps for exps in monomials_up_to(on, degree_bound)
+            if not any(all(e >= l for e, l in zip(exps, lead)) for lead in leads)]
 
 
 @pytest.mark.parametrize("address", [
@@ -209,7 +211,8 @@ def test_monomial_table_matches_direct_normal_forms_and_images(address):
             forms, images, packing = _monomial_table(on, bound, table_fields)
             assert len(forms) == len(monomials)
             assert len(images) == len(table_fields)
-            for j, m in enumerate(monomials):
+            for j, exps in enumerate(monomials):
+                m = LaurentPoly.monomial(on.coordinates, exps)
                 entries = [forms[j]] + [column[j] for column in images]
                 assert all(type(n) is int for entry in entries for n in entry.values())
                 decoded = [{packing.unpack(e): n for e, n in entry.items()} for entry in entries]
@@ -254,7 +257,7 @@ def test_packed_codes_round_trip_order_and_add_at_the_digit_limits(n, width):
     codes = [packing.pack(e) for e in cases]
     assert [packing.unpack(c) for c in codes] == cases
     assert packing.pack(zero) == 0
-    assert sorted(cases, key=packing.pack) == sorted(cases, key=_grlex_key)
+    assert sorted(cases, key=packing.pack) == sorted(cases, key=grlex_key)
     # the box is the largest whose triple sums keep every digit within the limit
     assert 3 * n * packing.box <= limit < 3 * n * (packing.box + 1)
     names = tuple(f"x{i}" for i in range(n))
@@ -263,7 +266,7 @@ def test_packed_codes_round_trip_order_and_add_at_the_digit_limits(n, width):
     assert packing.terms(edge * LaurentPoly.variable(names, "x0")) is None
     # the codes below 0 are exactly the vectors below 0 in grlex order
     assert any(c < 0 for c in codes)
-    assert [c < 0 for c in codes] == [_grlex_key(e) < _grlex_key(zero) for e in cases]
+    assert [c < 0 for c in codes] == [grlex_key(e) < grlex_key(zero) for e in cases]
     for e1, c1 in zip(cases, codes):
         for e2, c2 in zip(cases, codes):
             total = tuple(a + b for a, b in zip(e1, e2))
@@ -382,15 +385,15 @@ def _table_by_apply(on, degree_bound, fields):
     order = sorted(range(n), key=lambda i: len(scaled[i][0]))
     position = {(0,) * n: 0}
     forms, images = [{0: 1}], [[{}] for _ in fields]
-    for m in monomials[1:]:
-        exps = m.terms[0][0]
+    for exps in monomials[1:]:
         position[exps] = len(forms)
         i = next(i for i in order if exps[i])
         k = position[exps[:i] + (exps[i] - 1,) + exps[i + 1:]]
         form, gen_form, gen_images = forms[k].items(), scaled[i][0], scaled[i][1:]
         for column, gen_image in zip(images, gen_images):
-            column.append(avdp._convolve((column[k].items(), gen_form), (form, gen_image)))
-        forms.append(avdp._convolve((form, gen_form)))
+            column.append(avdp._convolve(form, gen_image,
+                                         avdp._convolve(column[k].items(), gen_form)))
+        forms.append(avdp._convolve(form, gen_form))
     return forms, images, packing.width
 
 
@@ -419,11 +422,12 @@ def _chart_model(address):
 
 
 def _pair_ranks(on, fields, base, extra):
-    """Dense ranks of the rows of ``base`` and of ``base + extra``, the row of
-    a monomial m holding nf(m) and m's image under each field, computed by
-    Chart.normal_form and VectorField.apply."""
+    """Dense ranks of the rows of ``base`` and of ``base + extra``, lists of
+    exponent vectors; the row of a monomial m holds nf(m) and m's image under
+    each field, computed by Chart.normal_form and VectorField.apply."""
     rows = []
-    for m in base + extra:
+    for exps in base + extra:
+        m = LaurentPoly.monomial(on.coordinates, exps)
         row = {("nf", e): c for e, c in on.normal_form(m).terms}
         for k, field in enumerate(fields):
             row.update({(k, e): c for e, c in field.apply(m).terms})
@@ -454,7 +458,7 @@ def test_standard_rows_span_every_monomial_row(address, bound):
     if not others:
         # the sextic's x*y*z does not lead its relation (x**6 does): the row
         # of x*y*z is outside the span of the rows that x*y*z does not divide
-        xyz = on.generator("x") * on.generator("y") * on.generator("z")
+        xyz = (on.generator("x") * on.generator("y") * on.generator("z")).terms[0][0]
         low, high = _pair_ranks(on, fields, [m for m in standard if m != xyz], [xyz])
         assert low < high
 
@@ -549,7 +553,7 @@ def test_peeled_kernels_match_the_dense_oracle(address, name, bound):
     # columns descending
     field = scenario_by_name(address).fields[name]
     dimension, functions, columns = brute_force_kernel(field, field.chart, bound)
-    order = sorted(range(len(columns)), key=lambda i: _grlex_key(columns[i]), reverse=True)
+    order = sorted(range(len(columns)), key=lambda i: grlex_key(columns[i]), reverse=True)
     expected = dense_rref([[f[i] for i in order] for f in functions])
     basis = [dict(member.terms) for member in kernel_basis(field, bound)]
     assert len(basis) == dimension
@@ -723,7 +727,7 @@ def test_surface_kernels_at_larger_bounds_are_powers_of_one_coordinate(
     g = on.generator(coordinate)
     for bound in range(5, 9):
         powers = [dict(on.normal_form(g ** k).terms) for k in range(bound + 1)]
-        columns = sorted({e for p in powers for e in p}, key=_grlex_key, reverse=True)
+        columns = sorted({e for p in powers for e in p}, key=grlex_key, reverse=True)
         expected = dense_rref([[p.get(c, Fraction(0)) for c in columns] for p in powers])
         basis = [dict(member.terms) for member in kernel_basis(field, bound)]
         assert all(set(member) <= set(columns) for member in basis)
@@ -760,7 +764,7 @@ def test_semicompat_does_no_repeated_table_work(monkeypatch):
 def test_kernel_of_sl2_shear_contains_its_kernel_coordinates():
     on, xi, _ = sl2_pair()
     basis = kernel_basis(xi, 1)
-    builder = SpanBuilder(key_order=_grlex_key)
+    builder = SpanBuilder(key_order=grlex_key)
     for member in basis:
         builder.insert(integral_vector(dict(member.terms)))
     assert builder.contains(integral_vector(dict(on.generator("b1").terms)))
@@ -1158,8 +1162,37 @@ def test_compositions_run_in_lex_order_without_recursion():
             assert list(_compositions(total, parts)) == expected
     # one frame per coordinate once overflowed Python's stack here
     wide = chart([f"x{i}" for i in range(1500)])
-    (one,) = monomials_up_to(wide, 0)
-    assert one == wide.poly(1)
+    assert monomials_up_to(wide, 0) == [(0,) * 1500]
+
+
+def test_monomials_up_to_matches_the_oracle_enumeration():
+    # the dense oracles enumerate ambient monomials themselves; the order is
+    # part of the contract, since the table's rows follow it
+    for n in range(1, 5):
+        on = chart([f"x{i}" for i in range(n)])
+        for bound in range(7):
+            assert monomials_up_to(on, bound) == ambient_exponents(on, bound)
+        assert monomials_up_to(on, -1) == monomials_up_to(on, -5) == []
+
+
+@pytest.mark.parametrize("address", [
+    "sl2", "xm1:1", "xm1:2", "xm1:3", "torus:2",
+    # one surface per kernels benchmark class, as in the peel test above
+    "surface:p=-2*x,q=3*y", "surface:p=-2*x,q=3*y-y**2", "surface:p=-2*x+x**2,q=3*y",
+    "surface:p=-2*x+x**2+3*x**3,q=3*y-y**2+2*y**3", "surface:p=-2*x+x**2,q=3*y-y**2+2*y**3",
+    "surface:p=-2*x+x**2,q=3*y-y**2", "surface:p=-2*x+x**2+3*x**3,q=3*y-y**2",
+])
+def test_monomial_table_builds_no_polynomial(monkeypatch, address):
+    # the table reads exponent vectors and generator terms: no monomial,
+    # generator or intermediate product becomes a LaurentPoly
+    fields = list(scenario_by_name(address).fields.values())
+    on = fields[0].chart
+    built, init = [], LaurentPoly.__init__
+    monkeypatch.setattr(LaurentPoly, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    for bound in range(7):
+        _monomial_table(on, bound, fields)
+    assert built == []
 
 
 def test_accepted_potentials_lie_in_the_kernel():

@@ -151,6 +151,9 @@ ERROR_DETAILS = {
         "SemanticError: expected a number for the coordinate value, got 'y'",
     "check flow_jacobian(dz, pz, ((x, 1), (y, 1), (z, -1)), 1/2);":
         "SemanticError: expected an integer bound, got Fraction(1, 2)",
+    # the last value would win: this point would be read at x = 5
+    "check flow_jacobian(dz, pz, ((x, 1), (y, 0), (x, 5)), 4);":
+        "SemanticError: coordinate 'x' already has a value",
     "check submodular(N, A0, x);": "SemanticError: expected a number for the determinant, got 'x'",
     "check submodular(N, A0, (1, 2));":
         "SemanticError: expected a number for the determinant, got (1, 2)",
@@ -464,21 +467,24 @@ def test_no_public_object_has_two_names():
     assert [group for group in names.values() if len(group) > 1] == []
 
 
-# Public names that no package code uses, each with the reason it stays.
+# Top-level definitions of src/volform that no package code uses, each with
+# the reason it stays.  A listed name counts as in use, and so does what it
+# uses (format_document's _format_* helpers).
 UNUSED_BY_DESIGN = {
     "format_document": "the DSL printer, inverse of parse; round-trip tests pin it",
     "verify_bracket_identity": "bench/vfbench/tracing.py wraps it by name",
     "verify_potential": "bench/vfbench/tracing.py wraps it by name",
+    "SCHEMA_PATH": "where callers and tests find the report schema the JSON output follows",
 }
 
 
-def test_every_public_name_is_used_by_package_code():
+def test_every_definition_is_used_by_package_code():
     # A top-level definition of src/volform stays in use while another one in
     # use names it.  Module-level statements (such as __main__'s call of
     # cli.main) and decorated functions (the registered checks) are always in
-    # use; __init__ only re-exports and does not count.  A public name whose
-    # definition falls out is code that no check, DSL statement or CLI path
-    # reaches.
+    # use; __init__ only re-exports and does not count.  A definition that
+    # falls out, public or private, is code that no check, DSL statement or
+    # CLI path reaches.
     import volform
 
     mentions: dict[str, set[str]] = {}  # top-level name -> names its code loads
@@ -499,17 +505,17 @@ def test_every_public_name_is_used_by_package_code():
             }
             for key in keys:
                 mentions.setdefault(key, set()).update(loads)
+
+    def unnamed(in_use: set[str]) -> set[str]:
+        return {key for key in in_use if not key.startswith("<")
+                and not any(key in mentions[other] for other in in_use if other != key)}
+
     in_use = set(mentions)
-    while True:
-        dropped = {
-            key for key in in_use
-            if not key.startswith("<")
-            and not any(key in mentions[other] for other in in_use if other != key)
-        }
-        if not dropped:
-            break
+    while dropped := unnamed(in_use) - set(UNUSED_BY_DESIGN):
         in_use -= dropped
-    assert sorted(set(volform.__all__) - in_use) == sorted(UNUSED_BY_DESIGN)
+    assert sorted(set(mentions) - in_use) == []
+    # every entry names a definition that nothing else in use names
+    assert sorted(unnamed(in_use)) == sorted(UNUSED_BY_DESIGN)
 
 
 # Public methods and properties (Class.name) that no package code loads, each
@@ -521,8 +527,8 @@ METHODS_UNUSED_BY_DESIGN: dict[str, str] = {
 
 
 def test_every_public_method_is_used_by_package_code():
-    # volform.__all__ names no method, so the test above cannot see one that
-    # only tests call.  Each public method or property of a class defined in
+    # the test above sees top-level names only, so not a method that only
+    # tests call.  Each public method or property of a class defined in
     # src/volform must be loaded as an attribute (obj.name) in package code;
     # the name alone counts, whichever object it is loaded from, so a method
     # name shared by several classes hides the unused ones.

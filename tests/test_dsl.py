@@ -96,6 +96,8 @@ def test_poly_and_action_productions():
 def test_group_production():
     doc = parse((DATA / "sl2_group.vf").read_text())
     assert set(doc.groups) == {"N", "G"}
+    # an element name is scoped to its group: N and G both name A0
+    assert doc.groups["N"].element("A0") == doc.groups["G"].element("A0")
     records = execute(doc)
     assert [r.status for r in records] == ["PASS", "PASS", "PASS"]
 
@@ -187,6 +189,14 @@ PARSE_ERRORS = {
                                   SemanticError, "2:11: unknown coordinate 'w'"),
     "missing_action_order": (ONE_LINE_CHART + "action s: x -> y, y -> x;",
                              ParseError, "2:25: expected 'order', found ';'"),
+    # the last image would win: x -> y, x -> x is the identity
+    "repeated_action_coordinate": (ONE_LINE_CHART + "action s: x -> y, x -> x order 1;",
+                                   SemanticError, "2:19: coordinate 'x' already has an image"),
+    # group_presentation refuses it; the parser points at the group statement
+    "repeated_group_element": ("group M { ambient 2; basis [[1, 0], [0, -1]];\n"
+                               "  element A = [[0, -1], [1, 0]];\n"
+                               "  element A = [[2, 0], [0, 1/2]]; }",
+                               SemanticError, "1:1: element 'A' is already defined"),
     "zero_denominator": ("group M { ambient 2; basis [[1, 0], [0, 1/0]]; }",
                          SemanticError, "1:43: zero denominator"),
     "missing_denominator": ("group M { ambient 2; basis [[1, 0], [0, 1/x]]; }",

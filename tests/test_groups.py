@@ -141,6 +141,9 @@ def test_group_presentation_validation():
         group_presentation(2, [H], [("bad", [[1, 1], [0, 1]])])  # unstable span
     with pytest.raises(GroupError):
         group_presentation(2, [H], [("sing", [[1, 0], [0, 0]])])
+    # element() would return the first of two elements named alike
+    with pytest.raises(GroupError, match="^element 'A0' is already defined$"):
+        group_presentation(2, [H], [("A0", A0), ("A0", [[2, 0], [0, Fraction(1, 2)]])])
 
 
 def test_each_test_element_adjoint_is_computed_once(monkeypatch, capsys):

@@ -31,12 +31,12 @@ from volform import (
     volume_form,
     xm1,
 )
-from volform.algebra import _grlex_key, _integral
+from volform.algebra import _integral
 from volform.errors import ChartError, SemanticError
 from volform.linalg import SpanBuilder
 from volform.model import Model
 
-from helpers import run_snippet
+from helpers import grlex_key, run_snippet
 
 XYZ = ("x", "y", "z")
 DATA = Path(__file__).parent / "data"
@@ -371,7 +371,7 @@ def kernel_spans_by_polynomial_powers(field, bound, generator, text, expected_di
     reduced = field.chart.normal_form(generator)
     if expected_dim >= 2 and not reduced.support():
         return "FAIL", f"({text}) has constant normal form {reduced}; its powers are dependent"
-    span = SpanBuilder(key_order=_grlex_key)
+    span = SpanBuilder(key_order=grlex_key)
     for member in basis:
         span.insert(dict(_integral(member.terms)[1]))
     power = LaurentPoly.one(field.chart.coordinates)
