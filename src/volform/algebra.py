@@ -35,13 +35,14 @@ def _term_key(term: tuple[Exponents, Fraction]) -> tuple[int, Exponents]:
     return (sum(exps), exps)
 
 
-def scalar_text(c: Fraction) -> str:
+def scalar_text(c: Fraction | int) -> str:
     """``str(c)``, or ResourceLimitError past Python's int-to-string digit limit."""
     try:
         return str(c)
     except ValueError:
+        what = "a coefficient" if isinstance(c, Fraction) else "an exponent"
         bits = max(c.numerator.bit_length(), c.denominator.bit_length())
-        raise ResourceLimitError(f"a coefficient of {bits} bits is too long to print") from None
+        raise ResourceLimitError(f"{what} of {bits} bits is too long to print") from None
 
 
 def exact_scalar(value: object, what: str, key: object) -> Scalar:
@@ -411,7 +412,7 @@ class LaurentPoly:
             for v, e in zip(self.variables, exps):
                 if e == 0:
                     continue
-                factors.append(v if e == 1 else f"{v}**{e}")
+                factors.append(v if e == 1 else f"{v}**{scalar_text(e)}")
             if not factors:
                 body = scalar_text(abs(coeff))
             else:

@@ -346,6 +346,7 @@ def lnd_flow(field: VectorField, bound: int) -> dict[str, list[LaurentPoly]]:
 
 def pullback_form(form: DiffForm, act: SubstitutionAction) -> DiffForm:
     """Pullback along a substitution, computed in the free coordinates."""
+    _same_chart(form, act)
     on = form.chart
     images = act.as_dict()
     differentials = {
@@ -361,18 +362,15 @@ def pullback_form(form: DiffForm, act: SubstitutionAction) -> DiffForm:
     return total
 
 
-def is_invariant(
-    obj: Union[LaurentPoly, VectorField, DiffForm],
-    act: SubstitutionAction,
-    on: Chart | None = None,
-) -> bool:
-    """Whether the object is fixed by the substitution modulo the ideal.
+def is_invariant(obj: Union[LaurentPoly, VectorField, DiffForm], act: SubstitutionAction) -> bool:
+    """Whether obj, which lives on the action's chart, is fixed by the action modulo the ideal.
 
     A field is a derivation, so it is fixed by ``s`` exactly when
     ``xi(s*x_c) = s*(xi(x_c))`` for every coordinate ``c``; forms are
     compared with their pullback.
     """
     if isinstance(obj, VectorField):
+        _same_chart(obj, act)
         images = act.as_dict()
         return all(
             obj.apply(images[c]) == obj.chart.normal_form(obj.coefficient(c).substitute(images))
@@ -381,7 +379,6 @@ def is_invariant(
     if isinstance(obj, DiffForm):
         return forms_equal(pullback_form(obj, act), obj)
     if isinstance(obj, LaurentPoly):
-        if on is None:
-            raise ChartError("invariance of a bare polynomial needs the chart")
-        return on.normal_form(obj.substitute(act.as_dict())) == on.normal_form(obj)
+        on = act.chart  # the left normal form validates obj before it is substituted
+        return on.normal_form(obj) == on.normal_form(obj.substitute(act.as_dict()))
     raise TypeError(f"cannot test invariance of {type(obj).__name__}")

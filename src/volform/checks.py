@@ -77,7 +77,8 @@ CheckFn = Callable[..., tuple[str, str]]
 @dataclass(frozen=True)
 class Check:
     """A check body and its declared argument kinds, e.g. ("field", "field",
-    "degree_bound?", "verdict?"); a trailing "?" marks an optional argument."""
+    "degree_bound?", "verdict?"); a trailing "?" marks an optional argument.
+    The body is called as ``run(raw arguments, flags, *resolved values)``."""
 
     run: CheckFn
     kinds: tuple[str, ...]
@@ -123,7 +124,7 @@ def run_check(model: Model, directive: CheckDirective, flags: RunFlags) -> Check
         # an omitted bound reads its flag; any other omitted argument is None
         omitted = {"degree_bound?": flags.degree_bound, "bound?": flags.lnd_bound}
         values += [omitted.get(kind) for kind in check.kinds[len(directive.args):]]
-        status, detail = check.run(model, flags, *values)
+        status, detail = check.run(directive.args, flags, *values)
     except VolformError as exc:
         status, detail = ERROR, f"{type(exc).__name__}: {exc}"
     wall_ms = (time.perf_counter() - started) * 1000.0
@@ -161,14 +162,14 @@ def _resolve(model: Model, kind: str, value):
         if not isinstance(obj, cls):
             raise SemanticError(f"{value!r} is not a {what}")
         return obj
-    if kind == "object":  # what is_invariant tests, passed by name for the detail
+    if kind == "object":  # what is_invariant tests
         obj = model.lookup(value)
         if obj is None:
             raise SemanticError(f"unknown identifier {value!r}")
         if not isinstance(obj, (LaurentPoly, VectorField, DiffForm)):
             raise SemanticError(
                 f"{value!r} is not a polynomial, coordinate, field, form or volume")
-        return value
+        return obj
     if kind == "action":
         act = model.actions.get(value)
         if act is None:
@@ -228,14 +229,14 @@ def _sign(value, expected) -> int | None:
 
 
 @register("tangent", "field")
-def _check_tangent(model: Model, flags, field) -> tuple[str, str]:
+def _check_tangent(args: tuple, flags, field) -> tuple[str, str]:
     if is_tangent(field):
         return PASS, "field is tangent to every defining relation"
     return FAIL, f"relation residuals: {[str(r) for r in field.residuals]}"
 
 
 @register("divergence_zero", "field volume")
-def _check_divergence_zero(model: Model, flags, field, volume) -> tuple[str, str]:
+def _check_divergence_zero(args: tuple, flags, field, volume) -> tuple[str, str]:
     div = divergence(field, volume)
     if div.is_zero:
         return PASS, "divergence is 0"
@@ -243,7 +244,7 @@ def _check_divergence_zero(model: Model, flags, field, volume) -> tuple[str, str
 
 
 @register("identity1", "field field volume")
-def _check_identity1(model: Model, flags, a, b, volume) -> tuple[str, str]:
+def _check_identity1(args: tuple, flags, a, b, volume) -> tuple[str, str]:
     residual = bracket_identity_residual(a, b, volume)
     if residual.is_zero:
         return PASS, "contraction of the bracket equals d of the double contraction"
@@ -251,7 +252,7 @@ def _check_identity1(model: Model, flags, a, b, volume) -> tuple[str, str]:
 
 
 @register("potential", "poly field volume")
-def _check_potential(model: Model, flags, poly, field, volume) -> tuple[str, str]:
+def _check_potential(args: tuple, flags, poly, field, volume) -> tuple[str, str]:
     df, theta = potential_sides(poly, field, volume)
     if (c := _sign(theta, df)) is not None:
         return PASS, f"matched constant c = {c:+d}"
@@ -259,7 +260,7 @@ def _check_potential(model: Model, flags, poly, field, volume) -> tuple[str, str
 
 
 @register("bracket_potential", "field field volume poly")
-def _check_bracket_potential(model: Model, flags, a, b, volume, expected) -> tuple[str, str]:
+def _check_bracket_potential(args: tuple, flags, a, b, volume, expected) -> tuple[str, str]:
     # d(value) is the bracket contraction by Cartan's formula (see identity1)
     value = bracket_potential(a, b, volume)
     if (c := _sign(value, a.chart.normal_form(expected))) is not None:
@@ -268,7 +269,7 @@ def _check_bracket_potential(model: Model, flags, a, b, volume, expected) -> tup
 
 
 @register("kernel_spans", "field degree_bound poly dimension")
-def _check_kernel_spans(model: Model, flags, field, bound, generator,
+def _check_kernel_spans(args: tuple, flags, field, bound, generator,
                         expected_dim) -> tuple[str, str]:
     basis = kernel_basis(field, bound)
     if len(basis) != expected_dim:
@@ -286,7 +287,7 @@ def _check_kernel_spans(model: Model, flags, field, bound, generator,
 
 
 @register("semicompat", "field field degree_bound? verdict?")
-def _check_semicompat(model: Model, flags, a, b, bound, expected) -> tuple[str, str]:
+def _check_semicompat(args: tuple, flags, a, b, bound, expected) -> tuple[str, str]:
     verdict = semicompat_bounded(a, b, bound)
     detail = f"status {verdict.status} at bound {bound}"
     if verdict.witness is not None:
@@ -299,7 +300,7 @@ def _check_semicompat(model: Model, flags, a, b, bound, expected) -> tuple[str, 
 
 
 @register("wedge_span", "triples")
-def _check_wedge_span(model: Model, flags, pairs) -> tuple[str, str]:
+def _check_wedge_span(args: tuple, flags, pairs) -> tuple[str, str]:
     chart = pairs[0][0].chart
     distinct = len(SAMPLE_RANGE) ** chart.dimension  # the points sample_point can draw
     if flags.points > distinct:
@@ -320,13 +321,13 @@ def _check_wedge_span(model: Model, flags, pairs) -> tuple[str, str]:
 
 
 @register("lnd", "field bound?")
-def _check_lnd(model: Model, flags, field, bound) -> tuple[str, str]:
+def _check_lnd(args: tuple, flags, field, bound) -> tuple[str, str]:
     moved = [name for name, iterates in lnd_flow(field, bound).items() if iterates]
     return PASS, f"locally nilpotent within bound {bound}; flow moves {moved or 'nothing'}"
 
 
 @register("exact_volume", "form volume")
-def _check_exact_volume(model: Model, flags, form, volume) -> tuple[str, str]:
+def _check_exact_volume(args: tuple, flags, form, volume) -> tuple[str, str]:
     residual = exterior_derivative(form) - volume
     if residual.is_zero:
         return PASS, "d(form) equals the volume form exactly"
@@ -334,31 +335,30 @@ def _check_exact_volume(model: Model, flags, form, volume) -> tuple[str, str]:
 
 
 @register("invariant", "object action")
-def _check_invariant(model: Model, flags, name, act) -> tuple[str, str]:
-    if is_invariant(model.lookup(name), act, model.chart):
-        return PASS, f"{name} is invariant under {act.name}"
-    return FAIL, f"{name} is not invariant under {act.name}"
+def _check_invariant(args: tuple, flags, obj, act) -> tuple[str, str]:
+    if is_invariant(obj, act):
+        return PASS, f"{args[0]} is invariant under {act.name}"
+    return FAIL, f"{args[0]} is not invariant under {act.name}"
 
 
 @register("commute", "field field")
-def _check_commute(model: Model, flags, a, b) -> tuple[str, str]:
+def _check_commute(args: tuple, flags, a, b) -> tuple[str, str]:
     bracket = lie_bracket(a, b)
     if bracket.is_zero:
         return PASS, "bracket vanishes"
     return FAIL, f"bracket is {[str(c) for _, c in bracket.coefficients if not c.is_zero]}"
 
 
-@register("theta_equals", "field volume name")
-def _check_theta_equals(model: Model, flags, field, volume, name) -> tuple[str, str]:
-    expected = _resolve(model, "form", name)  # by name, for the detail
+@register("theta_equals", "field volume form")
+def _check_theta_equals(args: tuple, flags, field, volume, expected) -> tuple[str, str]:
     value = contract_volume(field, volume)
     if (c := _sign(value, expected)) is not None:
-        return PASS, f"contraction matches {c:+d} * {name}"
+        return PASS, f"contraction matches {c:+d} * {args[2]}"
     return FAIL, f"contraction is {render_form(value)}"
 
 
 @register("flow_jacobian", "field poly point bound?")
-def _check_flow_jacobian(model: Model, flags, field, poly, values, bound) -> tuple[str, str]:
+def _check_flow_jacobian(args: tuple, flags, field, poly, values, bound) -> tuple[str, str]:
     point = field.chart.point(values)
     if verify_flow_jacobian(field, poly, point, bound):
         return PASS, "flow Jacobian equals identity plus the rank-one shear"
@@ -366,7 +366,7 @@ def _check_flow_jacobian(model: Model, flags, field, poly, values, bound) -> tup
 
 
 @register("submodular", "group name determinant")
-def _check_submodular(model: Model, flags, group, element, expected) -> tuple[str, str]:
+def _check_submodular(args: tuple, flags, group, element, expected) -> tuple[str, str]:
     value = group.submodular_values[group.element(element)]
     if value == expected:
         return PASS, f"determinant of the adjoint action is {scalar_text(value)}"

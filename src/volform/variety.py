@@ -227,8 +227,9 @@ def sample_point(on: Chart, seed: int) -> Point:
 
 @dataclass(frozen=True)
 class SubstitutionAction:
-    """Finite-order chart automorphism given by coordinate images."""
+    """Finite-order automorphism of ``chart`` given by coordinate images."""
 
+    chart: Chart
     name: str
     images: tuple[tuple[str, LaurentPoly], ...]
     order: int
@@ -294,4 +295,4 @@ def action(
                 f"maps outside"
             )
 
-    return SubstitutionAction(name, tuple((c, full[c]) for c in on.coordinates), order)
+    return SubstitutionAction(on, name, tuple((c, full[c]) for c in on.coordinates), order)

@@ -20,6 +20,7 @@ from volform import (
     is_invariant,
     lie_bracket,
     lnd_flow,
+    pullback_form,
     scalar_form,
     scenario_by_name,
     vector_field,
@@ -31,6 +32,7 @@ from volform.errors import (
     DimensionError,
     NilpotencyError,
     NotTangentError,
+    VariableMismatchError,
     VolumeFormError,
 )
 
@@ -540,11 +542,23 @@ def test_calculus_input_errors():
          "key ('x', 'y') does not match degree 1"),
         (lambda: diff_form(chart(xy, (), [(x - 1, "x")]), 1, {("x",): 1}), ChartError,
          "'x' is not a free coordinate of the chart"),
-        (lambda: is_invariant(x, swap), ChartError,
-         "invariance of a bare polynomial needs the chart"),
-        (lambda: is_invariant(3, swap, plane), TypeError, "cannot test invariance of int"),
+        (lambda: is_invariant(3, swap), TypeError, "cannot test invariance of int"),
+    ]
+    # an action reads objects of its own chart only: torus:1's under surface's swap_xy
+    surface, torus = scenario_by_name("surface:p=x,q=y"), scenario_by_name("torus:1")
+    swap_xy = surface.actions["swap_xy"]
+    for obj in (torus.fields["nu1"], torus.forms["w_without_1"], torus.volume):
+        cases += [(lambda obj=obj: is_invariant(obj, swap_xy), VariableMismatchError,
+                   "objects live on different charts")]
+    cases += [
+        (lambda: is_invariant(torus.chart.generator("z1"), swap_xy), VariableMismatchError,
+         "polynomial over ('z1',) does not match chart coordinates ('x', 'y', 'z')"),
+        (lambda: pullback_form(torus.volume, swap_xy), VariableMismatchError,
+         "objects live on different charts"),
     ]
     for build, error, message in cases:
         with pytest.raises(error) as raised:
             build()
         assert str(raised.value) == message
+    # a polynomial is read on the action's chart, which needs no third argument
+    assert is_invariant(x + y, swap) and not is_invariant(x, swap)

@@ -128,6 +128,8 @@ group N { ambient 2; basis [[1, 0], [0, -1]]; element A0 = [[0, -1], [1, 0]]; }
 """
 
 
+NINES = "9" * 3000
+
 # statement -> the full detail of its one ERROR record (exit 1); each wording
 # is part of the contract.  A statement that opens its own chart block is the
 # whole document; every other one follows CASE_PREAMBLE.
@@ -193,14 +195,23 @@ ERROR_DETAILS = {
     # a detail whose coefficient is longer than Python prints
     "volume w = (x**-1*y**-1) dx^dy; poly bad = 2**20000*z; check potential(bad, dz, w);":
         "ResourceLimitError: a coefficient of 20001 bits is too long to print",
+    # and one whose exponent is: (10**3000 - 1)**2 has 6000 digits
+    f"poly g = (x**{NINES})**{NINES}; check kernel_spans(dz, 1, g, 2);":
+        "ResourceLimitError: an exponent of 19932 bits is too long to print",
 }
+
+
+def _error_row(statement: str, detail: str):
+    status = "ERROR:ResourceLimitError" if detail.startswith("ResourceLimitError") else "ERROR"
+    # a statement too long to read as a test id is named by its length
+    name = f"{len(statement)}-character-statement-1-{status}" if len(statement) > 200 else None
+    return pytest.param(statement, 1, status, id=name)
 
 
 # the third column names the record's status (None: a positioned error, exit 2)
 # and, for budget rows, the error class; it is also part of each test id
 @pytest.mark.parametrize("statement, code, status", [
-    *((statement, 1, "ERROR:ResourceLimitError" if detail.startswith("ResourceLimitError")
-       else "ERROR") for statement, detail in ERROR_DETAILS.items()),
+    *(_error_row(statement, detail) for statement, detail in ERROR_DETAILS.items()),
     # positioned errors in the document itself
     ("group M { ambient 2; basis [[1, 0], [0, 1/0]]; }", 2, None),
     # a basis whose bracket [E, F] = H leaves its span

@@ -207,6 +207,10 @@ PARSE_ERRORS = {
                            ParseError, "2:15: expected a check argument, found ';'"),
     "derivation_as_check_argument": (ONE_LINE_CHART + "check tangent(d/dx);", ParseError,
                                      "2:15: expected a check argument, found 'd/dx'"),
+    # a message that would print an exponent of 6000 digits, past Python's limit
+    "exponent_too_long_to_print": ("chart { vars x, y; rel (x**" + "9" * 3000 + ")**"
+                                   + "9" * 3000 + "*y - 1 solve y; }", SemanticError,
+                                   "1:1: an exponent of 19932 bits is too long to print"),
 }
 
 
