@@ -71,6 +71,7 @@ from oracles import (
 )
 
 ROOT = Path(__file__).resolve().parent.parent
+SL3 = ROOT / "tests" / "data" / "sl3.vf"
 
 
 def sl2_pair():
@@ -418,7 +419,7 @@ def test_monomial_table_matches_its_construction_by_apply(address):
 
 
 def _chart_model(address):
-    return parse(SL3) if address == "sl3" else scenario_by_name(address)
+    return parse(SL3.read_text()) if address == "sl3" else scenario_by_name(address)
 
 
 def _pair_ranks(on, fields, base, extra):
@@ -836,31 +837,20 @@ def test_semicompat_ideal_witness_on_sl2_like_chart():
     assert verdict.witness == x
 
 
-SL3 = """
-chart {
-  vars a11, a12, a13, a21, a22, a23, a31, a32, a33, m;
-  invert a33, m;
-  rel m - a22*a33 + a23*a32 solve a22;
-  rel a11*m - a12*(a21*a33 - a23*a31) + a13*(a21*a32 - a22*a31) - 1 solve a11;
-}
-field r12 = (a21) d/da11 + (a22) d/da12 + (a23) d/da13;
-field r23 = (a31) d/da21 + (a32) d/da22 + (a33) d/da23;
-field c32 = (a13) d/da12 + (a23) d/da22 + (a33) d/da32;
-"""
-
-
 def test_semicompat_on_sl3_with_two_relations():
     # SL3 on the chart a33 != 0, m != 0, where m is the trailing 2x2 minor:
-    # a row shear pair spans the whole ring at bound 3, and a row/column
-    # pair needs the witness a33**3
-    model = parse(SL3)
-    fields = model.fields
-    verdict = semicompat_bounded(fields["r12"], fields["r23"], 3)
-    assert verdict.status == FULL_RING
-    assert verdict.witness == LaurentPoly.one(model.chart.coordinates)
-    verdict = semicompat_bounded(fields["r23"], fields["c32"], 3)
-    assert verdict.status == IDEAL_WITNESS
-    assert verdict.witness == model.chart.generator("a33") ** 3
+    # at bound 3 a row shear pair spans the whole ring, one row/column pair
+    # needs the witness a33**3, and two find no certificate
+    fields = parse(SL3.read_text()).fields
+    for a, b, status, witness in [
+        ("r12", "r23", FULL_RING, "1"),
+        ("r23", "c32", IDEAL_WITNESS, "a33**3"),
+        ("r12", "c21", UNKNOWN, None),
+        ("r13", "c31", UNKNOWN, None),
+    ]:
+        verdict = semicompat_bounded(fields[a], fields[b], 3)
+        assert verdict.status == status
+        assert (None if verdict.witness is None else str(verdict.witness)) == witness
 
 
 @pytest.mark.parametrize("bound, case", [
