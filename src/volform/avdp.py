@@ -40,9 +40,9 @@ IDEAL_WITNESS = "IDEAL_WITNESS"
 UNKNOWN = "UNKNOWN"
 # Largest monomial basis a kernel or semicompat search may enumerate: it
 # admits bound 10 on a surface (286 monomials).  semicompat(dz, dx, 10) takes
-# 0.15-0.18 s on p = x^6 - 2x, q = y^2 + y and 0.08-0.09 s on p = x + x^3,
-# q = 2y + y^3 (best of 5-7, CPython 3.11.7, shared 2-core host); on the
-# latter 3/4 is the product span, 1/6 the table and 1/12 the two kernels.
+# 0.13-0.14 s on p = x^6 - 2x, q = y^2 + y and 0.08 s on p = x + x^3,
+# q = 2y + y^3 (best of 7, CPython 3.11.7, shared 2-core host); on the latter
+# 3/5 is reading the product span's rows, 1/6 the table, 1/10 the kernels.
 MAX_MONOMIALS = 300
 IntTerms = dict[int, int]  # an integer multiple of a polynomial's terms, by exponent code
 
@@ -420,7 +420,7 @@ def semicompat_bounded(
 
     # codes add like exponents and integer leading terms cannot cancel, so
     # w*nf(m) leads with lead(w) + lead(nf(m)); a nonzero span member
-    # leads with a pivot (rows lead with their own, 0 at the others), so a w
+    # leads with a pivot (no row holds a key above its own), so a w
     # with a sum that is no pivot fails.  Zero forms are in every span
     forms = sorted((m for m in forms if m), key=max, reverse=True)  # all() is order-free
     leads, pivots = [max(m) for m in forms], span.pivots

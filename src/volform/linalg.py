@@ -1,20 +1,19 @@
 """Exact linear algebra over the rationals.
 
-:class:`SpanBuilder` is the one elimination engine: incremental reduced
-echelon form over sparse integer vectors with an arbitrary ordered column
-space (Laurent-monomial columns for kernels and spans, integer columns for
-dense matrices).  It is fraction-free and takes integer vectors only, since
-a positive multiple spans the same line: callers with rational data scale
-each vector first.  It stores rows as primitive integer vectors, reads them
-out as they are (a reader divides a row by its pivot entry), and gives an
-integer nullspace.  :func:`row_echelon` is its dense front end for rational
-rows, and :func:`solve_exact` reads every column of ``A X = B`` from the
-reduced echelon form of ``[A | B]`` it builds, ``B = I`` for :func:`mat_inverse`.
-:func:`det_bareiss` is separate: a fraction-free determinant.
+:class:`SpanBuilder` is the one elimination engine: a fraction-free echelon
+form over sparse integer vectors with an arbitrary ordered column space
+(Laurent-monomial columns for kernels and spans, integer columns for dense
+matrices), reduced when its rows are read.  Callers with rational data scale
+each vector to integers first, as a positive multiple spans the same line.
+:func:`row_echelon` is its dense front end for rational rows, and
+:func:`solve_exact` reads every column of ``A X = B`` from the reduced echelon
+form of ``[A | B]``, ``B = I`` for :func:`mat_inverse`.  :func:`det_bareiss`
+is separate: a fraction-free determinant.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 from types import MappingProxyType
@@ -31,26 +30,20 @@ def make_matrix(rows: Iterable[Iterable]) -> Matrix:
 
 
 def identity_matrix(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n, k, m = len(a), len(b), len(b[0])
     assert all(len(row) == k for row in a)
-    return tuple(
-        tuple(sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m))
-        for i in range(n)
-    )
+    return tuple(tuple(sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m))
+                 for i in range(n))
 
 
 def det_bareiss(a: Matrix) -> Fraction:
-    """Determinant by fraction-free Bareiss elimination.
-
-    Rows are scaled to integers first (Bareiss needs an integral domain); the
-    accumulated scale divides the integer determinant at the end.
-    """
+    """Determinant by fraction-free Bareiss elimination of the rows scaled to
+    integers (Bareiss needs an integral domain); the accumulated scale divides
+    the integer determinant at the end."""
     n = len(a)
     if n == 0:
         return Fraction(1)
@@ -60,8 +53,7 @@ def det_bareiss(a: Matrix) -> Fraction:
         den, scaled = _integral(list(enumerate(row)))
         scale *= den
         m.append([x for _, x in scaled])
-    sign = 1
-    prev = 1
+    sign = prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             pivot = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
@@ -102,42 +94,47 @@ def _primitive(vec: dict, pivot: Hashable) -> dict:
 
 
 class SpanBuilder:
-    """Incremental reduced echelon form over sparse integer vectors.
+    """Incremental echelon form over sparse integer vectors, reduced on read.
 
     Vectors are dicts mapping hashable column keys to nonzero ints; inserting
     a Fraction is a TypeError (in the gcd of :func:`_primitive`), and so is
-    testing one that is not contained.  The column order is fixed by
-    ``key_order`` (largest column = pivot, compared descending).
-    Elimination is fraction-free: each stored row is a primitive integer
-    vector with a positive entry at its own pivot and 0 at every other
-    pivot, kept in a pivot -> row dict.  The reduced echelon form
-    is unique, so a stored row divided by its pivot entry is exactly the
-    rational row of Gauss-Jordan elimination; only readers of the rows divide.
-
-    ``_keys`` holds every key of every vector :meth:`insert` has stored, as
-    it stored it.  Back-substitution gives a row only keys of vectors stored
-    after it, so every key of every stored row is in ``_keys``, and a new
-    pivot outside it is in no stored row.
+    testing one that is not contained.  ``key_order`` orders the columns (the
+    largest key of a row is its pivot).  Each stored row is a primitive
+    integer vector, positive at its pivot, in a pivot -> row dict in the order
+    stored.  :meth:`insert` only forward-eliminates, so a row holds no key
+    above its pivot and is 0 at every pivot stored before it.  Every echelon
+    form of a span has the same pivots, which ``len``, :attr:`pivots` and
+    :meth:`contains` read from the rows as stored.  Readers of the rows get the
+    reduced echelon form, which is unique: a row over its pivot entry is the
+    rational row of Gauss-Jordan elimination, and only readers divide.
     """
 
     def __init__(self, key_order: Callable[[Hashable], object]):
         self._key_order = key_order
         self._rows: dict[Hashable, dict[Hashable, int]] = {}
-        self._keys: set[Hashable] = set()
+        self._reduced = True  # no insert since the last back-substitution
 
     def __len__(self) -> int:
         return len(self._rows)
 
     def _reduce(self, vec: dict) -> dict[Hashable, int]:
-        """A positive multiple of vec minus its projection on the stored rows.
-
-        Rows are 0 at every pivot but their own, so eliminating one pivot only
-        rescales the entries at the others: the pivots to clear are those
-        present in the input, which is copied, as elimination consumes it."""
+        """A positive multiple of a copy of vec (elimination consumes it) minus
+        its projection on the rows.  Pivots are cleared highest first: clearing
+        p brings in only keys below p, so none returns, but a pending one may
+        cancel before its turn.  Reduced rows bring in no pivot, in any order."""
         vec = dict(vec)
-        rows = self._rows
-        for pivot in [k for k in vec if k in rows]:
-            vec = _eliminate(vec, pivot, rows[pivot])
+        rows, order, reduced = self._rows, self._key_order, self._reduced
+        pending = [k for k in vec if k in rows]
+        if len(pending) > 1 and not reduced:
+            pending.sort(key=order)
+        while pending:
+            pivot = pending.pop()
+            if pivot in vec:
+                row = rows[pivot]
+                vec = _eliminate(vec, pivot, row)
+                for key in () if reduced else row.keys() & rows.keys():
+                    if key != pivot:
+                        bisect.insort(pending, key, key=order)
         return vec
 
     def insert(self, vec: dict) -> tuple[bool, Hashable | None]:
@@ -146,15 +143,8 @@ class SpanBuilder:
         if not vec:
             return (False, None)
         pivot = max(vec, key=self._key_order)  # type: ignore[arg-type]
-        vec = _primitive(vec, pivot)
-        # back-substitute to keep the basis fully reduced
-        rows = self._rows
-        if pivot in self._keys:
-            for key, row in rows.items():
-                if pivot in row:
-                    rows[key] = _primitive(_eliminate(row, pivot, vec), key)
-        self._keys.update(vec)
-        rows[pivot] = vec
+        self._rows[pivot] = _primitive(vec, pivot)
+        self._reduced = False
         return (True, pivot)
 
     def contains(self, vec: dict) -> bool:
@@ -165,16 +155,26 @@ class SpanBuilder:
         return not rest
 
     def _sorted_rows(self) -> list[tuple[Hashable, dict[Hashable, int]]]:
-        return sorted(self._rows.items(), key=lambda t: self._key_order(t[0]), reverse=True)
+        """The reduced echelon form, pivots descending.  A row holds no pivot
+        stored before it, so rows are cleared newest first, by reduced rows."""
+        rows = self._rows
+        if not self._reduced:
+            for pivot, row in reversed(rows.items()):
+                keys = row.keys() & rows.keys()
+                if len(keys) > 1:
+                    for key in keys - {pivot}:
+                        row = _eliminate(row, key, rows[key])
+                    rows[pivot] = _primitive(row, pivot)
+            self._reduced = True
+        return sorted(rows.items(), key=lambda t: self._key_order(t[0]), reverse=True)
 
     @property
     def pivots(self) -> KeysView[Hashable]:  # a read-only view
         return self._rows.keys()
 
     def primitive_rows(self) -> list[Mapping[Hashable, int]]:
-        """Read-only views of the stored primitive integer rows, pivot columns
-        descending: the rows of the reduced echelon basis, each times its
-        pivot entry."""
+        """Read-only views of the rows of the reduced echelon basis, pivot
+        columns descending, each a primitive integer row."""
         return [MappingProxyType(row) for _, row in self._sorted_rows()]
 
     def nullspace(self, keys: Iterable[Hashable]) -> list[dict[Hashable, int]]:
@@ -212,10 +212,10 @@ def solve_exact(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]
     reduced echelon form of [A | B]; None when any column is inconsistent (a
     row pivots in B).  Free variables are zero, so the result is deterministic.
     """
-    ncols = len(a[0]) if a else 0
-    width = len(b[0]) if b else 0
+    ncols, width = (len(a[0]) if a else 0), (len(b[0]) if b else 0)
     x = [(Fraction(0),) * width] * ncols
-    for pivot, row in row_echelon((*ra, *rb) for ra, rb in zip(a, b))._rows.items():
+    for row in row_echelon((*ra, *rb) for ra, rb in zip(a, b)).primitive_rows():
+        pivot = min(row)  # the leftmost column
         if pivot >= ncols:
             return None
         x[pivot] = tuple(Fraction(row.get(c, 0), row[pivot]) for c in range(ncols, ncols + width))

@@ -314,11 +314,21 @@ def test_span_builder_matches_dense_rref_in_any_insertion_order():
 
 def _chains(rng, ncols):
     """Rows at columns (i, i+1), for a leftmost-pivot span.  In order, row i
-    pivots at i, a key that rows 0..i-2 gained only by back-substitution of
-    row i-1; reversed, no stored row holds a new pivot."""
+    pivots at i, a key that row i-1 holds until a read back-substitutes it;
+    reversed, no stored row holds a new pivot."""
     rows = [[_big(rng) if c in (i, i + 1) else Fraction(0) for c in range(ncols)]
             for i in range(ncols - 1)]
     return [rows, rows[::-1]]
+
+
+def _staircases(rng, ncols):
+    """Rows at columns i..ncols-1.  In order, each row holds the pivot of
+    every row after it, so clearing one pivot brings in all the lower ones;
+    shuffled, some do."""
+    rows = [[_big(rng) if c >= i else Fraction(0) for c in range(ncols)] for i in range(ncols)]
+    shuffled = rows[:]
+    rng.shuffle(shuffled)
+    return [rows, shuffled]
 
 
 def test_span_builder_insert_and_contains_agree_with_dense_rank():
@@ -331,11 +341,17 @@ def test_span_builder_insert_and_contains_agree_with_dense_rank():
         rng.shuffle(rows)
         cases.append((rows, ncols))
     cases += [(rows, ncols) for ncols in range(2, 9) for rows in _chains(rng, ncols)]
+    cases += [(rows, ncols) for ncols in range(2, 7) for rows in _staircases(rng, ncols)]
     for rows, ncols in cases:
         span = SpanBuilder(key_order=lambda c: -c)
         seen: list[list[Fraction]] = []
-        for row in rows:
-            if seen and rng.random() < 0.5:
+        for step, row in enumerate(rows):
+            roll = rng.random()
+            if seen and roll < 0.3:
+                # a multiple of one row: in a chain or a staircase the pivots
+                # it holds after its own cancel before their turn
+                probe = [_big(rng) * x for x in rng.choice(seen)]
+            elif seen and roll < 0.6:
                 probe = [sum((_big(rng) * r[c] for r in seen), Fraction(0))
                          for c in range(ncols)]
             else:
@@ -353,17 +369,26 @@ def test_span_builder_insert_and_contains_agree_with_dense_rank():
             assert {pivot} == after - before if was_new else pivot is None
             assert len(span) == len(after)
             assert set(span.pivots) == after
-            # the stored rows are the reduced echelon form: every row that
-            # held the new pivot was back-substituted
-            assert [_dense(vec, range(ncols)) for vec in _echelon_rows(span)] == expected
             outcomes["new" if was_new else "dependent"] += 1
+            # rows are read at random steps only, so contains and insert meet
+            # rows not yet back-substituted, and one read settles several
+            # inserts; every read is the reduced echelon form
+            if step == len(rows) - 1 or rng.random() < 0.3:
+                if rng.random() < 0.5:
+                    basis = _echelon_rows(span)
+                    assert [_dense(vec, range(ncols)) for vec in basis] == expected
+                else:
+                    nullspace = _per_free_key(span.nullspace(range(ncols)), after)
+                    assert ([_dense(vec, range(ncols)) for vec in nullspace]
+                            == dense_nullspace(seen))
     assert min(outcomes.values()) > 20
 
 
 def test_span_members_lead_with_a_pivot():
-    # each stored row leads with its own pivot and is 0 at the others, so a
-    # nonzero combination leads with the largest pivot it uses; semicompat's
-    # witness search relies on this to skip rows without forming products
+    # a stored row is 0 at the pivots stored before it and holds no key
+    # above its own, so a nonzero combination leads with the largest pivot
+    # it uses; semicompat's witness search relies on this to skip rows
+    # without forming products
     rng = random.Random(1213)
     for _ in range(40):
         span = SpanBuilder(key_order=int)
