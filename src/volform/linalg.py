@@ -3,12 +3,11 @@
 :class:`SpanBuilder` is the one elimination engine: a fraction-free echelon
 form over sparse integer vectors with an arbitrary ordered column space
 (Laurent-monomial columns for kernels and spans, integer columns for dense
-matrices), reduced when its rows are read.  Callers with rational data scale
-each vector to integers first, as a positive multiple spans the same line.
-:func:`row_echelon` is its dense front end for rational rows, and
-:func:`solve_exact` reads every column of ``A X = B`` from the reduced echelon
-form of ``[A | B]``, ``B = I`` for :func:`mat_inverse`.  :func:`det_bareiss`
-is separate: a fraction-free determinant.
+matrices), reduced when its rows are read.  :func:`row_echelon` is its dense
+front end for rational rows, each scaled to integers, and :func:`solve_exact`
+reads every column of ``A X = B`` from the reduced echelon form of
+``[A | B]``, ``B = I`` for :func:`mat_inverse`.  :func:`det_bareiss` is
+separate: a fraction-free determinant.
 """
 
 from __future__ import annotations
@@ -30,20 +29,26 @@ def make_matrix(rows: Iterable[Iterable]) -> Matrix:
 
 
 def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    return tuple(
+        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
+    )
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n, k, m = len(a), len(b), len(b[0])
     assert all(len(row) == k for row in a)
-    return tuple(tuple(sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m))
-                 for i in range(n))
+    return tuple(
+        tuple(sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m))
+        for i in range(n)
+    )
 
 
 def det_bareiss(a: Matrix) -> Fraction:
-    """Determinant by fraction-free Bareiss elimination of the rows scaled to
-    integers (Bareiss needs an integral domain); the accumulated scale divides
-    the integer determinant at the end."""
+    """Determinant by fraction-free Bareiss elimination.
+
+    Rows are scaled to integers first (Bareiss needs an integral domain); the
+    accumulated scale divides the integer determinant at the end.
+    """
     n = len(a)
     if n == 0:
         return Fraction(1)
@@ -53,7 +58,8 @@ def det_bareiss(a: Matrix) -> Fraction:
         den, scaled = _integral(list(enumerate(row)))
         scale *= den
         m.append([x for _, x in scaled])
-    sign = prev = 1
+    sign = 1
+    prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             pivot = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
@@ -98,15 +104,14 @@ class SpanBuilder:
 
     Vectors are dicts mapping hashable column keys to nonzero ints; inserting
     a Fraction is a TypeError (in the gcd of :func:`_primitive`), and so is
-    testing one that is not contained.  ``key_order`` orders the columns (the
-    largest key of a row is its pivot).  Each stored row is a primitive
-    integer vector, positive at its pivot, in a pivot -> row dict in the order
-    stored.  :meth:`insert` only forward-eliminates, so a row holds no key
-    above its pivot and is 0 at every pivot stored before it.  Every echelon
-    form of a span has the same pivots, which ``len``, :attr:`pivots` and
-    :meth:`contains` read from the rows as stored.  Readers of the rows get the
-    reduced echelon form, which is unique: a row over its pivot entry is the
-    rational row of Gauss-Jordan elimination, and only readers divide.
+    testing one that is not contained.  A row's largest key under
+    ``key_order`` is its pivot.  Rows are primitive integer vectors, positive
+    at their pivot, in a pivot -> row dict in the order stored.  Inserts only
+    forward-eliminate, so a row holds no key above its pivot and is 0 at the
+    pivots stored before it.  ``len``, :attr:`pivots` and :meth:`contains`
+    read the rows as stored, since all echelon forms of a span share their
+    pivots.  Readers of the rows get the unique reduced form: a row over its
+    pivot entry is the rational row of Gauss-Jordan elimination.
     """
 
     def __init__(self, key_order: Callable[[Hashable], object]):
@@ -119,20 +124,17 @@ class SpanBuilder:
 
     def _reduce(self, vec: dict) -> dict[Hashable, int]:
         """A positive multiple of a copy of vec (elimination consumes it) minus
-        its projection on the rows.  Pivots are cleared highest first: clearing
-        p brings in only keys below p, so none returns, but a pending one may
-        cancel before its turn.  Reduced rows bring in no pivot, in any order."""
-        vec = dict(vec)
-        rows, order, reduced = self._rows, self._key_order, self._reduced
+        its projection on the rows, its pivots cleared highest first: clearing
+        p brings in only keys below p, and reduced rows bring in no pivot."""
+        vec, rows, order = dict(vec), self._rows, self._key_order
         pending = [k for k in vec if k in rows]
-        if len(pending) > 1 and not reduced:
+        if len(pending) > 1 and not self._reduced:
             pending.sort(key=order)
         while pending:
             pivot = pending.pop()
-            if pivot in vec:
-                row = rows[pivot]
-                vec = _eliminate(vec, pivot, row)
-                for key in () if reduced else row.keys() & rows.keys():
+            if pivot in vec:  # else it cancelled before its turn
+                vec = _eliminate(vec, pivot, rows[pivot])
+                for key in () if self._reduced else rows[pivot].keys() & rows.keys():
                     if key != pivot:
                         bisect.insort(pending, key, key=order)
         return vec
@@ -155,17 +157,15 @@ class SpanBuilder:
         return not rest
 
     def _sorted_rows(self) -> list[tuple[Hashable, dict[Hashable, int]]]:
-        """The reduced echelon form, pivots descending.  A row holds no pivot
-        stored before it, so rows are cleared newest first, by reduced rows."""
+        # the reduced echelon form: a row holds only pivots stored after it,
+        # so rows are cleared newest first, each by reduced rows
         rows = self._rows
-        if not self._reduced:
-            for pivot, row in reversed(rows.items()):
-                keys = row.keys() & rows.keys()
-                if len(keys) > 1:
-                    for key in keys - {pivot}:
-                        row = _eliminate(row, key, rows[key])
-                    rows[pivot] = _primitive(row, pivot)
-            self._reduced = True
+        for pivot, row in () if self._reduced else reversed(rows.items()):
+            if len(keys := row.keys() & rows.keys()) > 1:
+                for key in keys - {pivot}:
+                    row = _eliminate(row, key, rows[key])
+                rows[pivot] = _primitive(row, pivot)
+        self._reduced = True
         return sorted(rows.items(), key=lambda t: self._key_order(t[0]), reverse=True)
 
     @property
@@ -212,11 +212,11 @@ def solve_exact(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]
     reduced echelon form of [A | B]; None when any column is inconsistent (a
     row pivots in B).  Free variables are zero, so the result is deterministic.
     """
-    ncols, width = (len(a[0]) if a else 0), (len(b[0]) if b else 0)
+    ncols = len(a[0]) if a else 0
+    width = len(b[0]) if b else 0
     x = [(Fraction(0),) * width] * ncols
     for row in row_echelon((*ra, *rb) for ra, rb in zip(a, b)).primitive_rows():
-        pivot = min(row)  # the leftmost column
-        if pivot >= ncols:
+        if (pivot := min(row)) >= ncols:  # the leftmost column
             return None
         x[pivot] = tuple(Fraction(row.get(c, 0), row[pivot]) for c in range(ncols, ncols + width))
     return tuple(x)
