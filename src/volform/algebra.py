@@ -378,13 +378,6 @@ class LaurentPoly:
 
     # ------------------------------------------------------- variable surgery
 
-    def rename_variables(self, mapping: Mapping[str, str]) -> "LaurentPoly":
-        """Rename variables in place (order preserved)."""
-        new_vars = tuple(mapping.get(v, v) for v in self.variables)
-        if len(set(new_vars)) != len(new_vars):
-            raise VariableMismatchError(f"renaming produces duplicate names: {new_vars}")
-        return LaurentPoly(new_vars, self.terms)
-
     def extend_variables(self, variables: Iterable[str]) -> "LaurentPoly":
         """Re-express over a larger variable list (superset, any order)."""
         vs = tuple(variables)

@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import _integral
 from .errors import GroupError
 from .linalg import (
-    Matrix, det_bareiss, make_matrix, mat_inverse, mat_mul, row_echelon, solve_exact,
+    Matrix, _scaled, det_bareiss, make_matrix, mat_inverse, mat_mul, row_echelon, solve_exact,
 )
 
 
@@ -59,11 +58,10 @@ def group_presentation(
     if len(span) != len(basis):
         raise GroupError("Lie algebra basis matrices are linearly dependent")
     # the bracket of integer multiples of two basis matrices is a multiple of theirs
-    whole = [dict(_integral([((r, c), x) for r, row in enumerate(b) for c, x in enumerate(row)])[1])
-             for b in basis]
+    whole = [_scaled(b)[1] for b in basis]
     for (i, x), (j, y) in itertools.combinations(enumerate(whole, 1), 2):
         bracket = {r * size + c: v for r in range(size) for c in range(size)
-                   if (v := sum(x[r, k] * y[k, c] - y[r, k] * x[k, c] for k in range(size)))}
+                   if (v := sum(x[r][k] * y[k][c] - y[r][k] * x[k][c] for k in range(size)))}
         if not span.contains(bracket):
             raise GroupError(f"basis spans no Lie algebra: the bracket of matrices {i} and {j} "
                              "lies outside its span")

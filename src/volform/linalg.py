@@ -15,49 +15,55 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
+from operator import mul
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, KeysView, Mapping, Sequence
 
-from .algebra import _integral
+from .algebra import _integral, exact_scalar
 from .errors import GroupError
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 def make_matrix(rows: Iterable[Iterable]) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    """Rows of Fractions: a Fraction is kept, an int wrapped, and any other
+    entry a ScalarError (``Fraction`` would read a float as some rational)."""
+    return tuple(
+        tuple(x if isinstance(x, Fraction) else Fraction(exact_scalar(x, "matrix entry", (r, c)))
+              for c, x in enumerate(row))
+        for r, row in enumerate(rows))
 
 
 def identity_matrix(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+
+
+def _scaled(a: Matrix) -> tuple[int, list[list[int]]]:
+    """The lcm of the denominators of a's entries, and a's rows times it."""
+    den = math.lcm(*(x.denominator for row in a for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in a]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    assert all(len(row) == k for row in a)
-    return tuple(
-        tuple(sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m))
-        for i in range(n)
-    )
+    """A B, from the integer product of the operands each scaled once by the
+    lcm of its denominators; one Fraction per output entry."""
+    assert all(len(row) == len(b) for row in a)
+    (da, ia), (db, ib) = _scaled(a), _scaled(b)
+    den, columns = da * db, list(zip(*ib))
+    return tuple(tuple(Fraction(sum(map(mul, row, col)), den) for col in columns) for row in ia)
 
 
 def det_bareiss(a: Matrix) -> Fraction:
     """Determinant by fraction-free Bareiss elimination.
 
-    Rows are scaled to integers first (Bareiss needs an integral domain); the
-    accumulated scale divides the integer determinant at the end.
+    The matrix is scaled to integers first (Bareiss needs an integral
+    domain), by the lcm of its denominators; its n-th power divides the
+    integer determinant at the end.
     """
     n = len(a)
     if n == 0:
         return Fraction(1)
-    scale = 1
-    m: list[list[int]] = []
-    for row in a:
-        den, scaled = _integral(list(enumerate(row)))
-        scale *= den
-        m.append([x for _, x in scaled])
+    scale, m = _scaled(a)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -72,7 +78,7 @@ def det_bareiss(a: Matrix) -> Fraction:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1], scale)
+    return Fraction(sign * m[n - 1][n - 1], scale ** n)
 
 
 def _eliminate(vec: dict, key: Hashable, row: dict) -> dict:

@@ -19,7 +19,7 @@ from .calculus import (
 )
 from .errors import ChartError
 from .model import CheckDirective, Model
-from .variety import SubstitutionAction, action, chart
+from .variety import Chart, Relation, SubstitutionAction, action, chart
 
 
 def torus(n: int) -> Model:
@@ -29,9 +29,7 @@ def torus(n: int) -> Model:
     names = tuple(f"z{i}" for i in range(1, n + 1))
     t = chart(names, invertible=names)
     gens = {name: t.generator(name) for name in names}
-    omega = volume_form(
-        t, LaurentPoly.monomial(names, tuple(-1 for _ in names))
-    )
+    omega = volume_form(t, LaurentPoly.monomial(names, (-1,) * n))
 
     fields: dict[str, VectorField] = {}
     for i, name in enumerate(names, start=1):
@@ -51,9 +49,7 @@ def torus(n: int) -> Model:
     forms: dict[str, DiffForm] = {}
     for i, name in enumerate(names, start=1):
         rest = tuple(m for m in names if m != name)
-        coeff = LaurentPoly.monomial(
-            names, tuple(-1 if m != name else 0 for m in names)
-        )
+        coeff = LaurentPoly.monomial(names, tuple(-1 if m != name else 0 for m in names))
         forms[f"w_without_{i}"] = diff_form(t, n - 1, {rest: coeff})
 
     negate = action(t, "negate", {name: -gens[name] for name in names}, 2)
@@ -263,56 +259,65 @@ def product(s1: Model, s2: Model) -> Model:
     lifted fields under their own names, and an anti-invariant field or the
     volume form ``w`` rescaled by an anti-invariant coordinate ``c`` as the
     new field ``c<field>`` or form ``cw``.
+
+    A factor's relations involve its own coordinates only, so what it proved
+    holds lifted and is not proved again: solutions, normal forms, order and
+    ideal stability.  A lifted polynomial pads its exponents; its terms keep order.
     """
     if s1.chart is None or s2.chart is None or s1.volume is None or s2.volume is None:
         raise ChartError("product needs two scenarios with charts and volume forms")
     taken = dict.fromkeys(s1.chart.coordinates)
     rn2 = {c: _add(taken, c, None) for c in s2.chart.coordinates}
-    factors = ((s1, {}), (s2, rn2))
     coords = tuple(taken)
+    # (factor, its renaming, the zero exponents before and after its block)
+    factors = ((s1, {}, ((), (0,) * len(rn2))), (s2, rn2, ((0,) * len(s1.chart.coordinates), ())))
 
-    def lift(p: LaurentPoly, rn: Mapping[str, str]) -> LaurentPoly:
-        return p.rename_variables(rn).extend_variables(coords)
+    def lift(p: LaurentPoly, pad: tuple[tuple[int, ...], tuple[int, ...]]) -> LaurentPoly:
+        return LaurentPoly(coords, tuple(((*pad[0], *e, *pad[1]), c) for e, c in p.terms))
 
-    both = chart(
+    both = Chart(
         coords,
-        {rn.get(c, c) for s, rn in factors for c in s.chart.invertible},
-        [
-            (lift(rel.poly, rn), rn.get(rel.solves, rel.solves))
-            for s, rn in factors
-            for rel in s.chart.relations
-        ],
+        frozenset({rn.get(c, c) for s, rn, _ in factors for c in s.chart.invertible}),
+        tuple(Relation(lift(rel.poly, pad), rn.get(rel.solves, rel.solves))
+              for s, rn, pad in factors for rel in s.chart.relations),
+        tuple(rn.get(c, c) for s, rn, _ in factors for c in s.chart.free_coordinates),
+        tuple((rn.get(c, c), lift(sol, pad))
+              for s, rn, pad in factors for c, sol in s.chart.solutions),
     )
-    unit = lift(s1.volume.unit_coefficient(), {}) * lift(s2.volume.unit_coefficient(), rn2)
-    volume = volume_form(both, unit)
+    volume = volume_form(both, lift(s1.volume.unit_coefficient(), factors[0][2])
+                         * lift(s2.volume.unit_coefficient(), factors[1][2]))
+    zeros = dict.fromkeys(coords, LaurentPoly.zero(coords))
+    gens = {c: both.generator(c) for c in coords}
 
     fields: dict[str, VectorField] = {}
     forms: dict[str, DiffForm] = {}
     polys: dict[str, LaurentPoly] = {}
     actions: dict[str, SubstitutionAction] = {}
     images: tuple[list, list] = ([], [])  # (name, lifted images, order) per factor
-    for (s, rn), own_images in zip(factors, images):
+    for (s, rn, pad), own_images in zip(factors, images):
         for name, f in s.fields.items():
-            lifted = vector_field(both, {rn.get(n, n): lift(c, rn) for n, c in f.coefficients})
-            _add(fields, name, lifted)
+            lifted = {rn.get(n, n): lift(c, pad) for n, c in f.coefficients}
+            _add(fields, name, VectorField(both, tuple({**zeros, **lifted}.items())))
         for name, f in s.forms.items():
-            coeffs = {tuple(rn.get(n, n) for n in key): lift(c, rn) for key, c in f.coefficients}
-            _add(forms, name, diff_form(both, f.degree, coeffs))
+            coeffs = sorted(((tuple(rn.get(n, n) for n in key), lift(c, pad))
+                             for key, c in f.coefficients), key=lambda kv: kv[0])
+            _add(forms, name, DiffForm(both, f.degree, tuple(coeffs)))
         for name, p in s.polys.items():
-            lifted = lift(p, rn)
+            lifted = lift(p, pad)
             if polys.get(name) != lifted:
                 _add(polys, name, lifted)
         for name, a in s.actions.items():
-            lifted = {rn.get(n, n): lift(img, rn) for n, img in a.images}
+            lifted = {rn.get(n, n): lift(img, pad) for n, img in a.images}
             key = _fresh(actions, name)
-            actions[key] = action(both, key, lifted, a.order)
+            actions[key] = SubstitutionAction(both, key, tuple({**gens, **lifted}.items()), a.order)
             own_images.append((name, lifted, a.order))
     diagonals: list[str] = []
     for n1, images1, order in images[0]:
         for n2, images2, order2 in images[1]:
             if order == order2:
                 name = _fresh(actions, f"{n1}_{n2}")
-                actions[name] = action(both, name, {**images1, **images2}, order)
+                actions[name] = SubstitutionAction(
+                    both, name, tuple({**images1, **images2}.items()), order)
                 diagonals.append(name)
 
     checks: list[CheckDirective] = []
@@ -399,9 +404,7 @@ def scenario_by_name(address: str) -> Model:
             )
         p_text, q_text = spec[2:].split(",q=", 1)
         names = ("x", "y", "z")
-        return surface(
-            parse_polynomial(p_text, names), parse_polynomial(q_text, names)
-        )
+        return surface(parse_polynomial(p_text, names), parse_polynomial(q_text, names))
     raise ChartError(f"unknown scenario address {address!r}")
 
 

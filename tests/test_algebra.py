@@ -396,11 +396,9 @@ def test_evaluate_matches_sympy_substitution():
     assert zeros and negative_parts
 
 
-def test_rename_and_extend_variables():
+def test_extend_variables():
     x, y = gens(*XY)
     p = x ** 2 * y - 3
-    renamed = p.rename_variables({"x": "u"})
-    assert renamed.variables == ("u", "y")
     extended = p.extend_variables(("t", "x", "y"))
     assert extended.variables == ("t", "x", "y")
     assert extended.evaluate({"t": 9, "x": 2, "y": 1}) == p.evaluate({"x": 2, "y": 1})
@@ -420,8 +418,6 @@ ALGEBRA_INPUT_ERRORS = {
     "unknown_variable": (lambda: LaurentPoly.variable(XY, "q"), UnknownVariableError,
                          "unknown variable 'q'"),
     "fractional_power": (lambda: X ** Fraction(1, 2), TypeError, "exponent must be an integer"),
-    "rename_duplicate": (lambda: X.rename_variables({"x": "y"}), VariableMismatchError,
-                         "renaming produces duplicate names: ('y', 'y')"),
     "extend_missing": (lambda: X.extend_variables(("y",)), UnknownVariableError,
                        "target variable list is missing 'x'"),
     # an operand of another type is NotImplemented, so Python raises

@@ -8,7 +8,7 @@ import pytest
 
 from volform import adjoint_matrix, group_presentation, groups, submodular
 from volform.cli import main
-from volform.errors import GroupError
+from volform.errors import GroupError, ScalarError
 from volform.linalg import identity_matrix, make_matrix, mat_inverse, mat_mul
 
 H = [[1, 0], [0, -1]]
@@ -185,6 +185,18 @@ def test_singular_elements_are_refused_before_any_unstable_span():
         group_presentation(2, [H], [("bad", [[1, 1], [0, 1]]), ("sing", [[1, 0], [0, 0]])])
     with pytest.raises(GroupError, match="^adjoint action leaves the span"):
         group_presentation(2, [H], [("bad", [[1, 1], [0, 1]]), ("ok", A0)])
+
+
+@pytest.mark.parametrize("basis, elements, text", [
+    ([H], [("T", [[0.5, 0], [0, 2]])], r"^matrix entry \(0, 0\) is 0\.5, "),
+    ([[[1.0, 0], [0, -1]]], [], r"^matrix entry \(0, 0\) is 1\.0, "),
+    ([H], [("S", [[0, "2"], [Fraction(-1, 2), 0]])], r"^matrix entry \(0, 1\) is '2', "),
+], ids=["float_element", "float_basis", "string_element"])
+def test_group_entries_are_exact(basis, elements, text):
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10: an
+    # entry that is not an int or a Fraction is refused, not read as a rational
+    with pytest.raises(ScalarError, match=text):
+        group_presentation(2, basis, elements)
 
 
 def test_empty_basis_is_a_group_error():

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import integral_vector
 from oracles import dense_nullspace, dense_pivots, dense_rank, dense_rref
-from volform.errors import GroupError
+from volform.errors import GroupError, ScalarError
 from volform.linalg import (
     SpanBuilder,
     det_bareiss,
@@ -50,6 +50,48 @@ def test_det_matches_cofactor_expansion_on_random_matrices():
         n = rng.randint(1, 4)
         m = [[Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
         assert det_bareiss(make_matrix(m)) == cofactor_det(m)
+
+
+def test_mat_mul_matches_the_fraction_oracle():
+    # the integer product over the two denominators' lcms against the sum of
+    # Fraction products, on shapes from 1x1 to 4x4 (most of them not square),
+    # with zero and negative entries and operands that are zero throughout
+    rng = random.Random(2531)
+    seen = {"1x1": 0, "non-square": 0, "zero operand": 0, "negative": 0, "fractional": 0}
+    for _ in range(200):
+        n, k, m = (rng.randint(1, 4) for _ in range(3))
+        density = rng.choice((0.0, 0.5, 1.0))
+
+        def entry():
+            if rng.random() >= density:
+                return Fraction(0)
+            return Fraction(rng.randint(-7, 7), rng.choice((1, 1, 2, 3, 6, 10)))
+
+        a = make_matrix([[entry() for _ in range(k)] for _ in range(n)])
+        b = make_matrix([[entry() for _ in range(m)] for _ in range(k)])
+        oracle = tuple(tuple(sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0))
+                             for j in range(m)) for i in range(n))
+        got = mat_mul(a, b)
+        assert got == oracle
+        assert all(type(x) is Fraction for row in got for x in row)
+        seen["1x1"] += n == k == m == 1
+        seen["non-square"] += len({n, k, m}) > 1
+        seen["zero operand"] += not any(map(any, a)) or not any(map(any, b))
+        seen["negative"] += any(x < 0 for row in a + b for x in row)
+        seen["fractional"] += any(x.denominator > 1 for row in got for x in row)
+    assert min(seen.values()) > 5
+
+
+def test_make_matrix_takes_exact_entries_only():
+    half = Fraction(1, 2)
+    made = make_matrix([[half, 2], [-3, 0]])
+    assert made == ((half, Fraction(2)), (Fraction(-3), Fraction(0)))
+    assert made[0][0] is half
+    assert all(type(x) is Fraction for row in made for x in row)
+    with pytest.raises(ScalarError, match=r"^matrix entry \(0, 0\) is 0\.1, not an int or a Fraction$"):
+        make_matrix([[0.1]])
+    with pytest.raises(ScalarError, match=r"^matrix entry \(1, 0\) is '1/2', "):
+        make_matrix([[1, 0], ["1/2", 1]])
 
 
 def test_inverse_and_solve():

@@ -15,6 +15,7 @@ from volform import (
     VectorField,
     action,
     chart,
+    diff_form,
     execute,
     forms_equal,
     is_invariant,
@@ -37,6 +38,7 @@ from volform.linalg import SpanBuilder
 from volform.model import Model
 
 from helpers import grlex_key, run_snippet
+from test_golden import PRODUCTS
 
 XYZ = ("x", "y", "z")
 DATA = Path(__file__).parent / "data"
@@ -102,6 +104,11 @@ def test_surface_rejects_nonzero_constant_terms():
         surface(xvar() + 1, yvar())
 
 
+def rename(p: LaurentPoly, mapping) -> LaurentPoly:
+    """p with its variables renamed in place and its terms as they are."""
+    return LaurentPoly(tuple(mapping.get(v, v) for v in p.variables), p.terms)
+
+
 def test_product_of_tori_matches_bigger_torus_up_to_renaming():
     prod = product(torus(1), torus(1))
     assert prod.chart.coordinates == ("z1", "z1_2")
@@ -110,12 +117,12 @@ def test_product_of_tori_matches_bigger_torus_up_to_renaming():
                [mapping.get(c, c) for c in prod.chart.invertible])
     reference = torus(2)
     assert on == reference.chart
-    coeff = prod.volume.unit_coefficient().rename_variables(mapping)
+    coeff = rename(prod.volume.unit_coefficient(), mapping)
     assert volume_form(on, coeff) == reference.volume
 
     def renamed(name):
         coeffs = prod.fields[name].coefficients
-        return vector_field(on, {mapping.get(n, n): c.rename_variables(mapping) for n, c in coeffs})
+        return vector_field(on, {mapping.get(n, n): rename(c, mapping) for n, c in coeffs})
 
     assert renamed("nu1") == reference.fields["nu1"]
     assert renamed("nu1_2") == reference.fields["nu2"]
@@ -186,6 +193,88 @@ def test_three_factor_product_records_each_check_once():
     assert len(labels) == len(set(labels)) == 45
     assert "invariant(z1dz, swap_xy_negate_negate)" in labels
     run_all(prod)
+
+
+# every golden product, a product of two equal xm1 factors, three factors, and
+# a p = q surface, whose swap action gives a diagonal
+LIFTED = tuple(dict.fromkeys(PRODUCTS + (
+    "product:sl2|sl2",
+    "product:xm1:2|xm1:2",
+    "product:torus:1|torus:1|torus:1",
+    "product:surface:p=2*x,q=2*y|torus:1",
+)))
+
+
+def _factors(address: str):
+    """The two models whose product ``address`` builds last."""
+    *head, last = address[len("product:"):].split("|")
+    first = scenario_by_name(head[0] if len(head) == 1 else "product:" + "|".join(head))
+    return first, scenario_by_name(last)
+
+
+@pytest.mark.parametrize("address", LIFTED)
+def test_product_lifts_what_the_validating_constructors_build(address):
+    # product assembles its chart and lifted objects from the factors' parts;
+    # rebuilt from the same lifted data by chart, vector_field, diff_form and
+    # action, which solve, normalise, sort and test order and ideal again,
+    # each is equal
+    s1, s2 = _factors(address)
+    prod = product(s1, s2)
+    coords = prod.chart.coordinates
+    renamed = [{}, dict(zip(s2.chart.coordinates, coords[len(s1.chart.coordinates):]))]
+
+    def lift(p, rn):
+        return rename(p, rn).extend_variables(coords)
+
+    both = chart(coords, [rn.get(c, c) for s, rn in zip((s1, s2), renamed) for c in s.chart.invertible],
+                 [(lift(rel.poly, rn), rn.get(rel.solves, rel.solves))
+                  for s, rn in zip((s1, s2), renamed) for rel in s.chart.relations])
+    assert prod.chart == both
+    fields, forms, actions = (iter(table.values()) for table in (prod.fields, prod.forms, prod.actions))
+    images = []
+    for s, rn in zip((s1, s2), renamed):
+        for f in s.fields.values():
+            assert next(fields) == vector_field(
+                both, {rn.get(n, n): lift(c, rn) for n, c in f.coefficients})
+        for f in s.forms.values():
+            assert next(forms) == diff_form(
+                both, f.degree, {tuple(rn.get(n, n) for n in k): lift(c, rn) for k, c in f.coefficients})
+        images.append([({rn.get(n, n): lift(img, rn) for n, img in a.images}, a.order)
+                       for a in s.actions.values()])
+    lifted = [*images[0], *images[1]]
+    lifted += [({**i1, **i2}, o1) for i1, o1 in images[0] for i2, o2 in images[1] if o1 == o2]
+    assert len(prod.actions) == len(lifted)
+    for (images_of, order), act in zip(lifted, actions):
+        assert act == action(both, act.name, images_of, order)
+
+
+def test_product_re_sorts_the_renamed_keys_of_a_form():
+    # z1 of the second factor becomes z1_2, which sorts after z10, so the
+    # lifted 1-form dz1 + dz10 lists its keys in another order
+    names = ("z1", "z10")
+    plane = chart(names, invertible=names)
+    one = LaurentPoly.one(names)
+    form = diff_form(plane, 1, {("z1",): one, ("z10",): one})
+    second = Model(name="plane", chart=plane, volume=volume_form(plane, one), volume_name="w",
+                   forms={"f": form})
+    prod = product(torus(1), second)
+    on = prod.chart
+    assert [key for key, _ in prod.forms["f"].coefficients] == [("z10",), ("z1_2",)]
+    assert prod.forms["f"] == diff_form(on, 1, {("z1_2",): on.poly(1), ("z10",): on.poly(1)})
+
+
+def test_product_runs_no_validating_constructor(monkeypatch):
+    from volform import scenarios
+
+    built = [scenario_by_name(a) for a in ("sl2", "surface:p=x,q=y", "xm1:2", "torus:2")]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("product re-validated a lifted object")
+
+    for name in ("chart", "action", "vector_field", "diff_form"):
+        monkeypatch.setattr(scenarios, name, refuse)
+    for s1, s2 in itertools.permutations(built, 2):
+        assert product(product(s1, s2), s1).checks
 
 
 def test_quadric_surface_times_torus_spot_check():
